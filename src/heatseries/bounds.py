@@ -204,7 +204,7 @@ def convexity_split(k, d):
     return xlnx(k) + k * math.log(2.0) + d * math.log(2.0 * d)
 
 
-def _root_distances(graph, rmax):
+def root_distances(graph, rmax):
     """Map vertex -> distance from the root, over the radius-rmax ball."""
     out = {}
     for r in range(rmax + 1):
@@ -224,7 +224,7 @@ def fit_growth_profile(graph, f, rmax):
     if rmax < 2:
         raise ValueError("rmax must be >= 2")
     values = f if isinstance(f, LocalFunction) else LocalFunction(f)
-    dist = _root_distances(graph, rmax)
+    dist = root_distances(graph, rmax)
     amplitude = max(
         (abs(values(x)) for x, d in dist.items() if d <= 1), default=0
     )
@@ -249,7 +249,7 @@ def fit_degree_growth(graph, rmax):
     """
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
-    dist = _root_distances(graph, rmax)
+    dist = root_distances(graph, rmax)
     degs = {x: graph.deg(x) for x in dist}
     cap = float(max(degs[x] for x, d in dist.items() if d <= 1))
     for power in EXPONENT_GRID:

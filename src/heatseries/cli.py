@@ -14,9 +14,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,11 +30,13 @@ from .graphs import (
     load_graph,
     path_graph,
     random_weighted_graph,
+    vertex_key,
 )
 from .laplacian import IteratedLaplacianTable, apply_laplacian, iterated_laplacian
 from .oracle import brute_iterate, dense_laplacian, expm_apply
 from .series import (
     SeriesSolution,
+    audit_region,
     check_backward_solvability,
     coefficient_bound_audit,
     series_eval,
@@ -104,10 +104,6 @@ def _csv_cell(v):
     return v
 
 
-def _vertex_key(x):
-    return repr(x)
-
-
 def _jsonable_vertex(x):
     return list(x) if isinstance(x, tuple) else x
 
@@ -123,7 +119,8 @@ def _add_common(parser):
         help="lazy family: z, lattice:<d> or tree:<k> (default z)",
     )
     parser.add_argument("--exact", action="store_true",
-                        help="parse numeric inputs as exact rationals")
+                        help="exact rational arithmetic: parse numeric inputs as "
+                        "rationals (default: float64 throughout)")
     parser.add_argument("--out", metavar="FILE", help="report file (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -218,9 +215,17 @@ def _resolve_initial(args, graph):
                 raise HeatSeriesError(f"malformed initial-data record {rec!r}")
             x = _parse_vertex(rec[0])
             graph.check_vertex(x)
-            values[x] = rec[1]
+            value = rec[1]
+            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
+                raise HeatSeriesError(f"non-numeric value in initial-data record {rec!r}")
+            values[x] = value if args.exact else float(value)
         return LocalFunction(values), {"initial": args.initial}
-    return LocalFunction.delta(graph.root), {"initial": "delta-at-root"}
+    return _unit_delta(graph, args.exact), {"initial": "delta-at-root"}
+
+
+def _unit_delta(graph, exact):
+    """1 at the root, as the exact integer or as a float64."""
+    return LocalFunction.delta(graph.root, 1 if exact else 1.0)
 
 
 def _parse_times(spec, exact):
@@ -234,35 +239,20 @@ def _parse_times(spec, exact):
     return out
 
 
-def _worker_count():
-    try:
-        return max(1, int(os.environ.get("HEAT_SERIES_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _grid_eval(solution, tasks):
-    workers = _worker_count()
-    if workers == 1:
-        return [series_eval(solution, x, t) for x, t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda xt: series_eval(solution, *xt), tasks))
-
-
 def _eval_rows(solution, vertices, times):
-    tasks = [(x, t) for x in vertices for t in times]
-    results = _grid_eval(solution, tasks)
     rows = []
-    for (x, t), res in zip(tasks, results):
-        rows.append(
-            {
-                "vertex": _jsonable_vertex(x),
-                "t": float(t),
-                "value": float(res.value),
-                "tail_bound": res.tail_bound,
-                "K_used": res.terms_used,
-            }
-        )
+    for x in vertices:
+        for t in times:
+            res = series_eval(solution, x, t)
+            rows.append(
+                {
+                    "vertex": _jsonable_vertex(x),
+                    "t": float(t),
+                    "value": float(res.value),
+                    "tail_bound": res.tail_bound,
+                    "K_used": res.terms_used,
+                }
+            )
     return rows
 
 
@@ -278,7 +268,7 @@ def _cmd_laplacian(args, config):
     rows = []
     for k in range(args.kmax + 1):
         entry = table.entry(k)
-        for x in sorted(entry.support, key=_vertex_key):
+        for x in sorted(entry.support, key=vertex_key):
             rows.append(
                 {"k": k, "vertex": _jsonable_vertex(x), "value": float(entry(x))}
             )
@@ -293,7 +283,7 @@ def _cmd_solve(args, config):
     config.update(init_src)
     config.update({"t": [float(t) for t in times], "tol": args.tol, "rmax": args.rmax})
     solution = SeriesSolution(graph, initial, tol=args.tol)
-    vertices = sorted(graph.ball(graph.root, args.rmax), key=_vertex_key)
+    vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
     rows = _eval_rows(solution, vertices, times)
     return {"evaluations": rows}, True, rows
 
@@ -315,17 +305,14 @@ def _cmd_backward(args, config):
         }
     )
     solution = SeriesSolution(graph, initial, tol=args.tol)
-    vertices = sorted(graph.ball(graph.root, args.rmax), key=_vertex_key)
+    vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
     rows = _eval_rows(solution, vertices, [-t for t in times])
     for row, (_x, t) in zip(rows, [(x, t) for x in vertices for t in times]):
         row["t"] = float(t)  # report the backward time, not the internal negation
 
     if args.degree_bound is None:
-        region = set(graph.ball(graph.root, args.rmax))
-        spread = set(initial.support)
-        for _ in range(args.kmax):
-            spread = set(graph.one_neighborhood(spread))
-        cap = max(float(graph.deg(x)) for x in region | spread)
+        region = audit_region(graph, initial, args.kmax, args.rmax)
+        cap = max(float(graph.deg(x)) for x in region)
     else:
         cap = args.degree_bound
     config["degree_bound"] = cap
@@ -520,7 +507,7 @@ def _cmd_verify(args, config):
     checks = []
     ok_all = True
     for name, graph in _verify_fixtures():
-        initial = LocalFunction.delta(graph.root)
+        initial = _unit_delta(graph, args.exact)
         solution = SeriesSolution(graph, initial, tol=args.tol)
         op = dense_laplacian(graph)
         vec = op.vector_of(initial)

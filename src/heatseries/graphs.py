@@ -6,15 +6,14 @@ envelopes.  Finite graphs enumerate their vertices; infinite families expose
 a neighbor oracle plus a closed-form metric, and balls are materialized on
 demand by breadth-first search and memoized.
 
-Graphs are immutable after construction; all queries are pure and safe to
-issue from concurrent callers (ball layers are filled idempotently under a
-lock).
+Graphs are immutable after construction.  Their memo tables (balls and the
+neighbor index) are filled on demand without locks, so a graph must not be
+shared between threads.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 from collections import deque
 from fractions import Fraction
 from numbers import Rational
@@ -28,6 +27,11 @@ def exact_div(num, den):
     if isinstance(num, Rational) and isinstance(den, Rational):
         return Fraction(num) / Fraction(den)
     return num / den
+
+
+def vertex_key(x):
+    """Sort key giving vertices of any family one deterministic order."""
+    return repr(x)
 
 
 class LocalFunction:
@@ -86,6 +90,60 @@ class LocalFunction:
         return LocalFunction(out)
 
 
+class NeighborIndex:
+    """Integer positions for the vertices a graph's kernel has touched.
+
+    Position i holds vertex `vertices[i]` and its measure.  Once the vertex
+    is expanded, `neighbors[i]` holds the positions of its neighbors and
+    `weights[i]` the pair (edge weights in the same order, their sum).
+    Equal weight pairs are stored once.  A vertex gets a position when first
+    seen, as a support vertex or as a neighbor of one, and is expanded only
+    when it is in a support, so `Graph.neighbors` runs at most once per
+    vertex.  The index holds no reference to its graph: a graph and its
+    index are freed together without waiting for the cycle collector.
+    """
+
+    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared")
+
+    def __init__(self):
+        self.positions = {}
+        self.vertices = []
+        self.measures = []
+        self.neighbors = []
+        self.weights = []
+        self._shared = {}
+
+    def _add(self, graph, x):
+        # graph.measure rejects a vertex that is not in the graph
+        mu = graph.measure(x)
+        i = self.positions[x] = len(self.vertices)
+        self.vertices.append(x)
+        self.measures.append(mu)
+        self.neighbors.append(None)
+        self.weights.append(None)
+        return i
+
+    def expand(self, graph, x):
+        """Position of `x`, with its neighbors and weights filled in."""
+        positions = self.positions
+        i = positions.get(x)
+        if i is None:
+            i = self._add(graph, x)
+        if self.neighbors[i] is None:
+            pairs = graph.neighbors(x)
+            nbrs = []
+            for y, _ in pairs:
+                j = positions.get(y)
+                nbrs.append(self._add(graph, y) if j is None else j)
+            ws = tuple(w for _, w in pairs)
+            shared = self._shared.get(ws)
+            if shared is None:
+                shared = self._shared[ws] = (ws, sum(ws))
+            self.neighbors[i] = tuple(nbrs)
+            self.weights[i] = shared
+        return i
+
+
 class Graph:
     """Base class: locally finite weighted graph with a root vertex.
 
@@ -98,7 +156,7 @@ class Graph:
     def __init__(self, root):
         self.root = root
         self._ball_cache = {}
-        self._cache_lock = threading.Lock()
+        self.index = NeighborIndex()
 
     # -- primitive surface ------------------------------------------------
 
@@ -165,31 +223,26 @@ class Graph:
     def ball(self, x, radius):
         """Closed metric ball {y : d(x,y) <= radius} as a frozenset.
 
-        Spheres are grown layer by layer and memoized per center; the fill
-        is idempotent, so concurrent readers at worst duplicate work.
+        Spheres are grown layer by layer and memoized per center.
         """
         self.check_vertex(x)
         radius = int(radius)
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         cached = self._ball_cache.get(x)
-        if cached is None or len(cached[0]) <= radius:
-            with self._cache_lock:
-                cached = self._ball_cache.get(x)
-                if cached is None:
-                    cached = ([frozenset((x,))], {x})
-                    self._ball_cache[x] = cached
-                balls, seen = cached
-                while len(balls) <= radius:
-                    frontier = balls[-1] - (balls[-2] if len(balls) > 1 else frozenset())
-                    layer = set()
-                    for z in frontier:
-                        for v, _ in self.neighbors(z):
-                            if v not in seen:
-                                seen.add(v)
-                                layer.add(v)
-                    balls.append(balls[-1] | layer)
-        return self._ball_cache[x][0][radius]
+        if cached is None:
+            cached = self._ball_cache[x] = ([frozenset((x,))], {x})
+        balls, seen = cached
+        while len(balls) <= radius:
+            frontier = balls[-1] - (balls[-2] if len(balls) > 1 else frozenset())
+            layer = set()
+            for z in frontier:
+                for v, _ in self.neighbors(z):
+                    if v not in seen:
+                        seen.add(v)
+                        layer.add(v)
+            balls.append(balls[-1] | layer)
+        return balls[radius]
 
     def sphere(self, x, radius):
         """Vertices at distance exactly `radius` from `x`."""
@@ -220,6 +273,18 @@ class FiniteGraph(Graph):
     def __init__(self, measures, adjacency, root):
         super().__init__(root)
         self._mu = dict(measures)
+        # the Laplacian charges w(x, y) to both ends of an edge, so each
+        # adjacency row must be matched by the reverse entry
+        for x, row in adjacency.items():
+            for y, w in row.items():
+                if x not in self._mu or y not in self._mu:
+                    raise GraphSchemaError(f"edge ({x!r}, {y!r}) has an undeclared endpoint")
+                back = adjacency.get(y, {}).get(x)
+                if back != w:
+                    raise GraphSchemaError(
+                        f"asymmetric adjacency: w({x!r}, {y!r}) = {w}, "
+                        f"w({y!r}, {x!r}) = {back}"
+                    )
         self._nbrs = {
             x: tuple(sorted(adjacency.get(x, {}).items()))
             for x in self._mu

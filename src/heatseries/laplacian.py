@@ -1,14 +1,12 @@
 """The weighted graph Laplacian, its iterates, and the one-ring sup bounds.
 
-Everything here is exact in the sense of the ambient arithmetic: graphs with
-rational weights and rational function values propagate `Fraction` results,
-float inputs propagate binary64.  Support handling is structural: applying
-the operator can only grow the support by one ring.
+Arithmetic follows the data: rational weights, measures and function values
+propagate exact `Fraction` results, and any float among them gives binary64.
+The command line picks float64 unless `--exact` is given.  Support handling
+is structural: applying the operator can only grow the support by one ring.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .graphs import LocalFunction, exact_div
 
@@ -30,30 +28,35 @@ def laplacian_at(graph, f, x):
 def apply_laplacian(graph, f):
     """One application of the Laplacian to a finitely supported function.
 
-    The result is supported inside the one-neighborhood of support(f); each
-    output value follows the defining sum exactly.
+    Each support vertex x sends w(x, y) f(x) to every neighbor y and
+    -deg_w(x) f(x) to itself, where deg_w(x) is the sum of its weights; each
+    total is then divided by the measure of its vertex.  The neighbors come
+    from the graph's neighbor index, so `graph.neighbors` runs once per
+    support vertex over the graph's lifetime and never on the outer ring.
     """
-    out = {}
-    for x in graph.one_neighborhood(f.support):
-        out[x] = laplacian_at(graph, f, x)
-    result = LocalFunction(out)
-    # structural locality: can only fail if a subclass misreports neighbors
-    assert result.support <= graph.one_neighborhood(f.support)
-    return result
+    index = graph.index
+    positions, neighbors, weights = index.positions, index.neighbors, index.weights
+    acc = {}
+    get = acc.get
+    for x, fx in f.items():
+        i = positions.get(x)
+        if i is None or neighbors[i] is None:
+            i = index.expand(graph, x)
+        ws, wdeg = weights[i]
+        acc[i] = get(i, 0) - wdeg * fx
+        for j, w in zip(neighbors[i], ws):
+            acc[j] = get(j, 0) + w * fx
+    vertices, measures = index.vertices, index.measures
+    return LocalFunction({vertices[j]: exact_div(v, measures[j]) for j, v in acc.items()})
 
 
 class IteratedLaplacianTable:
-    """Memoized sequence base, L(base), L^2(base), ... for one graph.
-
-    Entries are appended monotonically under a lock (single logical writer);
-    readers may consume any already-published entry concurrently.
-    """
+    """Memoized sequence base, L(base), L^2(base), ... for one graph."""
 
     def __init__(self, graph, base):
         self.graph = graph
         self.base = base
         self._entries = [base]
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self._entries)
@@ -61,12 +64,8 @@ class IteratedLaplacianTable:
     def entry(self, k):
         if k < 0:
             raise ValueError("iteration order must be nonnegative")
-        if k >= len(self._entries):
-            with self._lock:
-                while k >= len(self._entries):
-                    self._entries.append(
-                        apply_laplacian(self.graph, self._entries[-1])
-                    )
+        while k >= len(self._entries):
+            self._entries.append(apply_laplacian(self.graph, self._entries[-1]))
         return self._entries[k]
 
 

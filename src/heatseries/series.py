@@ -13,14 +13,14 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bounds import xlnx
+from .bounds import root_distances, xlnx
 from .errors import (
     DegreeBoundError,
     RadiusExceededError,
     TruncationFailureError,
     UnreachableVertexError,
 )
-from .graphs import LocalFunction
+from .graphs import LocalFunction, vertex_key
 from .laplacian import IteratedLaplacianTable, apply_laplacian, laplacian_at
 
 #: Hard cap on the number of series terms per evaluation.
@@ -45,10 +45,10 @@ class EvalResult(NamedTuple):
 class SeriesSolution:
     """A series propagator for one graph and one finitely supported datum.
 
-    Evaluations at distinct (vertex, time) pairs are independent; the shared
-    coefficient table extends monotonically under its own lock.  The graph
-    must report a uniform degree bound (all built-in graphs do), since that
-    constant drives the certified truncation.
+    Evaluations at distinct (vertex, time) pairs are independent; they share
+    one coefficient table that extends on demand.  The graph must report a
+    uniform degree bound (all built-in graphs do), since that constant
+    drives the certified truncation.
     """
 
     graph: object
@@ -168,8 +168,14 @@ def _support_spread(graph, vertices, k):
     return out
 
 
-def _sort_key(x):
-    return repr(x)
+def audit_region(graph, a, kmax, rmax):
+    """The vertices the backward audit checks, in `vertex_key` order.
+
+    That is the radius-rmax root ball united with the kmax-neighborhood of
+    the support of `a`.
+    """
+    region = graph.ball(graph.root, rmax) | _support_spread(graph, a.support, kmax)
+    return sorted(region, key=vertex_key)
 
 
 @dataclass
@@ -207,10 +213,7 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     if kmax < 0 or rmax < 0:
         raise ValueError("kmax and rmax must be nonnegative")
     root = graph.root
-    region = set(graph.ball(root, rmax)) | set(
-        _support_spread(graph, a.support, kmax)
-    )
-    region = sorted(region, key=_sort_key)
+    region = audit_region(graph, a, kmax, rmax)
     for x in region:
         d = graph.deg(x)
         if d > degree_cap:
@@ -306,13 +309,9 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     initial data itself sits under the growth envelope there; stops at the
     first violation.
     """
-    graph = solution.graph
-    root = graph.root
-    dist = {}
-    for r in range(rmax + 1):
-        for x in graph.sphere(root, r):
-            dist[x] = r
-    for x in sorted(dist, key=_sort_key):
+    dist = root_distances(solution.graph, rmax)
+    order = sorted(dist, key=vertex_key)
+    for x in order:
         if abs(solution.initial(x)) > profile.envelope(dist[x]):
             raise ValueError(
                 f"initial data violates the growth profile at vertex {x!r}"
@@ -320,7 +319,6 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     amp = float(profile.amplitude)
     rate = float(profile.rate) + float(degree_growth.power)
     base = 2.0 * float(degree_growth.cap)
-    order = sorted(dist, key=_sort_key)
     for k in range(kmax + 1):
         entry = solution.table.entry(k)
         for x in order:

@@ -1,9 +1,10 @@
 import json
 import math
-import os
+from fractions import Fraction
 
 import pytest
 
+from heatseries import laplacian as laplacian_mod
 from heatseries.cli import main
 
 
@@ -73,15 +74,6 @@ class TestSolveCommand:
         assert code == 0
         rows = json.loads(out)["results"]["evaluations"]
         assert {row["vertex"]: row["value"] for row in rows} == {0: 2.0, 1: -2.0}
-
-    def test_thread_env_same_result(self, tmp_path, capsys, monkeypatch):
-        args = ["solve", "--family", "z", "--t=-0.05,-0.01", "--rmax", "4"]
-        code, serial = run(args, capsys)
-        assert code == 0
-        monkeypatch.setenv("HEAT_SERIES_THREADS", "4")
-        code, threaded = run(args, capsys)
-        assert code == 0
-        assert serial == threaded
 
     def test_unknown_family_exit2(self, capsys):
         code, _ = run(["solve", "--family", "hyperbolic:7", "--t=0"], capsys)
@@ -199,6 +191,15 @@ class TestSchemaErrors:
         code, _ = run(["solve", "--graph", path, "--t=0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("value", [[1], "1", None, True])
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_non_numeric_initial_exit2(self, tmp_path, capsys, value, exact):
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[0, value]]))
+        code = main(["solve", "--family", "z", "--initial", str(init), "--t=0.1"] + exact)
+        assert code == 2
+        assert "non-numeric" in capsys.readouterr().err
+
     def test_missing_file_exit2(self, capsys):
         code, _ = run(["solve", "--graph", "/nonexistent.json", "--t=0"], capsys)
         assert code == 2
@@ -212,3 +213,62 @@ class TestExactMode:
         )
         assert code == 0
         assert json.loads(out)["arithmetic"] == "exact"
+
+    def test_exact_line_iterates_are_binomials(self, capsys):
+        code, out = run(["laplacian", "--family", "z", "--exact", "--kmax", "12"], capsys)
+        assert code == 0
+        values = {
+            (row["k"], row["vertex"]): row["value"]
+            for row in json.loads(out)["results"]["values"]
+        }
+        expected = {
+            (k, x): (-1) ** (k + x) * math.comb(2 * k, k + x)
+            for k in range(13)
+            for x in range(-k, k + 1)
+        }
+        assert values == expected
+
+
+def _table_value_types(monkeypatch, argv, initial, capsys, tmp_path):
+    """Types of every iterate value the command computed, with the default
+    unit delta and with `initial` as the --initial file."""
+    seen = set()
+    original = laplacian_mod.apply_laplacian
+
+    def recording(graph, f):
+        out = original(graph, f)
+        seen.update(type(v) for _, v in out.items())
+        return out
+
+    monkeypatch.setattr(laplacian_mod, "apply_laplacian", recording)
+    init = tmp_path / "a.json"
+    init.write_text(json.dumps(initial))
+    for extra in ([], ["--initial", str(init)]):
+        code, _ = run(argv + extra, capsys)
+        assert code == 0
+    return seen
+
+
+class TestArithmetic:
+    """Float64 unless --exact, whatever the Python types of the inputs."""
+
+    # integer and decimal literals mixed in one initial-data file
+    LINE_DATA = [[0, 1], [1, -2], [2, 0.5]]
+    COMMANDS = (
+        (["laplacian", "--family", "z", "--kmax", "4"], LINE_DATA),
+        (["solve", "--family", "z", "--t=-0.5,0.5", "--rmax", "2"], LINE_DATA),
+        (
+            ["solve", "--family", "lattice:2", "--t=0.2", "--rmax", "1"],
+            [[[0, 0], 1], [[1, 0], -2], [[0, 1], 0.5]],
+        ),
+    )
+
+    @pytest.mark.parametrize("argv, initial", COMMANDS)
+    def test_default_builds_float_tables(self, argv, initial, monkeypatch, capsys, tmp_path):
+        seen = _table_value_types(monkeypatch, argv, initial, capsys, tmp_path)
+        assert seen == {float}
+
+    @pytest.mark.parametrize("argv, initial", COMMANDS)
+    def test_exact_builds_rational_tables(self, argv, initial, monkeypatch, capsys, tmp_path):
+        seen = _table_value_types(monkeypatch, argv + ["--exact"], initial, capsys, tmp_path)
+        assert seen and seen <= {int, Fraction}

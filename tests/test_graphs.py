@@ -171,6 +171,24 @@ class TestWeightsSymmetry:
                 )
                 assert g.deg(x) == total / g.measure(x)
 
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [
+            ({0: {1: 1}, 1: {}}, "asymmetric"),  # one-sided
+            ({0: {1: 1}}, "asymmetric"),  # reverse row missing
+            ({0: {1: 1}, 1: {0: 2}}, "asymmetric"),  # weights disagree
+            ({0: {2: 1}, 1: {}}, "undeclared"),  # endpoint not a vertex
+            ({0: {}, 1: {}, 5: {0: 1}}, "undeclared"),  # row not a vertex
+        ],
+    )
+    def test_finite_graph_rejects_asymmetric_adjacency(self, adjacency, message):
+        with pytest.raises(GraphSchemaError, match=message):
+            FiniteGraph({0: 1, 1: 1}, adjacency, 0)
+
+    def test_finite_graph_accepts_symmetric_adjacency(self):
+        g = FiniteGraph({0: 1, 1: 2}, {0: {1: 3}, 1: {0: 3}}, 0)
+        assert g.weight(0, 1) == g.weight(1, 0) == 3
+
 
 class TestLocalFunction:
     def test_zero_off_support(self):

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heatseries.errors import UnknownVertexError
 from heatseries.graphs import (
+    IntegerLattice,
     IntegerLine,
     LocalFunction,
+    RegularTree,
+    family_from_spec,
     integer_segment,
+    path_graph,
     random_weighted_graph,
 )
 from heatseries.laplacian import (
@@ -18,6 +24,7 @@ from heatseries.laplacian import (
     iterate_sup_bound,
     iterated_laplacian,
     key_estimate_bound,
+    laplacian_at,
 )
 
 
@@ -66,6 +73,89 @@ class TestApply:
         f = LocalFunction({0: 1.0, 3: -2.0})
         out = apply_laplacian(g, f)
         assert out.support <= g.one_neighborhood(f.support)
+
+
+KERNEL_GRAPHS = ("z", "lattice:2", "lattice:3", "tree:3", "random")
+
+
+def kernel_graph(spec):
+    if spec == "random":
+        return random_weighted_graph(15, seed=3, exact=True)
+    return family_from_spec(spec)
+
+
+def random_data(graph, rng, number):
+    """Values drawn by `number(rng)` on the radius-1 ball around the root."""
+    return LocalFunction({x: number(rng) for x in graph.ball(graph.root, 1)})
+
+
+class TestKernel:
+    """The index-based kernel against the pointwise defining sum."""
+
+    @pytest.mark.parametrize("spec", KERNEL_GRAPHS)
+    def test_exact_matches_defining_sum(self, spec):
+        graph = kernel_graph(spec)
+        rng = random.Random(spec)
+        f = random_data(graph, rng, lambda r: Fraction(r.randrange(-9, 10), r.randrange(1, 5)))
+        for _ in range(7):
+            out = apply_laplacian(graph, f)
+            ring = graph.one_neighborhood(f.support)
+            assert out.support <= ring
+            for x in ring:
+                assert out(x) == laplacian_at(graph, f, x)
+            f = out
+
+    @pytest.mark.parametrize("spec", KERNEL_GRAPHS)
+    def test_float_matches_defining_sum(self, spec):
+        graph = kernel_graph(spec)
+        rng = random.Random(spec)
+        f = random_data(graph, rng, lambda r: r.uniform(-1.0, 1.0))
+        for _ in range(7):
+            out = apply_laplacian(graph, f)
+            ring = graph.one_neighborhood(f.support)
+            ref = {x: laplacian_at(graph, f, x) for x in ring}
+            scale = max(abs(v) for v in ref.values())
+            assert out.support <= ring
+            for x in ring:
+                assert isinstance(out(x), float) or out(x) == 0
+                assert abs(out(x) - ref[x]) <= 1e-12 * scale
+            f = out
+
+    @pytest.mark.parametrize("family", (RegularTree, IntegerLattice))
+    def test_neighbors_called_once_per_support_vertex(self, family):
+        class Counting(family):
+            def __init__(self, arg):
+                super().__init__(arg)
+                self.calls = Counter()
+
+            def neighbors(self, x):
+                self.calls[x] += 1
+                return super().neighbors(x)
+
+        big_k = 6
+        graph = Counting(3)
+        table = IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 1.0))
+        table.entry(big_k)
+        # a second table on the same graph reuses the index
+        IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 2.0)).entry(big_k)
+        assert max(graph.calls.values()) == 1
+        assert set(graph.calls) <= family(3).ball(graph.root, big_k - 1)
+
+    @pytest.mark.parametrize(
+        "graph, vertex",
+        [
+            (IntegerLine(), "a"),
+            (IntegerLine(), 2.5),
+            (IntegerLattice(2), (0, 0, 0)),
+            (RegularTree(3), (3, 0)),
+            (path_graph(4), 7),
+        ],
+    )
+    def test_support_off_graph_raises(self, graph, vertex):
+        with pytest.raises(UnknownVertexError):
+            apply_laplacian(graph, LocalFunction({graph.root: 1.0, vertex: 1.0}))
+        # the failed call leaves the index usable
+        assert apply_laplacian(graph, LocalFunction.delta(graph.root, 1.0))(graph.root) < 0
 
 
 class TestLinearityConservation:
