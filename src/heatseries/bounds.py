@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import GrowthFitError
 from .graphs import LocalFunction
@@ -206,11 +207,8 @@ def convexity_split(k, d):
 
 def root_distances(graph, rmax):
     """Map vertex -> distance from the root, over the radius-rmax ball."""
-    out = {}
-    for r in range(rmax + 1):
-        for x in graph.sphere(graph.root, r):
-            out[x] = r
-    return out
+    spheres = islice(graph.layers((graph.root,)), rmax + 1)
+    return {x: r for r, sphere in enumerate(spheres) for x in sphere}
 
 
 def fit_growth_profile(graph, f, rmax):

@@ -28,6 +28,7 @@ from .graphs import (
     family_from_spec,
     integer_segment,
     load_graph,
+    number_problem,
     path_graph,
     random_weighted_graph,
     vertex_key,
@@ -110,7 +111,19 @@ def _jsonable_vertex(x):
 
 # -- argument plumbing -------------------------------------------------------
 
-def _add_common(parser):
+def _add_output(parser):
+    parser.add_argument("--out", metavar="FILE", help="report file (default stdout)")
+    parser.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _add_exact(parser):
+    parser.add_argument("--exact", action="store_true",
+                        help="exact rational arithmetic: parse numeric inputs as "
+                        "rationals (default: float64 throughout)")
+
+
+def _add_source(parser):
+    """The options of the commands that solve on one graph with initial data."""
     src = parser.add_mutually_exclusive_group()
     src.add_argument("--graph", metavar="FILE", help="finite graph JSON document")
     src.add_argument(
@@ -118,14 +131,8 @@ def _add_common(parser):
         metavar="SPEC",
         help="lazy family: z, lattice:<d> or tree:<k> (default z)",
     )
-    parser.add_argument("--exact", action="store_true",
-                        help="exact rational arithmetic: parse numeric inputs as "
-                        "rationals (default: float64 throughout)")
-    parser.add_argument("--out", metavar="FILE", help="report file (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_initial(parser):
+    _add_exact(parser)
+    _add_output(parser)
     parser.add_argument(
         "--initial",
         metavar="FILE",
@@ -141,20 +148,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("laplacian", help="apply the Laplacian iterates and dump values")
-    _add_common(p)
-    _add_initial(p)
+    _add_source(p)
     p.add_argument("--kmax", type=int, default=5)
 
     p = sub.add_parser("solve", help="evaluate the series over a vertex/time grid")
-    _add_common(p)
-    _add_initial(p)
+    _add_source(p)
     p.add_argument("--t", default="-0.1", help="comma-separated evaluation times")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--rmax", type=int, default=3, help="vertex window radius")
 
     p = sub.add_parser("backward", help="backward Cauchy values plus solvability audit")
-    _add_common(p)
-    _add_initial(p)
+    _add_source(p)
     p.add_argument("--t", default="0.1", help="comma-separated nonnegative times")
     p.add_argument("--tol", type=float, default=1e-11)
     p.add_argument("--kmax", type=int, default=15)
@@ -163,8 +167,7 @@ def build_parser():
                    help="assumed degree cap (default: audited maximum)")
 
     p = sub.add_parser("radius", help="fit envelopes, certify the radius, tabulate remainders")
-    _add_common(p)
-    _add_initial(p)
+    _add_source(p)
     p.add_argument("--rmax", type=int, default=8, help="fit window radius")
     p.add_argument("--kmax", type=int, default=40, help="remainder table length")
     p.add_argument("--amplitude", type=float, default=None,
@@ -179,7 +182,7 @@ def build_parser():
                    help="time window half-width for the remainder table")
 
     p = sub.add_parser("counterexample", help="run the flat-bump sharpness audits")
-    _add_common(p)
+    _add_output(p)
     p.add_argument("--beta", type=int, default=4)
     p.add_argument("--theta", type=float, default=None)
     p.add_argument("--epsilon", type=float, default=1.0)
@@ -189,7 +192,8 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-8, help="flatness tolerance")
 
     p = sub.add_parser("verify", help="oracle cross-check suite on the fixture set")
-    _add_common(p)
+    _add_exact(p)
+    _add_output(p)
     p.add_argument("--tol", type=float, default=1e-11)
     return parser
 
@@ -206,7 +210,7 @@ def _parse_vertex(v):
 
 
 def _resolve_initial(args, graph):
-    if getattr(args, "initial", None):
+    if args.initial:
         parse_float = Fraction if args.exact else float
         doc = json.loads(Path(args.initial).read_text(), parse_float=parse_float)
         values = {}
@@ -216,8 +220,9 @@ def _resolve_initial(args, graph):
             x = _parse_vertex(rec[0])
             graph.check_vertex(x)
             value = rec[1]
-            if isinstance(value, bool) or not isinstance(value, (int, float, Fraction)):
-                raise HeatSeriesError(f"non-numeric value in initial-data record {rec!r}")
+            problem = number_problem(value)
+            if problem:
+                raise HeatSeriesError(f"{problem} value in initial-data record {rec!r}")
             values[x] = value if args.exact else float(value)
         return LocalFunction(values), {"initial": args.initial}
     return _unit_delta(graph, args.exact), {"initial": "delta-at-root"}
@@ -311,11 +316,12 @@ def _cmd_backward(args, config):
         row["t"] = float(t)  # report the backward time, not the internal negation
 
     if args.degree_bound is None:
+        # exact, so the audit never refuses the maximum it was given
         region = audit_region(graph, initial, args.kmax, args.rmax)
-        cap = max(float(graph.deg(x)) for x in region)
+        cap = max(graph.deg(x) for x in region)
     else:
         cap = args.degree_bound
-    config["degree_bound"] = cap
+    config["degree_bound"] = float(cap)
     audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)
     report = {
         "evaluations": rows,

@@ -72,7 +72,6 @@ class DerivativePolynomialTable:
     """Append-only table of the derivative polynomials R_k for one beta.
 
     Entries are dicts {exponent: integer coefficient}; deg R_k = k(beta+1).
-    Shared read-only across audit workers once built.
     """
 
     def __init__(self, beta):
@@ -166,11 +165,7 @@ def _v_mpf(params, x, t, order=0):
 
 def g_eval(params, t):
     """The flat bump: exp(-t^-beta) for t > 0, exactly 0 for t <= 0."""
-    if t <= 0:
-        return 0.0
-    s = 1 / Fraction(t)
-    with mp.workdps(_WORK_DPS):
-        return float(_flat_factor(s, params.beta))
+    return v_eval(params, 0, t)
 
 
 def g_derivative(params, k, t):
@@ -178,18 +173,12 @@ def g_derivative(params, k, t):
 
     Returns 0.0 for t <= 0 (all one-sided derivatives vanish there); for
     t > 0 the polynomial part is evaluated exactly and only the flat
-    exponential factor is approximate.
+    exponential factor is approximate.  The bump is the lattice solution
+    at x = 0, whose combined polynomial is R_k itself.
     """
     if k < 0:
         raise ValueError("derivative order must be nonnegative")
-    if t <= 0:
-        return 0.0
-    if k == 0:
-        return g_eval(params, t)
-    s = 1 / Fraction(t)
-    with mp.workdps(_WORK_DPS):
-        value = _exact_to_mpf(_poly_eval(_table(params.beta).poly(k), s))
-        return float(value * _flat_factor(s, params.beta))
+    return v_time_derivative(params, 0, t, order=k)
 
 
 def v_eval(params, x, t):

@@ -3,20 +3,23 @@
 A graph carries a positive symmetric edge weight, a positive vertex measure,
 and a distinguished root vertex used as the base point of all distance-based
 envelopes.  Finite graphs enumerate their vertices; infinite families expose
-a neighbor oracle plus a closed-form metric, and balls are materialized on
-demand by breadth-first search and memoized.
+a neighbor oracle plus a closed-form metric.
 
-Graphs are immutable after construction.  Their memo tables (balls and the
-neighbor index) are filled on demand without locks, so a graph must not be
-shared between threads.
+Every derived query reads the graph's neighbor index, which calls the
+family's `neighbors` once per vertex; balls are not memoized but walked
+afresh over the index.  A vertex the index holds needs no further check.
+
+Graphs are immutable after construction.  The neighbor index is filled on
+demand without locks, so a graph must not be shared between threads.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
+import math
 from fractions import Fraction
-from numbers import Rational
+from itertools import islice
+from numbers import Rational, Real
 from pathlib import Path
 
 from .errors import GraphSchemaError, UnknownVertexError, UnreachableVertexError
@@ -32,6 +35,18 @@ def exact_div(num, den):
 def vertex_key(x):
     """Sort key giving vertices of any family one deterministic order."""
     return repr(x)
+
+
+def number_problem(value):
+    """Why `value` is not a real number finite in binary64, or None if it is."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        return "non-numeric"
+    try:
+        if math.isfinite(value):
+            return None
+    except OverflowError:  # an int or rational beyond the float range
+        pass
+    return "non-finite"
 
 
 class LocalFunction:
@@ -91,16 +106,17 @@ class LocalFunction:
 
 
 class NeighborIndex:
-    """Integer positions for the vertices a graph's kernel has touched.
+    """Integer positions for the vertices a graph's queries have touched.
 
     Position i holds vertex `vertices[i]` and its measure.  Once the vertex
     is expanded, `neighbors[i]` holds the positions of its neighbors and
     `weights[i]` the pair (edge weights in the same order, their sum).
-    Equal weight pairs are stored once.  A vertex gets a position when first
-    seen, as a support vertex or as a neighbor of one, and is expanded only
-    when it is in a support, so `Graph.neighbors` runs at most once per
-    vertex.  The index holds no reference to its graph: a graph and its
-    index are freed together without waiting for the cycle collector.
+    Equal weight pairs are stored once.  A vertex gets a position when it is
+    expanded or first seen as a neighbor of an expanded vertex, so every
+    vertex in the index is a vertex of the graph and `Graph.neighbors` runs
+    at most once per vertex.  The index holds no reference to its graph: a
+    graph and its index are freed together without waiting for the cycle
+    collector.
     """
 
     __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared")
@@ -114,11 +130,10 @@ class NeighborIndex:
         self._shared = {}
 
     def _add(self, graph, x):
-        # graph.measure rejects a vertex that is not in the graph
-        mu = graph.measure(x)
+        # x is a vertex: expand validated it, or `neighbors` produced it
         i = self.positions[x] = len(self.vertices)
         self.vertices.append(x)
-        self.measures.append(mu)
+        self.measures.append(graph._measure(x))
         self.neighbors.append(None)
         self.weights.append(None)
         return i
@@ -126,36 +141,42 @@ class NeighborIndex:
     def expand(self, graph, x):
         """Position of `x`, with its neighbors and weights filled in."""
         positions = self.positions
-        i = positions.get(x)
+        try:
+            i = positions.get(x)
+        except TypeError:  # unhashable, so not a vertex
+            raise UnknownVertexError(f"unknown vertex {x!r}") from None
         if i is None:
+            pairs = graph.neighbors(x)  # rejects x if it is not a vertex
             i = self._add(graph, x)
-        if self.neighbors[i] is None:
-            pairs = graph.neighbors(x)
-            nbrs = []
-            for y, _ in pairs:
-                j = positions.get(y)
-                nbrs.append(self._add(graph, y) if j is None else j)
-            ws = tuple(w for _, w in pairs)
-            shared = self._shared.get(ws)
-            if shared is None:
-                shared = self._shared[ws] = (ws, sum(ws))
-            self.neighbors[i] = tuple(nbrs)
-            self.weights[i] = shared
+        elif self.neighbors[i] is None:
+            # the stored vertex: an equal x (1.0 for 1) must not leak into the index
+            pairs = graph.neighbors(self.vertices[i])
+        else:
+            return i
+        nbrs = []
+        for y, _ in pairs:
+            j = positions.get(y)
+            nbrs.append(self._add(graph, y) if j is None else j)
+        ws = tuple(w for _, w in pairs)
+        shared = self._shared.get(ws)
+        if shared is None:
+            shared = self._shared[ws] = (ws, sum(ws))
+        self.neighbors[i] = tuple(nbrs)
+        self.weights[i] = shared
         return i
 
 
 class Graph:
     """Base class: locally finite weighted graph with a root vertex.
 
-    Subclasses provide `neighbors`, `measure` and membership; degree,
-    distance, balls and neighborhoods derive from those.
+    Subclasses provide `neighbors`, membership and, for a non-unit measure,
+    `_measure`; the derived queries read the neighbor index.
     """
 
     is_finite = False
 
     def __init__(self, root):
         self.root = root
-        self._ball_cache = {}
         self.index = NeighborIndex()
 
     # -- primitive surface ------------------------------------------------
@@ -164,101 +185,96 @@ class Graph:
         """Tuple of (neighbor, edge weight) pairs, deterministic order."""
         raise NotImplementedError
 
-    def measure(self, x):
-        raise NotImplementedError
+    def _measure(self, x):
+        """Measure of a vertex already known to be in the graph."""
+        return 1
 
     def __contains__(self, x):
         raise NotImplementedError
 
     def check_vertex(self, x):
-        if x not in self:
-            raise UnknownVertexError(f"unknown vertex {x!r}")
+        """Raise UnknownVertexError unless `x` is a vertex; indexed ones pass."""
+        try:
+            if x in self.index.positions or x in self:
+                return
+        except TypeError:  # unhashable, so not a vertex
+            pass
+        raise UnknownVertexError(f"unknown vertex {x!r}")
+
+    def measure(self, x):
+        self.check_vertex(x)
+        return self._measure(x)
 
     # -- derived queries ---------------------------------------------------
 
+    def layers(self, sources):
+        """Yield frozensets: `sources`, then the vertices at distance 1, 2, ...
+
+        A sphere is expanded only when the next one is requested; the walk
+        ends after the last nonempty sphere.
+        """
+        sphere = set()
+        for x in sources:
+            self.check_vertex(x)
+            sphere.add(x)
+        seen = set(sphere)
+        index = self.index
+        expand, neighbors, vertices = index.expand, index.neighbors, index.vertices
+        while sphere:
+            yield frozenset(sphere)
+            nxt = set()
+            for x in sphere:
+                for j in neighbors[expand(self, x)]:
+                    y = vertices[j]
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.add(y)
+            sphere = nxt
+
     def weight(self, x, y):
         """Edge weight, 0 for non-neighbors (and on the diagonal)."""
-        self.check_vertex(x)
         self.check_vertex(y)
-        for z, w in self.neighbors(x):
-            if z == y:
-                return w
-        return 0
+        index = self.index
+        i = index.expand(self, x)
+        nbrs, (ws, _) = index.neighbors[i], index.weights[i]
+        j = index.positions.get(y)
+        return ws[nbrs.index(j)] if j in nbrs else 0
 
     def deg(self, x):
         """Weighted degree: sum of incident weights over the vertex measure."""
-        self.check_vertex(x)
-        total = 0
-        for _, w in self.neighbors(x):
-            total += w
-        return exact_div(total, self.measure(x))
+        index = self.index
+        i = index.expand(self, x)
+        return exact_div(index.weights[i][1], index.measures[i])
 
     def distance(self, x, y):
         """Combinatorial (shortest-path) distance.
 
-        The generic implementation is breadth-first search; infinite
+        The generic implementation walks the spheres around `x`; infinite
         families override it with their closed-form metric.
         """
-        self.check_vertex(x)
         self.check_vertex(y)
-        if x == y:
-            return 0
-        seen = {x}
-        frontier = [x]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for z in frontier:
-                for v, _ in self.neighbors(z):
-                    if v in seen:
-                        continue
-                    if v == y:
-                        return dist
-                    seen.add(v)
-                    nxt.append(v)
-            frontier = nxt
+        for d, sphere in enumerate(self.layers((x,))):
+            if y in sphere:
+                return d
         raise UnreachableVertexError(f"no path from {x!r} to {y!r}")
 
     def ball(self, x, radius):
-        """Closed metric ball {y : d(x,y) <= radius} as a frozenset.
-
-        Spheres are grown layer by layer and memoized per center.
-        """
-        self.check_vertex(x)
+        """Closed metric ball {y : d(x,y) <= radius} as a frozenset."""
         radius = int(radius)
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        cached = self._ball_cache.get(x)
-        if cached is None:
-            cached = self._ball_cache[x] = ([frozenset((x,))], {x})
-        balls, seen = cached
-        while len(balls) <= radius:
-            frontier = balls[-1] - (balls[-2] if len(balls) > 1 else frozenset())
-            layer = set()
-            for z in frontier:
-                for v, _ in self.neighbors(z):
-                    if v not in seen:
-                        seen.add(v)
-                        layer.add(v)
-            balls.append(balls[-1] | layer)
-        return balls[radius]
+        return frozenset().union(*islice(self.layers((x,)), radius + 1))
 
     def sphere(self, x, radius):
         """Vertices at distance exactly `radius` from `x`."""
-        if radius == 0:
-            return self.ball(x, 0)
-        return self.ball(x, radius) - self.ball(x, radius - 1)
+        radius = int(radius)
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        return next(islice(self.layers((x,)), radius, None), frozenset())
 
     def one_neighborhood(self, vertices):
         """Union of the closed unit balls around every vertex of `vertices`."""
-        out = set()
-        for x in vertices:
-            self.check_vertex(x)
-            out.add(x)
-            for y, _ in self.neighbors(x):
-                out.add(y)
-        return frozenset(out)
+        return frozenset().union(*islice(self.layers(vertices), 2))
 
     def uniform_degree_bound(self):
         """A constant dominating Deg on the whole graph, or None if unknown."""
@@ -333,11 +349,8 @@ class FiniteGraph(Graph):
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {x!r}") from None
 
-    def measure(self, x):
-        try:
-            return self._mu[x]
-        except KeyError:
-            raise UnknownVertexError(f"unknown vertex {x!r}") from None
+    def _measure(self, x):
+        return self._mu[x]
 
     def uniform_degree_bound(self):
         if self._max_deg is None:
@@ -357,10 +370,6 @@ class IntegerLine(Graph):
     def neighbors(self, x):
         self.check_vertex(x)
         return ((x - 1, 1), (x + 1, 1))
-
-    def measure(self, x):
-        self.check_vertex(x)
-        return 1
 
     def distance(self, x, y):
         self.check_vertex(x)
@@ -395,10 +404,6 @@ class IntegerLattice(Graph):
                 y = x[:i] + (x[i] + step,) + x[i + 1:]
                 out.append((y, 1))
         return tuple(out)
-
-    def measure(self, x):
-        self.check_vertex(x)
-        return 1
 
     def distance(self, x, y):
         self.check_vertex(x)
@@ -441,10 +446,6 @@ class RegularTree(Graph):
             return tuple(((i,), 1) for i in range(self.degree))
         children = tuple((x + (i,), 1) for i in range(self.degree - 1))
         return ((x[:-1], 1),) + children
-
-    def measure(self, x):
-        self.check_vertex(x)
-        return 1
 
     def distance(self, x, y):
         self.check_vertex(x)
@@ -551,6 +552,23 @@ def random_weighted_graph(n, seed, extra_edges=None, exact=False):
 
 # -- document loader ---------------------------------------------------------
 
+def _vertex_id(value, rec):
+    try:
+        hash(value)
+    except TypeError:
+        raise GraphSchemaError(f"unhashable vertex id {value!r} in {rec!r}") from None
+    return value
+
+
+def _positive(rec, key, what):
+    """`rec[key]` if it is a positive real number finite in binary64."""
+    value = rec[key]
+    problem = number_problem(value) or (None if value > 0 else "nonpositive")
+    if problem:
+        raise GraphSchemaError(f"{problem} {what} record {rec!r}")
+    return value
+
+
 def load_graph(source, exact=False):
     """Load a finite graph from its JSON description.
 
@@ -585,25 +603,22 @@ def load_graph(source, exact=False):
     for rec in doc["vertices"]:
         if not isinstance(rec, dict) or "id" not in rec or "mu" not in rec:
             raise GraphSchemaError(f"malformed vertex record {rec!r}")
-        vid = rec["id"]
+        vid = _vertex_id(rec["id"], rec)
         if vid in mu:
             raise GraphSchemaError(f"duplicate vertex id {vid!r}")
-        if not rec["mu"] > 0:
-            raise GraphSchemaError(f"nonpositive measure in vertex record {rec!r}")
-        mu[vid] = rec["mu"]
+        mu[vid] = _positive(rec, "mu", "measure in vertex")
 
     seen = set()
     edges = []
     for rec in doc["edges"]:
         if not isinstance(rec, dict) or not {"u", "v", "w"} <= set(rec):
             raise GraphSchemaError(f"malformed edge record {rec!r}")
-        u, v, w = rec["u"], rec["v"], rec["w"]
+        u, v = (_vertex_id(rec[end], rec) for end in "uv")
         if u == v:
             raise GraphSchemaError(f"self-loop in edge record {rec!r}")
         if u not in mu or v not in mu:
             raise GraphSchemaError(f"dangling vertex id in edge record {rec!r}")
-        if not w > 0:
-            raise GraphSchemaError(f"nonpositive weight in edge record {rec!r}")
+        w = _positive(rec, "w", "weight in edge")
         key = frozenset((u, v))
         if key in seen:
             raise GraphSchemaError(
@@ -613,7 +628,7 @@ def load_graph(source, exact=False):
         seen.add(key)
         edges.append((u, v, w))
 
-    root = doc["root"]
+    root = _vertex_id(doc["root"], {"root": doc["root"]})
     if root not in mu:
         raise GraphSchemaError(f"root {root!r} is not a declared vertex")
     return FiniteGraph.from_edges(mu, edges, root)

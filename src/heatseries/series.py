@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import NamedTuple
 
 from .bounds import root_distances, xlnx
@@ -160,21 +161,14 @@ def residual_check(solution, x, t, h=0.0):
     return abs(dt_value - lap_value)
 
 
-def _support_spread(graph, vertices, k):
-    """The k-neighborhood of a finite vertex set."""
-    out = frozenset(vertices)
-    for _ in range(k):
-        out = graph.one_neighborhood(out)
-    return out
-
-
 def audit_region(graph, a, kmax, rmax):
     """The vertices the backward audit checks, in `vertex_key` order.
 
     That is the radius-rmax root ball united with the kmax-neighborhood of
     the support of `a`.
     """
-    region = graph.ball(graph.root, rmax) | _support_spread(graph, a.support, kmax)
+    spread = islice(graph.layers(a.support), kmax + 1)
+    region = graph.ball(graph.root, rmax).union(*spread)
     return sorted(region, key=vertex_key)
 
 

@@ -108,6 +108,16 @@ class TestBackwardCommand:
         assert code == 1
         assert json.loads(out)["results"]["solvability"]["verdict"] == "refuted-up-to-K"
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_default_degree_cap_is_the_exact_audited_maximum(self, tmp_path, capsys, exact):
+        # Deg = 1/3 everywhere, which no binary64 number equals
+        doc = dict(K2_DOC, vertices=[{"id": 0, "mu": 3}, {"id": 1, "mu": 3}],
+                   edges=[{"u": 0, "v": 1, "w": 1}])
+        path = write_graph(tmp_path, doc)
+        code, out = run(["backward", "--graph", path, "--t", "0.1"] + exact, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["degree_bound"] == 1 / 3
+
 
 class TestRadiusCommand:
     def test_explicit_constants(self, capsys):
@@ -199,6 +209,59 @@ class TestSchemaErrors:
         code = main(["solve", "--family", "z", "--initial", str(init), "--t=0.1"] + exact)
         assert code == 2
         assert "non-numeric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, literal",
+        [
+            ('"mu": 2', '"mu": "a"'),
+            ('"mu": 2', '"mu": true'),
+            ('"mu": 2', '"mu": 1e400'),
+            ('"w": 1', '"w": "1"'),
+            ('"w": 1', '"w": false'),
+            ('"w": 1', '"w": 1e400'),
+            ('"w": 1', '"w": NaN'),
+            ('"id": 0', '"id": [1]'),
+            ('"root": 0', '"root": [0]'),
+            ('"u": 0', '"u": {"a": 0}'),
+        ],
+    )
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_bad_graph_value_exit2(self, tmp_path, capsys, field, literal, exact):
+        text = ('{"root": 0, "vertices": [{"id": 0, "mu": 2}, {"id": 1, "mu": 1}], '
+                '"edges": [{"u": 0, "v": 1, "w": 1}]}')
+        assert field in text
+        path = tmp_path / "g.json"
+        path.write_text(text.replace(field, literal, 1))
+        code = main(["solve", "--graph", str(path), "--t=0"] + exact)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["laplacian", "solve"])
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_non_finite_initial_exit2(self, tmp_path, capsys, command, exact):
+        init = tmp_path / "a.json"
+        init.write_text("[[0, 1], [1, 1e400]]")
+        code = main([command, "--family", "z", "--initial", str(init)] + exact)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "non-finite value" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "--family", "z"],
+            ["counterexample", "--graph", "g.json"],
+            ["counterexample", "--exact"],
+            ["verify", "--graph", "g.json"],
+            ["verify", "--family", "z"],
+        ],
+    )
+    def test_options_a_command_never_reads_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_file_exit2(self, capsys):
         code, _ = run(["solve", "--graph", "/nonexistent.json", "--t=0"], capsys)

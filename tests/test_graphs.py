@@ -1,9 +1,12 @@
+import contextlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from heatseries.bounds import root_distances
 from heatseries.errors import (
     GraphSchemaError,
     UnknownVertexError,
@@ -22,6 +25,8 @@ from heatseries.graphs import (
     random_weighted_graph,
     star_graph,
 )
+from heatseries.laplacian import IteratedLaplacianTable, apply_laplacian
+from heatseries.series import audit_region
 
 
 def bfs_ball(graph, x, radius):
@@ -153,6 +158,110 @@ class TestOneNeighborhood:
     def test_two_points(self):
         got = IntegerLine().one_neighborhood({0, 5})
         assert got == frozenset({-1, 0, 1, 4, 5, 6})
+
+
+def counting(family):
+    """`family` with a per-vertex tally of membership tests and expansions."""
+
+    class Counting(family):
+        def __init__(self, arg):
+            super().__init__(arg)
+            self.contains = Counter()
+            self.expanded = Counter()
+
+        def __contains__(self, x):
+            self.contains[x] += 1
+            return super().__contains__(x)
+
+        def neighbors(self, x):
+            self.expanded[x] += 1
+            return super().neighbors(x)
+
+    return Counting(3)
+
+
+class TestNeighborIndexWalk:
+    """Every query reads the neighbor index; each vertex is validated once."""
+
+    @pytest.mark.parametrize("family", (RegularTree, IntegerLattice))
+    def test_table_checks_each_indexed_vertex_at_most_once(self, family):
+        graph = counting(family)
+        IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 1.0)).entry(6)
+        assert max(graph.contains.values()) == 1
+        assert set(graph.contains) <= set(graph.index.positions)
+        # at most one per vertex of the expanded region, ball(root, 5)
+        assert sum(graph.contains.values()) <= len(bfs_ball(family(3), graph.root, 5))
+
+    @pytest.mark.parametrize("family", (RegularTree, IntegerLattice))
+    def test_queries_inside_expanded_region_call_nothing(self, family):
+        graph = counting(family)
+        a = LocalFunction.delta(graph.root, 1.0)
+        IteratedLaplacianTable(graph, a).entry(6)
+        graph.contains.clear()
+        graph.expanded.clear()
+        root = graph.root
+        inner = graph.ball(root, 5)
+        assert graph.ball(root, 6) == bfs_ball(family(3), root, 6)
+        assert graph.sphere(root, 6) == graph.ball(root, 6) - inner
+        assert graph.one_neighborhood(inner) == graph.ball(root, 6)
+        assert {graph.deg(x) for x in inner} == {graph.uniform_degree_bound()}
+        assert {graph.weight(root, y) for y in graph.sphere(root, 1)} == {1}
+        assert len(audit_region(graph, a, 3, 2)) == len(graph.ball(root, 3))
+        assert max(root_distances(graph, 5).values()) == 5
+        assert graph.contains == Counter() and graph.expanded == Counter()
+
+    def test_layers_expand_only_when_the_next_sphere_is_asked_for(self):
+        graph = counting(RegularTree)
+        spheres = graph.layers([(0,), (1, 1)])
+        assert next(spheres) == frozenset({(0,), (1, 1)})
+        assert graph.expanded == Counter()
+        assert next(spheres) == frozenset({(), (0, 0), (0, 1), (1,), (1, 1, 0), (1, 1, 1)})
+        assert graph.expanded == Counter({(0,): 1, (1, 1): 1})
+
+    def test_layers_end_on_a_disconnected_graph(self):
+        g = FiniteGraph.from_edges({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
+        assert list(g.layers({0})) == [frozenset({0}), frozenset({1})]
+        assert list(g.layers(set())) == []
+        assert g.ball(0, 5) == frozenset({0, 1})
+        assert g.sphere(0, 3) == frozenset()
+
+    @pytest.mark.parametrize("query", ("ball", "deg", "one_neighborhood"))
+    @pytest.mark.parametrize(
+        "graph, vertex",
+        [
+            (IntegerLine(), 2.5),
+            (IntegerLattice(2), (0, 0, 0)),
+            (RegularTree(3), (3, 0)),
+            (path_graph(4), 7),
+        ],
+    )
+    def test_off_graph_centre_raises_and_leaves_index_usable(self, graph, vertex, query):
+        call = {
+            "ball": lambda: graph.ball(vertex, 2),
+            "deg": lambda: graph.deg(vertex),
+            "one_neighborhood": lambda: graph.one_neighborhood([graph.root, vertex]),
+        }[query]
+        with pytest.raises(UnknownVertexError):
+            call()
+        assert vertex not in graph.index.positions
+        assert graph.ball(graph.root, 2) == bfs_ball(graph, graph.root, 2)
+        # every graph here has unit measures
+        assert graph.deg(graph.root) == sum(w for _, w in graph.neighbors(graph.root))
+
+    def test_index_holds_only_vertices_of_the_family(self):
+        z = IntegerLine()
+        apply_laplacian(z, LocalFunction.delta(0, 1.0))
+        # 1.0 and True equal the indexed vertex 1 but are not vertices of z
+        for probe in (lambda: z.deg(1.0), lambda: z.ball(True, 2)):
+            with contextlib.suppress(UnknownVertexError):
+                probe()
+        assert {type(v) for v in z.index.vertices} == {int}
+
+    @pytest.mark.parametrize("graph", (IntegerLine(), path_graph(4)))
+    def test_unhashable_vertex_is_unknown(self, graph):
+        for call in (graph.check_vertex, graph.deg, lambda x: graph.ball(x, 1)):
+            with pytest.raises(UnknownVertexError):
+                call([0])
 
 
 class TestWeightsSymmetry:
