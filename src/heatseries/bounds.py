@@ -32,7 +32,7 @@ def xlnx(x):
     return 0.0 if x == 0 else x * math.log(x)
 
 
-def _exp_or_inf(log_value):
+def exp_or_inf(log_value):
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -59,7 +59,7 @@ class GrowthProfile:
     def envelope(self, d):
         if d <= 1:
             return self.amplitude
-        return self.amplitude * max(1.0, _exp_or_inf(float(self.rate) * xlnx(d)))
+        return self.amplitude * max(1.0, exp_or_inf(float(self.rate) * xlnx(d)))
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def remainder_bound(k, delta, degree_growth, profile, big_r):
         + math.log(profile.amplitude)
         + rate * xlnx(k + big_r)
     )
-    return _exp_or_inf(log_q)
+    return exp_or_inf(log_q)
 
 
 def decay_threshold(slack, delta, cap, big_r, k0=1):
@@ -158,7 +158,7 @@ def decay_threshold(slack, delta, cap, big_r, k0=1):
     return max(
         k0,
         big_r,
-        _exp_or_inf(2.0 * (1.0 - slack) * (math.log(2.0) + 1.0) * big_r),
+        exp_or_inf(2.0 * (1.0 - slack) * (math.log(2.0) + 1.0) * big_r),
         (2.0 * delta * cap * math.e) ** (3.0 / slack),
         3.0 * (1.0 - slack) * big_r / slack,
     )
@@ -166,14 +166,14 @@ def decay_threshold(slack, delta, cap, big_r, k0=1):
 
 def decay_envelope(slack, amplitude, k):
     """amplitude * e^{-(slack/3) k ln k}: the certified decay shape."""
-    return amplitude * _exp_or_inf(-(float(slack) / 3.0) * xlnx(k))
+    return amplitude * exp_or_inf(-(float(slack) / 3.0) * xlnx(k))
 
 
 def stirling_lower(k):
     """k^k sqrt(k) / e^k, a lower bound of k! (inf if above float range)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _exp_or_inf(xlnx(k) + 0.5 * math.log(k) - k)
+    return exp_or_inf(xlnx(k) + 0.5 * math.log(k) - k)
 
 
 def stirling_lower_holds(k):

@@ -4,7 +4,8 @@ Subcommands: laplacian, solve, backward, radius, counterexample, verify.
 Reports are deterministic JSON (canonical 17-significant-digit floats) with
 an optional lossy CSV projection for plotting; every report embeds the
 resolved configuration and arithmetic mode.  Exit status: 0 when all
-invoked audits pass, 1 on audit failure, 2 on usage errors.
+invoked audits pass, 1 on audit failure, 2 on usage errors, 3 on an
+internal error (a one-line message, no traceback).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -43,60 +45,93 @@ from .series import (
     series_eval,
 )
 
-USAGE_ERROR = 2
 AUDIT_FAILURE = 1
+USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 # -- canonical serialization -------------------------------------------------
 
+_NON_FINITE = {"inf": '"inf"', "-inf": '"-inf"', "nan": '"nan"'}
+
+
 def _fmt_float(x):
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    if math.isnan(x):
-        return '"nan"'
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return _NON_FINITE.get(text, text)
 
 
-def _canonical(obj, out):
-    if obj is None:
-        out.write("null")
+def _canonical(obj, write, keys):
+    """Write the canonical JSON of `obj`; `keys` caches encoded str keys.
+
+    The exact types that reports are made of are dispatched first; the
+    isinstance chain serves subclasses (bool, np.float64), Fraction, tuples
+    and everything else.
+    """
+    kind = type(obj)
+    if kind is float:
+        write(_fmt_float(obj))
+    elif kind is dict:
+        _canonical_dict(obj, write, keys)
+    elif kind is list:
+        _canonical_list(obj, write, keys)
+    elif kind is int:
+        write(str(obj))
+    elif kind is str:
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
     elif obj is True:
-        out.write("true")
+        write("true")
     elif obj is False:
-        out.write("false")
+        write("false")
     elif isinstance(obj, int):
-        out.write(str(obj))
+        write(str(obj))
     elif isinstance(obj, float):
-        out.write(_fmt_float(obj))
+        write(_fmt_float(obj))
     elif isinstance(obj, Fraction):
-        out.write(json.dumps(str(obj)))
+        write(json.dumps(str(obj)))
     elif isinstance(obj, str):
-        out.write(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.write(", ")
-            _canonical(item, out)
-        out.write("]")
+        _canonical_list(obj, write, keys)
     elif isinstance(obj, dict):
-        out.write("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.write(", ")
-            out.write(json.dumps(str(key)))
-            out.write(": ")
-            _canonical(val, out)
-        out.write("}")
+        _canonical_dict(obj, write, keys)
     else:
-        out.write(json.dumps(str(obj)))
+        write(json.dumps(str(obj)))
+
+
+def _canonical_list(obj, write, keys):
+    write("[")
+    sep = ""
+    for item in obj:
+        write(sep)
+        _canonical(item, write, keys)
+        sep = ", "
+    write("]")
+
+
+def _canonical_dict(obj, write, keys):
+    write("{")
+    sep = ""
+    for key, val in obj.items():
+        # only str keys are cached: 1 and True are equal keys that print apart
+        if type(key) is str:
+            prefix = keys.get(key)
+            if prefix is None:
+                prefix = keys[key] = encode_basestring_ascii(key) + ": "
+        else:
+            prefix = json.dumps(str(key)) + ": "
+        write(sep + prefix)
+        _canonical(val, write, keys)
+        sep = ", "
+    write("}")
 
 
 def canonical_json(obj):
-    buf = io.StringIO()
-    _canonical(obj, buf)
-    buf.write("\n")
-    return buf.getvalue()
+    parts = []
+    _canonical(obj, parts.append, {})
+    parts.append("\n")
+    return "".join(parts)
 
 
 def _csv_cell(v):
@@ -238,7 +273,10 @@ def _parse_times(spec, exact):
     for chunk in str(spec).split(","):
         chunk = chunk.strip()
         if chunk:
-            out.append(Fraction(chunk) if exact else float(chunk))
+            t = Fraction(chunk) if exact else float(chunk)
+            if number_problem(t):
+                raise HeatSeriesError(f"non-finite time {chunk!r}")
+            out.append(t)
     if not out:
         raise HeatSeriesError("no evaluation times given")
     return out
@@ -630,13 +668,14 @@ def main(argv=None):
     config = {"command": args.command, "format": args.format}
     try:
         body, passed, rows = _DISPATCH[args.command](args, config)
-    except HeatSeriesError as exc:
+        _write_report(args, args.command, config, body, passed, rows)
+    except (HeatSeriesError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    _write_report(args, args.command, config, body, passed, rows)
+    except Exception as exc:  # a defect, not bad input: keep exit 1 for audits
+        detail = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return INTERNAL_ERROR
     return 0 if passed else AUDIT_FAILURE
 
 

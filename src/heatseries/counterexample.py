@@ -20,6 +20,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
+from .bounds import exp_or_inf
 from .errors import AuditWindowEmptyError
 
 _WORK_DPS = 40
@@ -245,9 +246,15 @@ def huang_bound_audit(params, k, t_grid):
     if k < 1:
         raise ValueError("k must be >= 1")
     beta = params.beta
-    bound = math.factorial(k) * (
-        2.0 * k / (math.e * beta * params.theta ** beta)
-    ) ** (k / beta)
+    try:
+        bound = math.factorial(k) * (
+            2.0 * k / (math.e * beta * params.theta ** beta)
+        ) ** (k / beta)
+    except (ZeroDivisionError, OverflowError):
+        bound = math.inf
+    if bound == math.inf:  # theta^beta underflowed or a factor overflowed
+        log_base = math.log(2.0 * k) - 1.0 - math.log(beta) - beta * math.log(params.theta)
+        bound = exp_or_inf(math.lgamma(k + 1) + (k / beta) * log_base)
     findings = []
     for t in t_grid:
         value = abs(g_derivative(params, k, t))
@@ -279,11 +286,11 @@ def growth_audit(params, xmax=60, t_grid=None):
     r0 = max(
         math.e,
         1.0,
-        math.exp((2.0 / eps) * (1.5 - (1.0 + 1.0 / beta) + math.log(c0))),
+        exp_or_inf((2.0 / eps) * (1.5 - (1.0 + 1.0 / beta) + math.log(c0))),
     )
-    start = math.ceil(r0)
-    if xmax < start:
+    if xmax < r0:  # for an integer xmax, the same as xmax < ceil(r0)
         raise AuditWindowEmptyError(r0, xmax)
+    start = math.ceil(r0)
     if t_grid is None:
         t_grid = tuple(Fraction(i, 8) for i in range(1, 9))
     worst = 0.0

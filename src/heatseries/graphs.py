@@ -7,7 +7,8 @@ a neighbor oracle plus a closed-form metric.
 
 Every derived query reads the graph's neighbor index, which calls the
 family's `neighbors` once per vertex; balls are not memoized but walked
-afresh over the index.  A vertex the index holds needs no further check.
+afresh over the index.  The vertex object the index holds needs no further
+check; an equal value of another type is checked like a new one.
 
 Graphs are immutable after construction.  The neighbor index is filled on
 demand without locks, so a graph must not be shared between threads.
@@ -148,11 +149,13 @@ class NeighborIndex:
         if i is None:
             pairs = graph.neighbors(x)  # rejects x if it is not a vertex
             i = self._add(graph, x)
-        elif self.neighbors[i] is None:
-            # the stored vertex: an equal x (1.0 for 1) must not leak into the index
-            pairs = graph.neighbors(self.vertices[i])
         else:
-            return i
+            if self.vertices[i] is not x:
+                graph.check_vertex(x)  # an equal value (1.0 for 1) may be no vertex
+            if self.neighbors[i] is not None:
+                return i
+            # the stored vertex, so that an equal x never enters the index
+            pairs = graph.neighbors(self.vertices[i])
         nbrs = []
         for y, _ in pairs:
             j = positions.get(y)
@@ -193,9 +196,16 @@ class Graph:
         raise NotImplementedError
 
     def check_vertex(self, x):
-        """Raise UnknownVertexError unless `x` is a vertex; indexed ones pass."""
+        """Raise UnknownVertexError unless `x` is a vertex.
+
+        The very object the index stores passes without a membership test;
+        a value merely equal to it (1.0 or True for 1) is tested like any
+        other, so the answer never depends on what the index holds.
+        """
+        index = self.index
         try:
-            if x in self.index.positions or x in self:
+            i = index.positions.get(x)
+            if (i is not None and index.vertices[i] is x) or x in self:
                 return
         except TypeError:  # unhashable, so not a vertex
             pass

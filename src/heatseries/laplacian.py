@@ -35,18 +35,20 @@ def apply_laplacian(graph, f):
     support vertex over the graph's lifetime and never on the outer ring.
     """
     index = graph.index
-    positions, neighbors, weights = index.positions, index.neighbors, index.weights
+    positions, vertices, neighbors, weights = (
+        index.positions, index.vertices, index.neighbors, index.weights
+    )
     acc = {}
     get = acc.get
     for x, fx in f.items():
         i = positions.get(x)
-        if i is None or neighbors[i] is None:
+        if i is None or neighbors[i] is None or vertices[i] is not x:
             i = index.expand(graph, x)
         ws, wdeg = weights[i]
         acc[i] = get(i, 0) - wdeg * fx
         for j, w in zip(neighbors[i], ws):
             acc[j] = get(j, 0) + w * fx
-    vertices, measures = index.vertices, index.measures
+    measures = index.measures
     return LocalFunction({vertices[j]: exact_div(v, measures[j]) for j, v in acc.items()})
 
 

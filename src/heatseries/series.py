@@ -5,6 +5,15 @@ data; every evaluation reports a rigorous tail bound derived from the
 chained one-ring estimate, so a returned value is always accompanied by the
 radius of trust around it.  The backward Cauchy problem is the same series
 at negated time.
+
+A solution caches two things.  For each distinct time it keeps a plan: the
+truncation order K and its tail bound, which depend on t alone, and the
+weights t^k / k! for k <= K.  For each vertex it keeps a column, the
+coefficients L^k a(x) for k up to the largest K asked of that vertex.  An
+evaluation is one sequential sum of column times weights.  Both caches grow
+with the distinct times and vertices asked for and live as long as the
+solution.  Like its graph, a solution is filled on demand without locks and
+must not be shared between threads.
 """
 
 from __future__ import annotations
@@ -14,14 +23,16 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from .bounds import root_distances, xlnx
+import numpy as np
+
+from .bounds import exp_or_inf, root_distances, xlnx
 from .errors import (
     DegreeBoundError,
     RadiusExceededError,
     TruncationFailureError,
     UnreachableVertexError,
 )
-from .graphs import LocalFunction, vertex_key
+from .graphs import LocalFunction, number_problem, vertex_key
 from .laplacian import IteratedLaplacianTable, apply_laplacian, laplacian_at
 
 #: Hard cap on the number of series terms per evaluation.
@@ -47,9 +58,10 @@ class SeriesSolution:
     """A series propagator for one graph and one finitely supported datum.
 
     Evaluations at distinct (vertex, time) pairs are independent; they share
-    one coefficient table that extends on demand.  The graph must report a
-    uniform degree bound (all built-in graphs do), since that constant
-    drives the certified truncation.
+    one coefficient table that extends on demand, the per-time plans and the
+    per-vertex coefficient columns.  The graph must report a uniform degree
+    bound (all built-in graphs do), since that constant drives the certified
+    truncation.
     """
 
     graph: object
@@ -71,6 +83,11 @@ class SeriesSolution:
             )
         self._deg_cap = float(cap)
         self._derivative = None
+        # binary64 arrays reproduce the Python arithmetic exactly only when
+        # every operand is a Python float; anything else sums as objects
+        self._float_data = all(type(v) is float for _, v in self.initial.items())
+        self._plans = {}
+        self._columns = {}
 
     def derivative_solution(self):
         """Series for the time derivative: same machinery, initial data L a."""
@@ -82,6 +99,67 @@ class SeriesSolution:
             )
         return self._derivative
 
+    def _plan(self, t):
+        """(K, tail bound, weights t^k / k! for k <= K) for the time `t`.
+
+        Keyed on the type as well as the value, since 0.5 and Fraction(1, 2)
+        are equal but sum in different arithmetic.
+        """
+        key = (type(t), t)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._make_plan(t)
+        return plan
+
+    def _make_plan(self, t):
+        problem = number_problem(t)
+        if problem:
+            raise ValueError(f"{problem} time {t!r}")
+        if t == 0:
+            return 0, 0.0, None
+        rho = 2.0 * abs(float(t)) * self._deg_cap
+        weights = [1]  # t^k / k!, in the ambient arithmetic
+        tail_next = self._sup * rho  # T(k+1) for the current k = 0
+        k = 0
+        best = math.inf
+        while True:
+            q = rho / (k + 2)
+            if q < 0.5:
+                bound = tail_next / (1.0 - q)
+                best = min(best, bound)
+                if bound <= self.tol:
+                    break
+            if k >= TERM_CAP:
+                raise TruncationFailureError(
+                    f"tail bound {best} did not reach tolerance {self.tol} "
+                    f"within {TERM_CAP} terms",
+                    best_bound=best,
+                    terms_used=k,
+                )
+            k += 1
+            weights.append(weights[-1] * t / k)
+            tail_next = tail_next * rho / (k + 1)
+        dtype = np.float64 if self._float_data and type(t) is float else object
+        return k, bound, np.array(weights, dtype=dtype)
+
+    def _column(self, x, big_k, dtype):
+        """L^k a(x) for k <= at least `big_k`, as an array of `dtype`."""
+        key = (x, dtype)
+        column = self._columns.get(key)
+        start = 0 if column is None else len(column)
+        if start <= big_k:
+            entry = self.table.entry
+            more = np.array([entry(k)(x) for k in range(start, big_k + 1)], dtype=dtype)
+            column = more if column is None else np.concatenate((column, more))
+            self._columns[key] = column
+        return column
+
+
+@np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
+def _sum_terms(column, weights):
+    """column[0] w_0 + column[1] w_1 + ..., added strictly left to right."""
+    return np.add.accumulate(column * weights).item(-1)
+
 
 def series_eval(solution, x, t):
     """Evaluate the series at (x, t) with a certified truncation error.
@@ -89,7 +167,8 @@ def series_eval(solution, x, t):
     Terms are added until the dominating tail T(K+1)/(1-q), with
     T(k) = (2|t| D)^k/k! * sup|a| and ratio q = T(K+2)/T(K+1) < 1/2, drops
     to the solution's tolerance.  Outside a finite certified radius the
-    evaluation refuses rather than extrapolate.
+    evaluation refuses rather than extrapolate; a time that is not finite
+    in binary64 raises ValueError.
     """
     solution.graph.check_vertex(x)
     cert = solution.certificate
@@ -98,34 +177,11 @@ def series_eval(solution, x, t):
             f"t = {t} lies outside the certified interval "
             f"(kind={cert.kind}, radius={cert.radius})"
         )
-    a = solution.initial
-    if t == 0:
-        return EvalResult(a(x), 0.0, 0)
-
-    rho = 2.0 * abs(float(t)) * solution._deg_cap
-    value = a(x)
-    weight = 1  # t^k / k!, in the ambient arithmetic
-    tail_next = solution._sup * rho  # T(k+1) for the current k = 0
-    k = 0
-    best = math.inf
-    while True:
-        q = rho / (k + 2)
-        if q < 0.5:
-            bound = tail_next / (1.0 - q)
-            best = min(best, bound)
-            if bound <= solution.tol:
-                return EvalResult(value, bound, k)
-        if k >= TERM_CAP:
-            raise TruncationFailureError(
-                f"tail bound {best} did not reach tolerance {solution.tol} "
-                f"within {TERM_CAP} terms",
-                best_bound=best,
-                terms_used=k,
-            )
-        k += 1
-        weight = weight * t / k
-        value = value + solution.table.entry(k)(x) * weight
-        tail_next = tail_next * rho / (k + 1)
+    big_k, bound, weights = solution._plan(t)
+    if big_k == 0:
+        return EvalResult(solution.initial(x), bound, 0)
+    column = solution._column(x, big_k, weights.dtype)
+    return EvalResult(_sum_terms(column[: big_k + 1], weights), bound, big_k)
 
 
 def backward_solve(graph, a, x, t, tol=1e-11):
@@ -159,6 +215,14 @@ def residual_check(solution, x, t, h=0.0):
         solution.graph, lambda y: series_eval(solution, y, t).value, x
     )
     return abs(dt_value - lap_value)
+
+
+def _power_or_inf(base, k):
+    """base ** k for a nonnegative float base, inf where binary64 overflows."""
+    try:
+        return base ** k
+    except OverflowError:
+        return math.inf
 
 
 def audit_region(graph, a, kmax, rmax):
@@ -213,9 +277,7 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
         if d > degree_cap:
             raise DegreeBoundError(x, d, degree_cap)
 
-    try:
-        dist = {x: graph.distance(x, root) for x in region}
-    except UnreachableVertexError as exc:
+    def inconclusive(note):
         return BackwardSolvabilityReport(
             verdict=INCONCLUSIVE,
             scale=math.nan,
@@ -224,27 +286,36 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
             degree_cap=float(degree_cap),
             kmax=kmax,
             rmax=rmax,
-            note=f"audit region not connected to the root: {exc}",
+            note=note,
         )
+
+    try:
+        dist = {x: graph.distance(x, root) for x in region}
+    except UnreachableVertexError as exc:
+        return inconclusive(f"audit region not connected to the root: {exc}")
 
     table = IteratedLaplacianTable(graph, a)
     points = []
     for k in range(kmax + 1):
         entry = table.entry(k)
-        base = (2.0 * float(degree_cap)) ** k
+        base = _power_or_inf(2.0 * float(degree_cap), k)
         for x in region:
             v = abs(float(entry(x)))
             points.append((k, x, v, base, dist[x]))
+    # an iterate beyond binary64 compares with no envelope, finite or not
+    if not all(math.isfinite(v) for _, _, v, _, _ in points):
+        return inconclusive("an audited iterate is not finite in binary64")
 
     def envelope(rate, k, base, d):
-        return base * math.exp(rate * xlnx(k + d))
+        return base * exp_or_inf(rate * xlnx(k + d))
 
     for rate in SOLVABILITY_RATE_GRID:
         needed = 0.0
         worst = None
         for k, x, v, base, d in points:
             env = envelope(rate, k, base, d)
-            ratio = v / env
+            # a zero cap gives a zero envelope for k >= 1, which only 0 meets
+            ratio = v / env if env else (math.inf if v else 0.0)
             if ratio > needed:
                 needed = ratio
                 worst = (k, x, v, env)
@@ -316,7 +387,7 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     for k in range(kmax + 1):
         entry = solution.table.entry(k)
         for x in order:
-            bound = amp * (base ** k) * math.exp(rate * xlnx(k + dist[x]))
+            bound = amp * _power_or_inf(base, k) * exp_or_inf(rate * xlnx(k + dist[x]))
             v = abs(float(entry(x)))
             if v > bound:
                 return CoefficientAuditReport(

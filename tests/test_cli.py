@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from heatseries import cli
 from heatseries import laplacian as laplacian_mod
-from heatseries.cli import main
+from heatseries.cli import canonical_json, main
 
 
 def run(args, capsys):
@@ -96,6 +102,21 @@ class TestBackwardCommand:
     def test_negative_time_exit2(self, capsys):
         code, _ = run(["backward", "--family", "z", "--t=-0.1"], capsys)
         assert code == 2
+
+    def test_edgeless_graph_has_degree_cap_zero(self, tmp_path, capsys):
+        doc = {"root": "a", "vertices": [{"id": "a", "mu": 1}], "edges": []}
+        code, out = run(["backward", "--graph", write_graph(tmp_path, doc), "--kmax", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["solvability"]["verdict"] == "certified"
+
+    def test_envelope_beyond_binary64_is_infinite(self, capsys):
+        # (2 * 1e200)^k overflows from k = 2 on; the infinite envelope holds
+        code, out = run(
+            ["backward", "--family", "z", "--degree-bound", "1e200", "--kmax", "3", "--rmax", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["results"]["solvability"]["verdict"] == "certified"
 
     def test_refuted_exit1(self, tmp_path, capsys):
         path = write_graph(tmp_path, K2_DOC)
@@ -267,6 +288,17 @@ class TestSchemaErrors:
         code, _ = run(["solve", "--graph", "/nonexistent.json", "--t=0"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["solve", "backward"])
+    @pytest.mark.parametrize("spec, exact", [
+        ("nan", []), ("inf", []), ("-inf", []), ("1e400", []), ("1e400", ["--exact"]),
+        ("0.1,1e400", []),
+    ])
+    def test_non_finite_time_exit2(self, capsys, command, spec, exact):
+        code = main([command, "--family", "z", f"--t={spec}"] + exact)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: non-finite time") and "tail bound" not in err
+
 
 class TestExactMode:
     def test_exact_flag_recorded(self, tmp_path, capsys):
@@ -335,3 +367,234 @@ class TestArithmetic:
     def test_exact_builds_rational_tables(self, argv, initial, monkeypatch, capsys, tmp_path):
         seen = _table_value_types(monkeypatch, argv + ["--exact"], initial, capsys, tmp_path)
         assert seen and seen <= {int, Fraction}
+
+
+def _old_fmt_float(x):
+    if math.isinf(x):
+        return '"inf"' if x > 0 else '"-inf"'
+    if math.isnan(x):
+        return '"nan"'
+    return format(x, ".17g")
+
+
+def _old_canonical(obj, out):
+    if obj is None:
+        out.write("null")
+    elif obj is True:
+        out.write("true")
+    elif obj is False:
+        out.write("false")
+    elif isinstance(obj, int):
+        out.write(str(obj))
+    elif isinstance(obj, float):
+        out.write(_old_fmt_float(obj))
+    elif isinstance(obj, Fraction):
+        out.write(json.dumps(str(obj)))
+    elif isinstance(obj, str):
+        out.write(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        out.write("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.write(", ")
+            _old_canonical(item, out)
+        out.write("]")
+    elif isinstance(obj, dict):
+        out.write("{")
+        for i, (key, val) in enumerate(obj.items()):
+            if i:
+                out.write(", ")
+            out.write(json.dumps(str(key)))
+            out.write(": ")
+            _old_canonical(val, out)
+        out.write("}")
+    else:
+        out.write(json.dumps(str(obj)))
+
+
+def old_canonical_json(obj):
+    """The isinstance-chain serializer the type dispatch replaced: the oracle."""
+    buf = io.StringIO()
+    _old_canonical(obj, buf)
+    buf.write("\n")
+    return buf.getvalue()
+
+
+REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.fractions(),
+    st.text(),
+)
+REPORT_KEYS = st.one_of(
+    st.text(), st.integers(), st.booleans(), st.floats(), st.fractions(), st.tuples(st.integers())
+)
+REPORTS = st.recursive(
+    REPORT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(REPORT_KEYS, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+class TestCanonicalJson:
+    @given(REPORTS)
+    @settings(max_examples=300, deadline=None)
+    # equal keys of different types print apart, so str keys alone are cached
+    @example([{1: 0}, {True: 0}, {1.0: 0}, {Fraction(1): 0}, {"1": 0}, {"True": 0}])
+    @example({"a": [math.inf, -math.inf, math.nan, -0.0, np.float64(math.nan)], "b": {"a": ("a",)}})
+    def test_byte_identical_to_the_isinstance_chain(self, report):
+        assert canonical_json(report) == old_canonical_json(report)
+
+    def test_a_real_report(self, capsys):
+        captured = []
+        original = cli.canonical_json
+
+        def recording(report):
+            captured.append(report)
+            return original(report)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "canonical_json", recording)
+            code = main(["backward", "--family", "z", "--t=0.1,0.5", "--kmax", "6"])
+        assert code == 0
+        assert capsys.readouterr().out == old_canonical_json(captured[0])
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3_in_one_line(self, monkeypatch, capsys):
+        def broken(*args):
+            raise ZeroDivisionError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._DISPATCH, "solve", broken)
+        assert main(["solve"]) == cli.INTERNAL_ERROR == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: ZeroDivisionError: boom second line\n"
+
+    def test_unwritable_report_is_a_usage_error(self, tmp_path, capsys):
+        code = main(["solve", "--rmax", "1", "--out", str(tmp_path / "no" / "such.json")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# -- bounded fuzzing of the input boundary -----------------------------------
+
+NUMBERS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from([0.5, 1e-300, 1e300, 1e400]),
+    st.text(max_size=2),
+    st.none(),
+    st.booleans(),
+)
+IDS = st.one_of(
+    st.integers(0, 3), st.text(max_size=1), st.lists(st.integers(0, 1), max_size=1),
+    st.none(), st.booleans(), st.floats(0, 3),
+)
+JUNK = st.one_of(st.none(), st.integers(), st.text(max_size=2), st.lists(st.integers(), max_size=2))
+GRAPH_DOCS = st.one_of(
+    st.fixed_dictionaries({
+        "root": IDS,
+        "vertices": st.lists(
+            st.one_of(st.fixed_dictionaries({"id": IDS, "mu": NUMBERS}), JUNK), max_size=4
+        ),
+        "edges": st.lists(
+            st.one_of(st.fixed_dictionaries({"u": IDS, "v": IDS, "w": NUMBERS}), JUNK), max_size=5
+        ),
+    }),
+    st.dictionaries(st.sampled_from(["root", "vertices", "edges"]), JUNK),
+    JUNK,
+)
+GRAPH_COMMANDS = st.sampled_from([
+    ["solve", "--t=0.1,-0.2", "--rmax", "1"],
+    ["laplacian", "--kmax", "2"],
+    ["backward", "--t=0.1", "--kmax", "2", "--rmax", "1"],
+    ["radius", "--rmax", "1", "--kmax", "3"],
+])
+REALS = st.one_of(
+    st.floats().map(repr), st.sampled_from(["0", "-1", "1e-300", "1e400", "x", "", "1/2"])
+)
+SMALL_INTS = st.one_of(st.integers(-2, 3).map(str), st.sampled_from(["x", "1.5", ""]))
+TIMES = st.lists(st.one_of(st.floats(-4, 4).map(repr), REALS), max_size=3).map(",".join)
+# the families whose balls grow linearly, and names that are no family
+FAMILIES = st.sampled_from(
+    ["z", "lattice:1", "tree:2", "lattice:0", "tree:1", "lattice:", "tree:x", "foo", "z:3"]
+)
+
+
+def _option(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
+
+
+def _flag(name):
+    return st.sampled_from([[], [name]])
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: sum(ps, []))
+
+
+SOURCE = _argv(_option("--family", FAMILIES), _flag("--exact"),
+               _option("--format", st.sampled_from(["json", "csv"])))
+ARGVS = st.one_of(
+    _argv(st.just(["solve"]), SOURCE, _option("--t", TIMES), _option("--tol", REALS),
+          _option("--rmax", SMALL_INTS)),
+    _argv(st.just(["backward"]), SOURCE, _option("--t", TIMES), _option("--tol", REALS),
+          _option("--kmax", SMALL_INTS), _option("--rmax", SMALL_INTS),
+          _option("--degree-bound", REALS)),
+    _argv(st.just(["laplacian"]), SOURCE, _option("--kmax", SMALL_INTS)),
+    _argv(st.just(["radius"]), SOURCE, _option("--rmax", SMALL_INTS),
+          _option("--kmax", SMALL_INTS), _option("--amplitude", REALS), _option("--rate", REALS),
+          _option("--deg-cap", REALS), _option("--deg-power", REALS), _option("--delta", REALS)),
+    _argv(st.just(["counterexample", "--xmax", "8", "--kmax", "1"]),
+          _option("--beta", SMALL_INTS), _option("--theta", REALS),
+          _option("--epsilon", REALS), _option("--T", REALS), _option("--tol", REALS)),
+    st.tuples(st.just("unknown"), st.text(max_size=3)).map(list),
+)
+
+
+def _exit_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestFuzzedInput:
+    """Bad input gets exit 2 and a message; no input reaches an internal error."""
+
+    # derandomized, so that the suite stays deterministic; longer random
+    # runs of the same strategies are how new cases are found
+    @given(GRAPH_DOCS, GRAPH_COMMANDS, _flag("--exact"))
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # a one-vertex document once divided by its zero degree cap
+    @example({"root": "", "vertices": [{"id": "", "mu": 1}], "edges": []},
+             ["backward", "--t=0.1", "--kmax", "2", "--rmax", "1"], [])
+    def test_graph_documents(self, tmp_path, doc, command, exact):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        code, err = _exit_and_stderr(command + ["--graph", str(path)] + exact)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+
+    @given(ARGVS)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # inputs that once overflowed binary64 inside an audit
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--theta=1e-300"])
+    @example(["backward", "--exact", "--degree-bound=1e179", "--kmax", "3"])
+    @example(["solve", "--exact", "--t=1e400"])
+    def test_argument_vectors(self, argv):
+        code, err = _exit_and_stderr(argv)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err

@@ -215,6 +215,24 @@ class TestHuangAudit:
         for k in range(1, 11):
             assert huang_bound_audit(p, k, grid).passed
 
+    @pytest.mark.parametrize("theta, k", [(1e-300, 1), (1e-300, 3), (1e-30, 20)])
+    def test_bound_beyond_binary64_factors(self, theta, k):
+        # theta^4 underflows, or the power overflows; the bound may still be finite
+        p = FlatBumpParams(beta=4, theta=theta)
+        with mp.workdps(30):
+            want = mp.factorial(k) * (2 * k / (mp.e * 4 * mp.mpf(theta) ** 4)) ** (mp.mpf(k) / 4)
+        got = huang_bound_audit(p, k, (0.5,)).bound
+        if want > mp.mpf(2) ** 1024:
+            assert got == math.inf
+        else:
+            assert got == pytest.approx(float(want), rel=1e-9)
+
+    def test_tiny_theta_window_is_empty(self, beta4):
+        # the admissible radius e^{(2/eps)(...)} overflows binary64
+        with pytest.raises(AuditWindowEmptyError) as err:
+            growth_audit(FlatBumpParams(beta=4, theta=1e-300), xmax=60)
+        assert err.value.r0 == math.inf
+
 
 class TestGrowthAudit:
     def test_beta4_epsilon1(self, beta4):

@@ -257,6 +257,32 @@ class TestNeighborIndexWalk:
                 probe()
         assert {type(v) for v in z.index.vertices} == {int}
 
+    def test_validity_does_not_depend_on_what_the_index_holds(self):
+        z = IntegerLine()
+        # 1.0 and True equal the vertex 1 but are not vertices of z
+        queries = (
+            lambda: z.check_vertex(1.0),
+            lambda: z.deg(1.0),
+            lambda: z.ball(True, 1),
+            lambda: z.weight(0, 1.0),
+            lambda: apply_laplacian(z, LocalFunction({1.0: 1.0})),
+        )
+        for _ in range(2):  # on a fresh graph, then with 1 indexed and expanded
+            for query in queries:
+                with pytest.raises(UnknownVertexError):
+                    query()
+            apply_laplacian(z, LocalFunction.delta(0, 1.0))
+            assert z.deg(1) == 2
+        assert {type(v) for v in z.index.vertices} == {int}
+
+    def test_equal_vertex_built_afresh_is_a_vertex(self):
+        graph = IntegerLattice(3)
+        IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 1.0)).entry(2)
+        size = len(graph.index.vertices)
+        x = tuple([1, 0, 0])  # equal to an indexed vertex, another object
+        assert graph.deg(x) == 6 and graph.ball(x, 0) == {x}
+        assert len(graph.index.vertices) == size
+
     @pytest.mark.parametrize("graph", (IntegerLine(), path_graph(4)))
     def test_unhashable_vertex_is_unknown(self, graph):
         for call in (graph.check_vertex, graph.deg, lambda x: graph.ball(x, 1)):

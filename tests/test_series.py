@@ -1,8 +1,11 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heatseries.bounds import DegreeGrowth, GrowthProfile, radius_estimate
 from heatseries.errors import (
@@ -12,16 +15,20 @@ from heatseries.errors import (
 )
 from heatseries.graphs import (
     FiniteGraph,
+    IntegerLattice,
     IntegerLine,
     LocalFunction,
     cycle_graph,
     path_graph,
+    random_weighted_graph,
 )
 from heatseries.oracle import dense_laplacian, expm_apply
 from heatseries.series import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    TERM_CAP,
+    EvalResult,
     SeriesSolution,
     backward_solve,
     check_backward_solvability,
@@ -226,6 +233,14 @@ class TestBackwardSolvability:
         k, x, value, bound = report.witnesses[0]
         assert value > bound
 
+    @pytest.mark.parametrize("degree_cap", (2.0, 1e200))
+    def test_iterate_beyond_binary64_inconclusive(self, degree_cap):
+        # L^5 of 1e307 at 0 is -252e307; with 1e200 the envelope overflows too
+        z = IntegerLine()
+        report = check_backward_solvability(z, LocalFunction.delta(0, 1e307), degree_cap, 5, 1)
+        assert report.verdict == INCONCLUSIVE
+        assert "not finite" in report.note
+
     def test_disconnected_inconclusive(self):
         g = FiniteGraph.from_edges(
             {0: 1, 1: 1, 5: 1, 6: 1},
@@ -268,6 +283,14 @@ class TestCoefficientAudit:
         assert k == 2 and x == 1
         assert value > bound
 
+    def test_envelope_beyond_binary64_is_infinite(self):
+        # (2 * 1e200)^k overflows from k = 2 on
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0))
+        report = coefficient_bound_audit(
+            sol, GrowthProfile(1.0, 0.0), DegreeGrowth(1e200, 0.0), 4, 2
+        )
+        assert report.passed
+
     def test_profile_precondition_checked(self):
         z = IntegerLine()
         sol = SeriesSolution(z, LocalFunction.delta(0, 50.0))
@@ -289,3 +312,121 @@ class TestTailSoundness:
                 for x in g.vertices():
                     res = series_eval(sol, x, t)
                     assert abs(res.value - ref[op.index[x]]) <= res.tail_bound + 1e-12
+
+
+def naive_series_eval(solution, x, t):
+    """EvalResult, or the exception series_eval must raise.
+
+    The stopping rule and then the sum as plain loops, one term at a time
+    and in order; the reference for the cached, array-based summation.
+    """
+    a = solution.initial
+    if t == 0:
+        return EvalResult(a(x), 0.0, 0)
+    rho = 2.0 * abs(float(t)) * float(solution.graph.uniform_degree_bound())
+    tail_next = float(a.sup_norm()) * rho
+    k, best = 0, math.inf
+    while True:
+        q = rho / (k + 2)
+        if q < 0.5:
+            bound = tail_next / (1.0 - q)
+            best = min(best, bound)
+            if bound <= solution.tol:
+                break
+        if k >= TERM_CAP:
+            return TruncationFailureError("", best_bound=best, terms_used=k)
+        k += 1
+        tail_next = tail_next * rho / (k + 1)
+    value, weight = a(x), 1
+    try:
+        for j in range(1, k + 1):
+            weight = weight * t / j
+            value = value + solution.table.entry(j)(x) * weight
+    except OverflowError as exc:  # a huge Fraction times a float weight
+        return exc
+    return EvalResult(value, bound, k)
+
+
+def outcome(call):
+    try:
+        return call()
+    except (TruncationFailureError, OverflowError) as exc:
+        return exc
+
+
+SUM_GRAPHS = {
+    # name: (graph builder taking `exact`, data support, largest |t|)
+    "z": (lambda exact: IntegerLine(), (-1, 0, 2), 20),
+    # |t| <= 1 keeps the table near 2 * 45^2 vertices
+    "lattice:2": (lambda exact: IntegerLattice(2), ((0, 0), (1, 0), (0, -1)), 1),
+    "random": (lambda exact: random_weighted_graph(20, seed=3, exact=exact), (0, 3, 7), 20),
+}
+SUM_VALUES = (Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2))
+
+
+@functools.cache
+def shared_solution(name, kind):
+    """One solution per graph and data kind, so its caches see many times."""
+    build, support, _ = SUM_GRAPHS[name]
+    data = LocalFunction({x: kind(v) for x, v in zip(support, SUM_VALUES)})
+    return SeriesSolution(build(kind is Fraction), data)
+
+
+def times_up_to(limit):
+    return st.one_of(
+        st.floats(min_value=-limit, max_value=limit),
+        st.integers(min_value=-limit, max_value=limit),
+        st.builds(Fraction, st.integers(min_value=-8 * limit, max_value=8 * limit), st.just(8)),
+    )
+
+
+@st.composite
+def sum_cases(draw):
+    name = draw(st.sampled_from(sorted(SUM_GRAPHS)))
+    kind = draw(st.sampled_from((float, Fraction)))
+    solution = shared_solution(name, kind)
+    graph = solution.graph
+    x = draw(st.sampled_from(sorted(graph.ball(graph.root, 3), key=repr)))
+    return solution, x, draw(times_up_to(SUM_GRAPHS[name][2]))
+
+
+class TestCachedSummation:
+    @given(sum_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_the_naive_loop(self, case):
+        solution, x, t = case
+        want = naive_series_eval(solution, x, t)
+        got = outcome(lambda: series_eval(solution, x, t))
+        assert type(got) is type(want)
+        if isinstance(want, TruncationFailureError):
+            assert (got.best_bound, got.terms_used) == (want.best_bound, want.terms_used)
+        elif isinstance(want, EvalResult):
+            # the huge terms of the random graph at large |t| can sum to nan
+            assert got.value == want.value or (want.value != want.value and got.value != got.value)
+            assert type(got.value) is type(want.value)
+            assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("data", (1, 1.0))
+    @pytest.mark.parametrize("first, second", [(0.5, Fraction(1, 2)), (-0.0, 0)])
+    def test_plan_key_separates_equal_times_of_different_types(self, data, first, second):
+        z = IntegerLine()
+        shared = SeriesSolution(z, LocalFunction.delta(0, data))
+        for t in (first, second):
+            for x in (0, 1, 5):
+                fresh = series_eval(SeriesSolution(z, LocalFunction.delta(0, data)), x, t)
+                res = series_eval(shared, x, t)
+                assert res == fresh and type(res.value) is type(fresh.value)
+
+    @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, Fraction(10 ** 400)))
+    def test_non_finite_time_refused(self, t):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        with pytest.raises(ValueError, match="non-finite time"):
+            series_eval(sol, 0, t)
+
+    def test_table_grows_only_to_the_largest_order_used(self):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        big_k = series_eval(sol, 3, 2.0).terms_used
+        for x in range(-3, 4):
+            series_eval(sol, x, 1.0)
+            series_eval(sol, x, -2.0)
+        assert len(sol.table) == big_k + 1
