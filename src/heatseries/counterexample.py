@@ -9,6 +9,11 @@ derivatives with consecutive-integer products, so every value is an exact
 rational times the common flat factor; numerics go through rational
 polynomial evaluation and an arbitrary-precision exponential, which
 sidesteps the catastrophic cancellation a plain float path would hit.
+
+A polynomial is evaluated at s = p/q by Horner's rule in Python ints,
+sum c_e p^e q^(d-e), and becomes one Fraction at the end, so each value
+costs one gcd.  The flat factor e^{-s^beta} is computed once per time,
+beta and working precision in a process and then reused.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from mpmath import mp
 
 from .bounds import exp_or_inf
 from .errors import AuditWindowEmptyError
+from .graphs import number_problem
 
 _WORK_DPS = 40
 
@@ -58,10 +64,13 @@ class FlatBumpParams:
         upper = min(1.0, (2.0 / self.beta) ** (1.0 / self.beta))
         if not 0 < self.theta < upper:
             raise ValueError(f"theta must lie in (0, {upper})")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not self.time_shift > 0:
-            raise ValueError("time_shift must be positive")
+        for name in ("epsilon", "time_shift"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive")
+            problem = number_problem(value)
+            if problem:
+                raise ValueError(f"{problem} {name} {value!r}")
 
     @property
     def bump_ratio(self):
@@ -103,16 +112,24 @@ def _table(beta):
 
 
 def _poly_eval(poly, s):
-    """Exact value of a sparse integer polynomial at rational s."""
+    """Exact value of a sparse integer polynomial at rational s.
+
+    With s = p/q and d = deg, Horner's rule over the exponents from the top
+    builds sum c_e p^e q^(d-e) in Python ints; the one Fraction at the end
+    reduces it, so the result is the same rational as a term-by-term sum.
+    """
     s = Fraction(s)
-    acc = Fraction(0)
-    power = Fraction(1)
-    last = 0
-    for e in sorted(poly):
-        power *= s ** (e - last)
+    if not poly:
+        return Fraction(0)
+    p, q = s.numerator, s.denominator
+    exponents = sorted(poly, reverse=True)
+    acc, q_power, last = 0, 1, exponents[0]
+    for e in exponents:
+        acc *= p ** (last - e)
+        q_power *= q ** (last - e)
+        acc += poly[e] * q_power
         last = e
-        acc += poly[e] * power
-    return acc
+    return Fraction(acc * p**last, q_power * q**last)
 
 
 def _poly_add(target, poly, factor):
@@ -151,6 +168,12 @@ def _exact_to_mpf(v):
 
 def _flat_factor(s, beta):
     """e^{-s^beta} for rational s, as an mpf (never under/overflows)."""
+    return _flat_factor_at(s, beta, mp.prec)
+
+
+@lru_cache(maxsize=1024)
+def _flat_factor_at(s, beta, prec):
+    # the value depends on the working precision, so it is part of the key
     return mp.exp(-_exact_to_mpf(s) ** beta)
 
 
@@ -351,6 +374,8 @@ def non_analyticity_witness(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if number_problem(tol) or not tol > 0:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
     probes = sorted({max(1, max_dyadic - step) for step in (20, 15, 10, 5, 0)})
     flat_values = {}
     flat_trace = {}

@@ -195,6 +195,16 @@ class TestCounterexampleCommand:
         code, _ = run(["counterexample", "--beta", "4", "--theta", "0.95"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, name",
+        [("--T=1e400", "time_shift"), ("--epsilon=inf", "epsilon"),
+         ("--tol=inf", "tol"), ("--tol=nan", "tol"), ("--tol=-1", "tol")],
+    )
+    def test_meaningless_value_exit2(self, option, name):
+        code, err = _exit_and_stderr(["counterexample", "--xmax", "8", "--kmax", "1", option])
+        assert code == 2
+        assert name in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_passes_and_deterministic(self, tmp_path, capsys):
@@ -594,6 +604,12 @@ class TestFuzzedInput:
     @example(["counterexample", "--xmax", "8", "--kmax", "1", "--theta=1e-300"])
     @example(["backward", "--exact", "--degree-bound=1e179", "--kmax", "3"])
     @example(["solve", "--exact", "--t=1e400"])
+    # non-finite flat-bump parameters and flatness tolerances once passed
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--T=1e400"])
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--epsilon=inf"])
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=inf"])
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=nan"])
+    @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=-1"])
     def test_argument_vectors(self, argv):
         code, err = _exit_and_stderr(argv)
         assert code in (0, 1, 2), err

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from heatseries.counterexample import (
     DerivativePolynomialTable,
     FlatBumpParams,
+    _combined_poly,
+    _flat_factor,
+    _poly_eval,
     _v_mpf,
     default_theta,
     g_derivative,
@@ -54,6 +59,103 @@ class TestParams:
             FlatBumpParams(beta=1)
         with pytest.raises(ValueError):
             FlatBumpParams(beta=2.5)
+
+    @pytest.mark.parametrize("name", ["epsilon", "time_shift"])
+    @pytest.mark.parametrize(
+        "value", [math.inf, 10**400, Fraction(10**400, 3)], ids=["inf", "int", "fraction"]
+    )
+    def test_non_finite_refused(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FlatBumpParams(beta=4, **{name: value})
+
+    @pytest.mark.parametrize("name", ["epsilon", "time_shift"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf, math.nan])
+    def test_nonpositive_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            FlatBumpParams(beta=4, **{name: value})
+
+
+def _reference_poly_eval(poly, s):
+    """Term-by-term Fraction sum: the reference for _poly_eval."""
+    s = Fraction(s)
+    acc = Fraction(0)
+    power = Fraction(1)
+    last = 0
+    for e in sorted(poly):
+        power *= s ** (e - last)
+        last = e
+        acc += poly[e] * power
+    return acc
+
+
+def _reference_v(params, x, t, order=0):
+    """d^order/dt^order v(x, t) from the reference sum and an uncached exp."""
+    if t <= 0:
+        return 0.0
+    with mp.workdps(40):
+        s = 1 / Fraction(t)
+        poly = _combined_poly(params.beta, x if x >= 0 else -x - 1, order)
+        value = _reference_poly_eval(poly, s)
+        flat = mp.exp(-(mp.mpf(s.numerator) / mp.mpf(s.denominator)) ** params.beta)
+        return float(mp.mpf(value.numerator) / mp.mpf(value.denominator) * flat)
+
+
+SPARSE_POLYS = st.dictionaries(
+    st.integers(0, 400), st.integers(-(10**30), 10**30).filter(bool), max_size=40
+)
+RATIONALS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(-1), Fraction(2**30), Fraction(-3, 7)]),
+    st.integers(1, 8).map(lambda i: Fraction(8, i)),
+    st.integers(0, 30).map(lambda m: Fraction(1, 2**m)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+)
+
+
+class TestPolyEval:
+    @given(SPARSE_POLYS, RATIONALS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @example({}, Fraction(3, 2))
+    @example({0: -5}, Fraction(0))
+    @example({0: 7, 3: -2}, Fraction(0))
+    @example({400: 1, 0: -1}, Fraction(-1, 2**30))
+    def test_equals_fraction_sum(self, poly, s):
+        got = _poly_eval(poly, s)
+        assert got == _reference_poly_eval(poly, s)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("beta, x, order", [(5, 60, 0), (3, 40, 3), (4, 7, 2)])
+    def test_combined_polynomials(self, beta, x, order):
+        poly = _combined_poly(beta, x, order)
+        for s in [Fraction(8, i) for i in range(1, 9)] + [Fraction(2**30), Fraction(-2, 3)]:
+            got = _poly_eval(poly, s)
+            assert got == _reference_poly_eval(poly, s)
+            assert type(got) is Fraction
+
+
+class TestBitIdentical:
+    TIMES = (Fraction(1, 8), Fraction(1, 2), Fraction(1), Fraction(1, 2**30))
+
+    @pytest.mark.parametrize("beta", [3, 4, 5])
+    def test_against_reference(self, beta):
+        params = FlatBumpParams(beta=beta)
+        for t in self.TIMES:
+            for x in (-12, -1, 0, 1, 7, 40, 60):
+                assert v_eval(params, x, t) == _reference_v(params, x, t)
+                for order in range(4):
+                    want = _reference_v(params, x, t, order)
+                    assert v_time_derivative(params, x, t, order=order) == want
+            for k in range(4):
+                assert g_derivative(params, k, t) == _reference_v(params, 0, t, k)
+
+    def test_flat_factor_depends_on_precision(self):
+        # a time no other test asks for, so the 15-digit call comes first
+        s = Fraction(98765, 43211)
+        with mp.workdps(15):
+            _flat_factor(s, 4)
+        with mp.workdps(40):
+            got = _flat_factor(s, 4)
+            want = mp.exp(-(mp.mpf(98765) / 43211) ** 4)
+        assert got == want
 
 
 class TestBump:
@@ -258,6 +360,11 @@ class TestGrowthAudit:
 
 
 class TestNonAnalyticity:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, 0.0])
+    def test_meaningless_tol_refused(self, beta4, tol):
+        with pytest.raises(ValueError, match="tol"):
+            non_analyticity_witness(beta4, 0, 3, tol=tol)
+
     def test_origin_witness(self, beta4):
         report = non_analyticity_witness(beta4, 0, 10)
         assert report.flat
