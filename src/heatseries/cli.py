@@ -35,15 +35,9 @@ from .graphs import (
     random_weighted_graph,
     vertex_key,
 )
-from .laplacian import IteratedLaplacianTable, apply_laplacian, iterated_laplacian
+from .laplacian import IteratedLaplacianTable, apply_laplacian
 from .oracle import brute_iterate, dense_laplacian, expm_apply
-from .series import (
-    SeriesSolution,
-    audit_region,
-    check_backward_solvability,
-    coefficient_bound_audit,
-    series_eval,
-)
+from .series import SeriesSolution, check_backward_solvability, series_eval
 
 AUDIT_FAILURE = 1
 USAGE_ERROR = 2
@@ -233,6 +227,15 @@ def build_parser():
     return parser
 
 
+def _resolve_source(args, config):
+    """The graph and initial data of a source command, recorded in `config`."""
+    graph, src = _resolve_graph(args)
+    initial, init_src = _resolve_initial(args, graph)
+    config.update(src)
+    config.update(init_src)
+    return graph, initial
+
+
 def _resolve_graph(args):
     if args.graph:
         return load_graph(Path(args.graph), exact=args.exact), {"graph": args.graph}
@@ -302,10 +305,7 @@ def _eval_rows(solution, vertices, times):
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_laplacian(args, config):
-    graph, src = _resolve_graph(args)
-    initial, init_src = _resolve_initial(args, graph)
-    config.update(src)
-    config.update(init_src)
+    graph, initial = _resolve_source(args, config)
     config["kmax"] = args.kmax
     table = IteratedLaplacianTable(graph, initial)
     rows = []
@@ -319,11 +319,8 @@ def _cmd_laplacian(args, config):
 
 
 def _cmd_solve(args, config):
-    graph, src = _resolve_graph(args)
-    initial, init_src = _resolve_initial(args, graph)
+    graph, initial = _resolve_source(args, config)
     times = _parse_times(args.t, args.exact)
-    config.update(src)
-    config.update(init_src)
     config.update({"t": [float(t) for t in times], "tol": args.tol, "rmax": args.rmax})
     solution = SeriesSolution(graph, initial, tol=args.tol)
     vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
@@ -332,13 +329,10 @@ def _cmd_solve(args, config):
 
 
 def _cmd_backward(args, config):
-    graph, src = _resolve_graph(args)
-    initial, init_src = _resolve_initial(args, graph)
+    graph, initial = _resolve_source(args, config)
     times = _parse_times(args.t, args.exact)
     if any(t < 0 for t in times):
         raise HeatSeriesError("backward times must be nonnegative")
-    config.update(src)
-    config.update(init_src)
     config.update(
         {
             "t": [float(t) for t in times],
@@ -353,14 +347,11 @@ def _cmd_backward(args, config):
     for row, (_x, t) in zip(rows, [(x, t) for x in vertices for t in times]):
         row["t"] = float(t)  # report the backward time, not the internal negation
 
-    if args.degree_bound is None:
-        # exact, so the audit never refuses the maximum it was given
-        region = audit_region(graph, initial, args.kmax, args.rmax)
-        cap = max(graph.deg(x) for x in region)
-    else:
-        cap = args.degree_bound
-    config["degree_bound"] = float(cap)
-    audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)
+    # without --degree-bound the audit takes the audited maximum itself
+    audit = check_backward_solvability(
+        graph, initial, args.degree_bound, args.kmax, args.rmax
+    )
+    config["degree_bound"] = audit.degree_cap
     report = {
         "evaluations": rows,
         "solvability": {
@@ -383,10 +374,7 @@ def _cmd_backward(args, config):
 
 
 def _cmd_radius(args, config):
-    graph, src = _resolve_graph(args)
-    initial, init_src = _resolve_initial(args, graph)
-    config.update(src)
-    config.update(init_src)
+    graph, initial = _resolve_source(args, config)
     config.update({"rmax": args.rmax, "kmax": args.kmax})
     if args.amplitude is not None:
         config.update({"amplitude": args.amplitude, "rate": args.rate})
@@ -462,6 +450,13 @@ def _cmd_counterexample(args, config):
             "tol": args.tol,
         }
     )
+    # the witnesses check tol and kmax on entry, and the growth audit its
+    # window, so bad input is refused before the residual and Huang work
+    witnesses = [
+        cx.non_analyticity_witness(params, x, args.kmax, tol=args.tol)
+        for x in (0, 1, 2, 3)
+    ]
+    growth = cx.growth_audit(params, xmax=args.xmax)
     t_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1))
     xs = range(-10, 11)
     residual_rows = []
@@ -475,13 +470,7 @@ def _cmd_counterexample(args, config):
             max_value = max(max_value, v)
             residual_rows.append({"x": x, "t": float(t), "residual": r})
     zero_poly = all(cx.heat_residual_poly(params, x) == {} for x in xs)
-
-    growth = cx.growth_audit(params, xmax=args.xmax)
     huang = [cx.huang_bound_audit(params, k, t_grid) for k in range(1, 21)]
-    witnesses = [
-        cx.non_analyticity_witness(params, x, args.kmax, tol=args.tol)
-        for x in (0, 1, 2, 3)
-    ]
 
     flatness_table = [
         {
@@ -549,7 +538,18 @@ def _verify_fixtures():
 def _cmd_verify(args, config):
     config["tol"] = args.tol
     checks = []
-    ok_all = True
+
+    def check(graph_name, name, err, threshold, ok=True):
+        checks.append(
+            {
+                "graph": graph_name,
+                "check": name,
+                "max_err": err,
+                "threshold": threshold,
+                "pass": err <= threshold and ok,
+            }
+        )
+
     for name, graph in _verify_fixtures():
         initial = _unit_delta(graph, args.exact)
         solution = SeriesSolution(graph, initial, tol=args.tol)
@@ -566,24 +566,16 @@ def _cmd_verify(args, config):
                 err = max(err, diff)
                 if diff > res.tail_bound + 1e-12:
                     tail_ok = False
-            passed = err <= 1e-10 and tail_ok
-            ok_all &= passed
-            checks.append(
-                {
-                    "graph": name,
-                    "check": f"series-vs-expm@t={format(t, '.17g')}",
-                    "max_err": err,
-                    "threshold": 1e-10,
-                    "pass": passed,
-                }
-            )
+            check(name, f"series-vs-expm@t={format(t, '.17g')}", err, 1e-10, tail_ok)
 
         err = 0.0
+        ref = vec
         for k in range(0, 9):
-            ref = brute_iterate(op, vec, k)
+            if k:
+                ref = brute_iterate(op, ref, 1)
             # iterate magnitudes grow like (2D)^k; compare on that scale
             scale = max(1.0, max(abs(float(v)) for v in ref))
-            mine = iterated_laplacian(graph, initial, k)
+            mine = solution.table.entry(k)
             err = max(
                 err,
                 max(
@@ -591,32 +583,12 @@ def _cmd_verify(args, config):
                     for x in graph.vertices()
                 ),
             )
-        passed = err <= 1e-10
-        ok_all &= passed
-        checks.append(
-            {
-                "graph": name,
-                "check": "iterates-vs-dense@k<=8",
-                "max_err": err,
-                "threshold": 1e-10,
-                "pass": passed,
-            }
-        )
+        check(name, "iterates-vs-dense@k<=8", err, 1e-10)
 
         lap = apply_laplacian(graph, initial)
         total = sum(graph.measure(x) * lap(x) for x in lap.support)
-        passed = abs(float(total)) <= 1e-12
-        ok_all &= passed
-        checks.append(
-            {
-                "graph": name,
-                "check": "conservation",
-                "max_err": abs(float(total)),
-                "threshold": 1e-12,
-                "pass": passed,
-            }
-        )
-    return {"checks": checks}, ok_all, checks
+        check(name, "conservation", abs(float(total)), 1e-12)
+    return {"checks": checks}, all(c["pass"] for c in checks), checks
 
 
 _DISPATCH = {

@@ -31,6 +31,15 @@ from .graphs import number_problem
 
 _WORK_DPS = 40
 
+#: Times at which the growth audit samples each x of its window.
+GROWTH_T_GRID = tuple(Fraction(i, 8) for i in range(1, 9))
+
+#: The flatness probes descend to t = 2^-MAX_DYADIC.
+MAX_DYADIC = 30
+
+#: Unshifted times at which the flatness witness samples positivity.
+SAMPLE_TIMES = (0.25, 0.5, 1.0)
+
 
 def default_theta(beta):
     """Midpoint-ish admissible theta: half of min(1, (2/beta)^(1/beta))."""
@@ -295,8 +304,10 @@ class GrowthAuditReport:
     violations: list
 
 
-def growth_audit(params, xmax=60, t_grid=None):
+def growth_audit(params, xmax=60):
     """Check |v(x,t)| <= 4 sqrt(2 pi) e^{(1+eps) x ln x} on [ceil(R0), xmax].
+
+    Each x of the window is sampled at the times GROWTH_T_GRID.
 
     R0 = max{e, k0, e^{(2/eps)(3/2 - (1+1/beta) + ln C0)}} with the audited
     factorial threshold k0 = 1.  Raises AuditWindowEmptyError when the
@@ -314,15 +325,13 @@ def growth_audit(params, xmax=60, t_grid=None):
     if xmax < r0:  # for an integer xmax, the same as xmax < ceil(r0)
         raise AuditWindowEmptyError(r0, xmax)
     start = math.ceil(r0)
-    if t_grid is None:
-        t_grid = tuple(Fraction(i, 8) for i in range(1, 9))
     worst = 0.0
     violations = []
     with mp.workdps(_WORK_DPS):
         prefactor = 4 * mp.sqrt(2 * mp.pi)
         for x in range(start, xmax + 1):
             envelope = prefactor * mp.e ** ((1.0 + eps) * x * mp.log(x))
-            for t in t_grid:
+            for t in GROWTH_T_GRID:
                 value = abs(_v_mpf(params, x, t))
                 margin = float(value / envelope)
                 worst = max(worst, margin)
@@ -361,9 +370,7 @@ class NonAnalyticityReport:
         return self.flat and self.nonzero
 
 
-def non_analyticity_witness(
-    params, x, kmax, tol=1e-8, max_dyadic=30, sample_times=(0.25, 0.5, 1.0)
-):
+def non_analyticity_witness(params, x, kmax, tol=1e-8):
     """Probe flatness at 0+ of all derivatives up to kmax, plus positivity.
 
     Derivative magnitudes are sampled along the geometric grid t = 2^-m
@@ -376,7 +383,7 @@ def non_analyticity_witness(
         raise ValueError("kmax must be >= 1")
     if number_problem(tol) or not tol > 0:
         raise ValueError(f"tol must be finite and positive, not {tol!r}")
-    probes = sorted({max(1, max_dyadic - step) for step in (20, 15, 10, 5, 0)})
+    probes = sorted({max(1, MAX_DYADIC - step) for step in (20, 15, 10, 5, 0)})
     flat_values = {}
     flat_trace = {}
     with mp.workdps(_WORK_DPS):
@@ -387,7 +394,7 @@ def non_analyticity_witness(
             ]
             flat_trace[j] = trace
             flat_values[j] = trace[-1][1]
-    samples = [(float(t), v_eval(params, x, t)) for t in sample_times]
+    samples = [(float(t), v_eval(params, x, t)) for t in SAMPLE_TIMES]
     flat = all(v <= tol for trace in flat_trace.values() for _, v in trace)
     nonzero = any(v > 0 for _, v in samples)
     return NonAnalyticityReport(
@@ -395,7 +402,7 @@ def non_analyticity_witness(
         flat=flat,
         flat_values=flat_values,
         flat_trace=flat_trace,
-        smallest_s=float(2.0 ** -max_dyadic),
+        smallest_s=float(2.0 ** -MAX_DYADIC),
         positive_samples=samples,
         nonzero=nonzero,
         time_shift=params.time_shift,

@@ -43,9 +43,6 @@ class DenseOperator:
             vec[self.index[x]] = v
         return vec
 
-    def function_of(self, vec):
-        return LocalFunction({x: vec[i] for i, x in enumerate(self.order)})
-
 
 def dense_laplacian(graph):
     """Dense Laplacian of a finite graph.

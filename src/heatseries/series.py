@@ -14,6 +14,12 @@ evaluation is one sequential sum of column times weights.  Both caches grow
 with the distinct times and vertices asked for and live as long as the
 solution.  Like its graph, a solution is filled on demand without locks and
 must not be shared between threads.
+
+Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
+e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
+fits A and rate on grids, the coefficient audit checks given constants.
+Both read one point source, `_envelope_points`, which yields
+(k, x, |L^k a(x)|, (2C)^k, d(x)) k-major over a fixed vertex order.
 """
 
 from __future__ import annotations
@@ -231,9 +237,24 @@ def audit_region(graph, a, kmax, rmax):
     That is the radius-rmax root ball united with the kmax-neighborhood of
     the support of `a`.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be nonnegative, not {kmax!r}")
     spread = islice(graph.layers(a.support), kmax + 1)
     region = graph.ball(graph.root, rmax).union(*spread)
     return sorted(region, key=vertex_key)
+
+
+def _envelope_points(table, order, dist, base, kmax):
+    """Yield (k, x, |L^k a(x)|, base^k, d(x)) for k <= kmax, x in `order`.
+
+    The point source of both envelope audits, k-major and lazy: an entry of
+    the table is computed only when its first point is requested.
+    """
+    for k in range(kmax + 1):
+        entry = table.entry(k)
+        base_k = _power_or_inf(base, k)
+        for x in order:
+            yield k, x, abs(float(entry(x))), base_k, dist[x]
 
 
 @dataclass
@@ -264,56 +285,59 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     """Audit |L^k a| against scale * (2 D)^k e^{rate (k+d) ln(k+d)}.
 
     Checks every k <= kmax and every vertex of the audited region (the
-    radius-rmax root ball united with the kmax-neighborhood of the support),
-    after verifying Deg <= degree_cap there.  Constants are fitted on the
-    declared grids, smallest rate first.
+    radius-rmax root ball united with the kmax-neighborhood of the support).
+    A `degree_cap` of None audits with the largest Deg over that region,
+    taken exactly; any other cap is first verified against Deg there.
+    Constants are fitted on the declared grids, smallest rate first.
     """
     if kmax < 0 or rmax < 0:
         raise ValueError("kmax and rmax must be nonnegative")
-    root = graph.root
     region = audit_region(graph, a, kmax, rmax)
-    for x in region:
-        d = graph.deg(x)
-        if d > degree_cap:
-            raise DegreeBoundError(x, d, degree_cap)
+    degrees = ((x, graph.deg(x)) for x in region)
+    if degree_cap is None:
+        degree_cap = max(d for _, d in degrees)
+    else:
+        for x, d in degrees:
+            if d > degree_cap:
+                raise DegreeBoundError(x, d, degree_cap)
+    verdict, scale, rate, witnesses, note = _fit_envelope(
+        graph, a, 2.0 * float(degree_cap), kmax, region
+    )
+    return BackwardSolvabilityReport(
+        verdict=verdict,
+        scale=scale,
+        rate=rate,
+        witnesses=witnesses,
+        degree_cap=float(degree_cap),
+        kmax=kmax,
+        rmax=rmax,
+        note=note,
+    )
 
-    def inconclusive(note):
-        return BackwardSolvabilityReport(
-            verdict=INCONCLUSIVE,
-            scale=math.nan,
-            rate=math.nan,
-            witnesses=[],
-            degree_cap=float(degree_cap),
-            kmax=kmax,
-            rmax=rmax,
-            note=note,
-        )
 
+def _fit_envelope(graph, a, base, kmax, region):
+    """(verdict, scale, rate, witnesses, note) of the backward audit."""
     try:
-        dist = {x: graph.distance(x, root) for x in region}
+        dist = {x: graph.distance(x, graph.root) for x in region}
     except UnreachableVertexError as exc:
-        return inconclusive(f"audit region not connected to the root: {exc}")
+        note = f"audit region not connected to the root: {exc}"
+        return INCONCLUSIVE, math.nan, math.nan, [], note
 
     table = IteratedLaplacianTable(graph, a)
-    points = []
-    for k in range(kmax + 1):
-        entry = table.entry(k)
-        base = _power_or_inf(2.0 * float(degree_cap), k)
-        for x in region:
-            v = abs(float(entry(x)))
-            points.append((k, x, v, base, dist[x]))
+    points = list(_envelope_points(table, region, dist, base, kmax))
     # an iterate beyond binary64 compares with no envelope, finite or not
     if not all(math.isfinite(v) for _, _, v, _, _ in points):
-        return inconclusive("an audited iterate is not finite in binary64")
+        note = "an audited iterate is not finite in binary64"
+        return INCONCLUSIVE, math.nan, math.nan, [], note
 
-    def envelope(rate, k, base, d):
-        return base * exp_or_inf(rate * xlnx(k + d))
+    def envelope(rate, k, base_k, d):
+        return base_k * exp_or_inf(rate * xlnx(k + d))
 
     for rate in SOLVABILITY_RATE_GRID:
         needed = 0.0
         worst = None
-        for k, x, v, base, d in points:
-            env = envelope(rate, k, base, d)
+        for k, x, v, base_k, d in points:
+            env = envelope(rate, k, base_k, d)
             # a zero cap gives a zero envelope for k >= 1, which only 0 meets
             ratio = v / env if env else (math.inf if v else 0.0)
             if ratio > needed:
@@ -325,33 +349,17 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
                 if worst is not None and worst[2] > 0:
                     k, x, v, env = worst
                     witnesses = [(k, x, v, scale * env)]
-                return BackwardSolvabilityReport(
-                    verdict=CERTIFIED,
-                    scale=scale,
-                    rate=rate,
-                    witnesses=witnesses,
-                    degree_cap=float(degree_cap),
-                    kmax=kmax,
-                    rmax=rmax,
-                )
+                return CERTIFIED, scale, rate, witnesses, ""
 
     top_scale = SOLVABILITY_SCALE_GRID[-1]
     top_rate = SOLVABILITY_RATE_GRID[-1]
     violations = [
-        (k, x, v, top_scale * envelope(top_rate, k, base, d))
-        for k, x, v, base, d in points
-        if v > top_scale * envelope(top_rate, k, base, d)
+        (k, x, v, top_scale * envelope(top_rate, k, base_k, d))
+        for k, x, v, base_k, d in points
+        if v > top_scale * envelope(top_rate, k, base_k, d)
     ]
-    return BackwardSolvabilityReport(
-        verdict=REFUTED,
-        scale=top_scale,
-        rate=top_rate,
-        witnesses=violations[:20],
-        degree_cap=float(degree_cap),
-        kmax=kmax,
-        rmax=rmax,
-        note="no grid constants dominate the audited iterates",
-    )
+    note = "no grid constants dominate the audited iterates"
+    return REFUTED, top_scale, top_rate, violations[:20], note
 
 
 @dataclass
@@ -371,8 +379,9 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     """Check |L^k a(x)| <= A (2 C)^k e^{(rate+power)(k+d) ln(k+d)}.
 
     Runs over k <= kmax and the radius-rmax root ball, after verifying the
-    initial data itself sits under the growth envelope there; stops at the
-    first violation.
+    initial data itself sits under the growth envelope there; reads the
+    same point source as the backward audit and stops at the first
+    violation.
     """
     dist = root_distances(solution.graph, rmax)
     order = sorted(dist, key=vertex_key)
@@ -384,13 +393,12 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     amp = float(profile.amplitude)
     rate = float(profile.rate) + float(degree_growth.power)
     base = 2.0 * float(degree_growth.cap)
-    for k in range(kmax + 1):
-        entry = solution.table.entry(k)
-        for x in order:
-            bound = amp * _power_or_inf(base, k) * exp_or_inf(rate * xlnx(k + dist[x]))
-            v = abs(float(entry(x)))
-            if v > bound:
-                return CoefficientAuditReport(
-                    passed=False, witness=(k, x, v, bound), kmax=kmax, rmax=rmax
-                )
-    return CoefficientAuditReport(passed=True, witness=None, kmax=kmax, rmax=rmax)
+    witness = None
+    for k, x, v, base_k, d in _envelope_points(solution.table, order, dist, base, kmax):
+        bound = amp * base_k * exp_or_inf(rate * xlnx(k + d))
+        if v > bound:
+            witness = (k, x, v, bound)
+            break
+    return CoefficientAuditReport(
+        passed=witness is None, witness=witness, kmax=kmax, rmax=rmax
+    )

@@ -10,8 +10,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from heatseries import cli
+from heatseries import counterexample as cx_mod
 from heatseries import laplacian as laplacian_mod
 from heatseries.cli import canonical_json, main
+from heatseries.laplacian import iterated_laplacian
+from heatseries.oracle import brute_iterate, dense_laplacian
 
 
 def run(args, capsys):
@@ -139,6 +142,11 @@ class TestBackwardCommand:
         assert code == 0
         assert json.loads(out)["config"]["degree_bound"] == 1 / 3
 
+    def test_negative_kmax_named(self):
+        code, err = _exit_and_stderr(["backward", "--family", "z", "--kmax=-5"])
+        assert code == 2
+        assert "kmax" in err and "islice" not in err
+
 
 class TestRadiusCommand:
     def test_explicit_constants(self, capsys):
@@ -205,6 +213,57 @@ class TestCounterexampleCommand:
         assert code == 2
         assert name in err and "Traceback" not in err
 
+    @staticmethod
+    def _counting(monkeypatch, names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            fn = getattr(cx_mod, name)
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cx_mod, name, counted)
+        return calls
+
+    def test_bad_tol_refused_before_any_evaluation(self, monkeypatch):
+        calls = self._counting(monkeypatch, ["_v_mpf"])
+        code, err = _exit_and_stderr(["counterexample", "--tol=nan"])
+        assert code == 2
+        assert err == "error: tol must be finite and positive, not nan\n"
+        assert calls == {"_v_mpf": 0}
+
+    def test_empty_window_refused_before_residuals_and_huang(self, monkeypatch):
+        calls = self._counting(monkeypatch, ["heat_residual_1d", "huang_bound_audit"])
+        code, err = _exit_and_stderr(["counterexample", "--xmax", "3"])
+        assert code == 2
+        assert err == (
+            "error: audit window empty: admissible radius starts at "
+            "6.594885082800512, window ends at 3\n"
+        )
+        assert calls == {"heat_residual_1d": 0, "huang_bound_audit": 0}
+
+
+def _old_iterate_errors(exact):
+    """verify's iterates-vs-dense errors with a fresh table and product per k."""
+    for name, graph in cli._verify_fixtures():
+        initial = cli._unit_delta(graph, exact)
+        op = dense_laplacian(graph)
+        vec = op.vector_of(initial)
+        err = 0.0
+        for k in range(0, 9):
+            ref = brute_iterate(op, vec, k)
+            scale = max(1.0, max(abs(float(v)) for v in ref))
+            mine = iterated_laplacian(graph, initial, k)
+            err = max(
+                err,
+                max(
+                    abs(float(mine(x)) - float(ref[op.index[x]])) / scale
+                    for x in graph.vertices()
+                ),
+            )
+        yield name, err
+
 
 class TestVerifyCommand:
     def test_passes_and_deterministic(self, tmp_path, capsys):
@@ -216,6 +275,37 @@ class TestVerifyCommand:
         report = json.loads(b1)
         assert report["pass"] is True
         assert all(c["pass"] for c in report["results"]["checks"])
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_iterate_errors_match_the_recomputed_reference(self, capsys, exact):
+        code, out = run(["verify"] + exact, capsys)
+        assert code == 0
+        mine = {
+            c["graph"]: c["max_err"]
+            for c in json.loads(out)["results"]["checks"]
+            if c["check"] == "iterates-vs-dense@k<=8"
+        }
+        assert mine == dict(_old_iterate_errors(bool(exact)))
+
+    def test_one_table_and_one_running_product_per_fixture(self, monkeypatch, capsys):
+        tables, products = [], []
+        init = laplacian_mod.IteratedLaplacianTable.__init__
+
+        def counted_init(self, *args):
+            tables.append(self)
+            init(self, *args)
+
+        def counted_iterate(op, vec, k):
+            products.append(k)
+            return brute_iterate(op, vec, k)
+
+        monkeypatch.setattr(laplacian_mod.IteratedLaplacianTable, "__init__", counted_init)
+        monkeypatch.setattr(cli, "brute_iterate", counted_iterate)
+        code, _ = run(["verify"], capsys)
+        assert code == 0
+        fixtures = len(list(cli._verify_fixtures()))
+        assert len(tables) == fixtures
+        assert products == [1] * 8 * fixtures
 
     def test_csv_projection(self, capsys):
         code, out = run(["verify", "--format", "csv"], capsys)

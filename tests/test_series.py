@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heatseries.bounds import DegreeGrowth, GrowthProfile, radius_estimate
+from heatseries.bounds import (
+    DegreeGrowth,
+    GrowthProfile,
+    exp_or_inf,
+    radius_estimate,
+    root_distances,
+    xlnx,
+)
 from heatseries.errors import (
     DegreeBoundError,
     RadiusExceededError,
@@ -18,9 +25,11 @@ from heatseries.graphs import (
     IntegerLattice,
     IntegerLine,
     LocalFunction,
+    RegularTree,
     cycle_graph,
     path_graph,
     random_weighted_graph,
+    vertex_key,
 )
 from heatseries.oracle import dense_laplacian, expm_apply
 from heatseries.series import (
@@ -28,8 +37,11 @@ from heatseries.series import (
     INCONCLUSIVE,
     REFUTED,
     TERM_CAP,
+    CoefficientAuditReport,
     EvalResult,
     SeriesSolution,
+    _power_or_inf,
+    audit_region,
     backward_solve,
     check_backward_solvability,
     coefficient_bound_audit,
@@ -249,6 +261,109 @@ class TestBackwardSolvability:
         )
         report = check_backward_solvability(g, LocalFunction.delta(5), 2.0, 3, 1)
         assert report.verdict == INCONCLUSIVE
+
+
+    @pytest.mark.parametrize("kmax", (-1, -2, -5))
+    def test_negative_kmax_named(self, kmax):
+        z, a = IntegerLine(), LocalFunction.delta(0)
+        with pytest.raises(ValueError, match="kmax"):
+            audit_region(z, a, kmax, 1)
+        with pytest.raises(ValueError, match="kmax"):
+            check_backward_solvability(z, a, None, kmax, 1)
+
+
+def _default_cap_cases():
+    yield "z", IntegerLine(), LocalFunction.delta(0, 1.0), 8, 3
+    yield "lattice2", IntegerLattice(2), LocalFunction({(0, 0): 1.0, (1, 0): -0.5}), 5, 2
+    yield "tree3", RegularTree(3), LocalFunction.delta((), 1.0), 4, 2
+    weighted = random_weighted_graph(15, seed=11)
+    yield "weighted", weighted, LocalFunction({0: 0.75, 3: -1.0}), 6, 2
+    exact = random_weighted_graph(12, seed=5, exact=True)
+    yield "fraction", exact, LocalFunction({0: Fraction(1, 3), 2: Fraction(-5, 4)}), 6, 2
+    yield "fraction-z", IntegerLine(), LocalFunction({0: Fraction(1, 2), 1: Fraction(-1, 3)}), 6, 1
+    edgeless = FiniteGraph.from_edges({"a": 1}, [], "a")
+    yield "edgeless", edgeless, LocalFunction.delta("a", 1.0), 3, 1
+
+
+DEFAULT_CAP_CASES = list(_default_cap_cases())
+
+
+class TestDefaultDegreeCap:
+    """degree_cap=None audits with the largest Deg over the audited region."""
+
+    @pytest.mark.parametrize(
+        "graph, a, kmax, rmax",
+        [case[1:] for case in DEFAULT_CAP_CASES],
+        ids=[case[0] for case in DEFAULT_CAP_CASES],
+    )
+    def test_equals_the_explicit_audited_maximum(self, graph, a, kmax, rmax):
+        cap = max(graph.deg(x) for x in audit_region(graph, a, kmax, rmax))
+        implicit = check_backward_solvability(graph, a, None, kmax, rmax)
+        explicit = check_backward_solvability(graph, a, cap, kmax, rmax)
+        assert implicit == explicit
+        assert implicit.degree_cap == float(cap)
+
+
+def reference_coefficient_audit(solution, profile, degree_growth, kmax, rmax):
+    """The coefficient audit as a standalone loop, before the shared core."""
+    dist = root_distances(solution.graph, rmax)
+    order = sorted(dist, key=vertex_key)
+    for x in order:
+        if abs(solution.initial(x)) > profile.envelope(dist[x]):
+            raise ValueError(
+                f"initial data violates the growth profile at vertex {x!r}"
+            )
+    amp = float(profile.amplitude)
+    rate = float(profile.rate) + float(degree_growth.power)
+    base = 2.0 * float(degree_growth.cap)
+    for k in range(kmax + 1):
+        entry = solution.table.entry(k)
+        for x in order:
+            bound = amp * _power_or_inf(base, k) * exp_or_inf(rate * xlnx(k + dist[x]))
+            v = abs(float(entry(x)))
+            if v > bound:
+                return CoefficientAuditReport(
+                    passed=False, witness=(k, x, v, bound), kmax=kmax, rmax=rmax
+                )
+    return CoefficientAuditReport(passed=True, witness=None, kmax=kmax, rmax=rmax)
+
+
+AUDIT_GRAPHS = (IntegerLine(), IntegerLattice(2), random_weighted_graph(12, seed=3))
+
+
+def _audit_outcome(audit, graph, a, profile, growth, kmax, rmax):
+    try:
+        report = audit(SeriesSolution(graph, a), profile, growth, kmax, rmax)
+    except ValueError as exc:
+        return "refused", str(exc)
+    return report.passed, report.witness
+
+
+class TestCoefficientAuditMatchesReference:
+    @given(
+        st.sampled_from(AUDIT_GRAPHS),
+        st.data(),
+        st.floats(0.5, 10.0),
+        st.floats(0.0, 1.5),
+        st.floats(0.1, 4.0),
+        st.floats(0.0, 1.0),
+        st.integers(0, 8),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_passed_and_witness_equal(self, graph, data, amp, rate, cap, power, kmax, rmax):
+        near = sorted(graph.ball(graph.root, 2), key=vertex_key)
+        support = data.draw(
+            st.lists(st.sampled_from(near), min_size=1, max_size=4, unique=True)
+        )
+        values = data.draw(
+            st.lists(st.floats(-4.0, 4.0), min_size=len(support), max_size=len(support))
+        )
+        a = LocalFunction(dict(zip(support, values)))
+        args = (graph, a, GrowthProfile(amp, rate), DegreeGrowth(cap, power), kmax, rmax)
+        assert _audit_outcome(coefficient_bound_audit, *args) == _audit_outcome(
+            reference_coefficient_audit, *args
+        )
 
 
 class TestCoefficientAudit:
