@@ -285,7 +285,15 @@ def _parse_times(spec, exact):
     return out
 
 
+def _require_nonnegative(args, *names):
+    for name in names:
+        value = getattr(args, name)
+        if value < 0:
+            raise HeatSeriesError(f"--{name} must be nonnegative, not {value!r}")
+
+
 def _eval_rows(solution, vertices, times):
+    solution.prefetch(vertices, times)
     rows = []
     for x in vertices:
         for t in times:
@@ -305,6 +313,7 @@ def _eval_rows(solution, vertices, times):
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_laplacian(args, config):
+    _require_nonnegative(args, "kmax")
     graph, initial = _resolve_source(args, config)
     config["kmax"] = args.kmax
     table = IteratedLaplacianTable(graph, initial)
@@ -374,6 +383,7 @@ def _cmd_backward(args, config):
 
 
 def _cmd_radius(args, config):
+    _require_nonnegative(args, "rmax", "kmax")
     graph, initial = _resolve_source(args, config)
     config.update({"rmax": args.rmax, "kmax": args.kmax})
     if args.amplitude is not None:

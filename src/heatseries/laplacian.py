@@ -8,6 +8,8 @@ is structural: applying the operator can only grow the support by one ring.
 
 from __future__ import annotations
 
+import math
+
 from .graphs import LocalFunction, exact_div
 
 
@@ -69,6 +71,38 @@ class IteratedLaplacianTable:
         while k >= len(self._entries):
             self._entries.append(apply_laplacian(self.graph, self._entries[-1]))
         return self._entries[k]
+
+
+def light_cone_iterates(graph, base, depth, distance, reach):
+    """[base, L base, ..., L^depth base], each cut to its light cone.
+
+    The window is the set of vertices x with distance(x) <= reach, where
+    `distance` is the distance from a fixed centre (inf off its component).
+    Since L f(x) reads f on the unit ball of x only, L^depth base on the
+    window needs L^k base only where distance <= reach + depth - k, and
+    each iterate is kept there alone.  On the kept set the values are the
+    full table's bit for bit: every term a kept vertex receives comes from
+    a kept vertex, in the same order.  An iterate is not filtered while the
+    support, spreading one ring a step, still fits in its cone.
+    """
+    known = {}
+
+    def dist(x):
+        d = known.get(x)
+        if d is None:
+            d = known[x] = distance(x)
+        return d
+
+    near = max(map(dist, base.support), default=-math.inf)
+    f = base
+    out = [f]
+    for k in range(1, depth + 1):
+        f = apply_laplacian(graph, f)
+        bound = reach + depth - k
+        if near + k > bound:
+            f = LocalFunction({x: v for x, v in f.items() if dist(x) <= bound})
+        out.append(f)
+    return out
 
 
 def iterated_laplacian(graph, a, k):

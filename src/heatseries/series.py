@@ -10,10 +10,13 @@ A solution caches two things.  For each distinct time it keeps a plan: the
 truncation order K and its tail bound, which depend on t alone, and the
 weights t^k / k! for k <= K.  For each vertex it keeps a column, the
 coefficients L^k a(x) for k up to the largest K asked of that vertex.  An
-evaluation is one sequential sum of column times weights.  Both caches grow
-with the distinct times and vertices asked for and live as long as the
-solution.  Like its graph, a solution is filled on demand without locks and
-must not be shared between threads.
+evaluation is one sequential sum of column times weights.  A column is read
+off the full iterate table on demand, or filled ahead by `prefetch` for a
+whole grid of vertices and times in one pass that computes L^k a only where
+it can still reach those vertices by step K, with the same values.  Both
+caches grow with the distinct times and vertices asked for and live as long
+as the solution.  Like its graph, a solution is filled on demand without
+locks and must not be shared between threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -39,7 +42,12 @@ from .errors import (
     UnreachableVertexError,
 )
 from .graphs import LocalFunction, number_problem, vertex_key
-from .laplacian import IteratedLaplacianTable, apply_laplacian, laplacian_at
+from .laplacian import (
+    IteratedLaplacianTable,
+    apply_laplacian,
+    laplacian_at,
+    light_cone_iterates,
+)
 
 #: Hard cap on the number of series terms per evaluation.
 TERM_CAP = 400
@@ -109,8 +117,15 @@ class SeriesSolution:
         """(K, tail bound, weights t^k / k! for k <= K) for the time `t`.
 
         Keyed on the type as well as the value, since 0.5 and Fraction(1, 2)
-        are equal but sum in different arithmetic.
+        are equal but sum in different arithmetic.  A time outside a finite
+        certified radius is refused first.
         """
+        cert = self.certificate
+        if cert is not None and not cert.admits(t):
+            raise RadiusExceededError(
+                f"t = {t} lies outside the certified interval "
+                f"(kind={cert.kind}, radius={cert.radius})"
+            )
         key = (type(t), t)
         plan = self._plans.get(key)
         if plan is None:
@@ -148,6 +163,35 @@ class SeriesSolution:
         dtype = np.float64 if self._float_data and type(t) is float else object
         return k, bound, np.array(weights, dtype=dtype)
 
+    def prefetch(self, vertices, times):
+        """Fill the columns that evaluating `vertices` at `times` will read.
+
+        Checks every vertex, then plans every time in order, refusing as
+        `series_eval` would.  With K the largest truncation order among the
+        plans, it computes L^k a only on the light cone of the vertices (see
+        `light_cone_iterates`) and stores each vertex's column up to K, with
+        the values the full table gives.  `table` is not extended.
+        """
+        graph = self.graph
+        vertices = list(vertices)
+        if not vertices:
+            return
+        for x in vertices:
+            graph.check_vertex(x)
+        plans = [self._plan(t) for t in times]
+        dtypes = {weights.dtype for k, _, weights in plans if k}
+        if not dtypes:
+            return
+        big_k = max(k for k, _, _ in plans)
+        distance = _root_distance(graph)
+        reach = max(map(distance, vertices))
+        iterates = light_cone_iterates(graph, self.initial, big_k, distance, reach)
+        for dtype in dtypes:
+            for x in vertices:
+                column = self._columns.get((x, dtype))
+                if column is None or len(column) <= big_k:
+                    self._columns[x, dtype] = np.array([f(x) for f in iterates], dtype=dtype)
+
     def _column(self, x, big_k, dtype):
         """L^k a(x) for k <= at least `big_k`, as an array of `dtype`."""
         key = (x, dtype)
@@ -159,6 +203,19 @@ class SeriesSolution:
             column = more if column is None else np.concatenate((column, more))
             self._columns[key] = column
         return column
+
+
+def _root_distance(graph):
+    """x -> d(root, x), inf for a vertex not connected to the root.
+
+    The lazy families have a closed-form metric; a finite graph gets one
+    walk from the root rather than one walk per vertex.
+    """
+    root = graph.root
+    if not graph.is_finite:
+        return lambda x: graph.distance(x, root)
+    dist = root_distances(graph, len(graph))
+    return lambda x: dist.get(x, math.inf)
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
@@ -177,12 +234,6 @@ def series_eval(solution, x, t):
     in binary64 raises ValueError.
     """
     solution.graph.check_vertex(x)
-    cert = solution.certificate
-    if cert is not None and not cert.admits(t):
-        raise RadiusExceededError(
-            f"t = {t} lies outside the certified interval "
-            f"(kind={cert.kind}, radius={cert.radius})"
-        )
     big_k, bound, weights = solution._plan(t)
     if big_k == 0:
         return EvalResult(solution.initial(x), bound, 0)
@@ -287,11 +338,16 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     Checks every k <= kmax and every vertex of the audited region (the
     radius-rmax root ball united with the kmax-neighborhood of the support).
     A `degree_cap` of None audits with the largest Deg over that region,
-    taken exactly; any other cap is first verified against Deg there.
-    Constants are fitted on the declared grids, smallest rate first.
+    taken exactly; any other cap must be a finite number and is first
+    verified against Deg there.  Constants are fitted on the declared
+    grids, smallest rate first.
     """
     if kmax < 0 or rmax < 0:
         raise ValueError("kmax and rmax must be nonnegative")
+    if degree_cap is not None:
+        problem = number_problem(degree_cap)
+        if problem:
+            raise ValueError(f"{problem} degree cap {degree_cap!r}")
     region = audit_region(graph, a, kmax, rmax)
     degrees = ((x, graph.deg(x)) for x in region)
     if degree_cap is None:

@@ -15,6 +15,7 @@ from heatseries import laplacian as laplacian_mod
 from heatseries.cli import canonical_json, main
 from heatseries.laplacian import iterated_laplacian
 from heatseries.oracle import brute_iterate, dense_laplacian
+from heatseries.series import SeriesSolution
 
 
 def run(args, capsys):
@@ -58,6 +59,11 @@ class TestLaplacianCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "k,vertex,value"
         assert any(line.startswith("1,0,-2") for line in lines)
+
+    def test_negative_kmax_named(self):
+        code, err = _exit_and_stderr(["laplacian", "--kmax=-5"])
+        assert code == 2
+        assert "--kmax" in err and "Traceback" not in err
 
 
 class TestSolveCommand:
@@ -147,6 +153,14 @@ class TestBackwardCommand:
         assert code == 2
         assert "kmax" in err and "islice" not in err
 
+    @pytest.mark.parametrize("cap", ("nan", "inf", "-inf", "1e400"))
+    def test_non_finite_degree_bound_exit2(self, cap):
+        code, err = _exit_and_stderr(
+            ["backward", "--family", "z", f"--degree-bound={cap}", "--kmax", "3"]
+        )
+        assert code == 2
+        assert "degree cap" in err and "Traceback" not in err
+
 
 class TestRadiusCommand:
     def test_explicit_constants(self, capsys):
@@ -176,6 +190,20 @@ class TestRadiusCommand:
         assert report["certificate"]["kind"] == "infinite"
         table = report["remainder_table"]
         assert table and table[-1]["Q"] < table[0]["Q"]
+
+    @pytest.mark.parametrize("option", ("--kmax=-5", "--rmax=-3"))
+    def test_negative_window_named(self, option):
+        code, err = _exit_and_stderr(["radius", option])
+        assert code == 2
+        assert option.split("=")[0] in err and "Traceback" not in err
+
+    def test_profile_fit_window_is_at_least_two(self, capsys):
+        profiles = []
+        for rmax in ("0", "1", "2"):
+            code, out = run(["radius", "--rmax", rmax, "--kmax", "3"], capsys)
+            assert code == 0
+            profiles.append(json.loads(out)["results"]["profile"])
+        assert profiles[0] == profiles[1] == profiles[2]
 
 
 class TestCounterexampleCommand:
@@ -566,6 +594,73 @@ class TestCanonicalJson:
             code = main(["backward", "--family", "z", "--t=0.1,0.5", "--kmax", "6"])
         assert code == 0
         assert capsys.readouterr().out == old_canonical_json(captured[0])
+
+
+LATTICE3_DATA = [[[0, 0, 0], -1.0], [[1, 0, 0], 0.25], [[0, 0, -1], 0.5]]
+TREE3_DATA = [[[], 1.0], [[0], -0.5], [[1], -0.5], [[2], -0.5]]
+Z_TIMES = "--t=" + ",".join(str(t / 2) for t in range(-8, 9))
+# (argv, --initial records or None): the shapes of the benchmark's volume and
+# heatmap workloads, and backward runs on a family and on a graph document;
+# the exact runs are kept small, since the exact kernel is slow
+REPORT_CASES = [
+    (["solve", "--family", "lattice:2", "--t=1", "--rmax", "4"], None),
+    (["solve", "--family", "lattice:3", "--t=0.15", "--rmax", "3", "--format", "csv"],
+     LATTICE3_DATA),
+    (["solve", "--family", "tree:3", "--t=0.15", "--rmax", "4"], TREE3_DATA),
+    (["solve", "--family", "tree:3", "--t=0.1", "--rmax", "2", "--exact"], TREE3_DATA),
+    (["solve", "--family", "lattice:2", "--t=0.3,-0.2", "--rmax", "2", "--exact",
+      "--format", "csv"], None),
+    (["solve", "--family", "z", Z_TIMES, "--rmax", "12"], None),
+    (["solve", "--family", "z", Z_TIMES, "--rmax", "12", "--format", "csv"], [[-2, 0.75], [3, -1.0]]),
+    (["solve", "--family", "z", "--t=0,0.5,-1", "--rmax", "6", "--exact"], [[-2, 0.75], [3, -1.0]]),
+    (["backward", "--family", "tree:3", "--t=0.1,0.2", "--kmax", "6", "--rmax", "2"], None),
+    (["backward", "--family", "tree:3", "--t=0.1", "--kmax", "3", "--rmax", "2", "--exact",
+      "--format", "csv"], None),
+    (["backward", "--family", "lattice:2", "--t=0.1,0.25", "--kmax", "8", "--rmax", "3",
+      "--format", "csv"], [[[0, 0], 1.0], [[1, 0], -0.5], [[0, -1], 0.25]]),
+    (["backward", "--graph", "GRAPH", "--t=0.1,0.3", "--kmax", "6", "--rmax", "2"], [[1, 0.5], [7, -1.0]]),
+    (["backward", "--graph", "GRAPH", "--t=0.1,0.3", "--kmax", "4", "--rmax", "2", "--exact",
+      "--format", "csv"], [[1, 0.5], [7, -1.0]]),
+]
+REPORT_GRAPH = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": 1.0 + 0.25 * (i % 3)} for i in range(10)],
+    "edges": [{"u": i, "v": i + 1, "w": 0.5 + 0.5 * (i % 2)} for i in range(6)]
+    + [{"u": 0, "v": 4, "w": 2.0}, {"u": 7, "v": 8, "w": 1.0}, {"u": 8, "v": 9, "w": 1.5}],
+}
+
+
+class TestLightConeReports:
+    @pytest.mark.parametrize("argv, initial", REPORT_CASES)
+    def test_reports_do_not_depend_on_prefetch(self, argv, initial, monkeypatch, capsys, tmp_path):
+        argv = [str(tmp_path / "g.json") if a == "GRAPH" else a for a in argv]
+        (tmp_path / "g.json").write_text(json.dumps(REPORT_GRAPH))
+        if initial is not None:
+            (tmp_path / "a.json").write_text(json.dumps(initial))
+            argv += ["--initial", str(tmp_path / "a.json")]
+
+        def outputs():
+            code = main(argv)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        with_cone = outputs()
+        monkeypatch.setattr(SeriesSolution, "prefetch", lambda self, vertices, times: None)
+        assert outputs() == with_cone
+
+    def test_kernel_work_stays_in_the_light_cone(self, monkeypatch, capsys):
+        sizes = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            sizes.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        code, _ = run(["solve", "--family", "tree:3", "--t=0.15", "--rmax", "4"], capsys)
+        assert code == 0
+        # the full table to K = 13 takes 24,547 support vertices through the kernel
+        assert sum(sizes) <= 3000
 
 
 class TestInternalError:

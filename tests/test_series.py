@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heatseries.bounds import (
@@ -22,6 +22,7 @@ from heatseries.errors import (
 )
 from heatseries.graphs import (
     FiniteGraph,
+    Graph,
     IntegerLattice,
     IntegerLine,
     LocalFunction,
@@ -262,6 +263,12 @@ class TestBackwardSolvability:
         report = check_backward_solvability(g, LocalFunction.delta(5), 2.0, 3, 1)
         assert report.verdict == INCONCLUSIVE
 
+
+    @pytest.mark.parametrize("cap", (math.nan, math.inf, -math.inf, Fraction(10 ** 400), "2"))
+    def test_degree_cap_that_is_no_finite_number_named(self, cap):
+        z, a = IntegerLine(), LocalFunction.delta(0)
+        with pytest.raises(ValueError, match="degree cap"):
+            check_backward_solvability(z, a, cap, 3, 1)
 
     @pytest.mark.parametrize("kmax", (-1, -2, -5))
     def test_negative_kmax_named(self, kmax):
@@ -545,3 +552,114 @@ class TestCachedSummation:
             series_eval(sol, x, 1.0)
             series_eval(sol, x, -2.0)
         assert len(sol.table) == big_k + 1
+
+
+# name: (graph builder, data support off the root, largest |t|); the limits
+# keep the full tables these are compared with small
+CONE_GRAPHS = {
+    "z": (IntegerLine, (-2, 3), 2),
+    "lattice:2": (lambda: IntegerLattice(2), ((2, -1), (0, 1)), 0.3),
+    "lattice:3": (lambda: IntegerLattice(3), ((1, 0, -1), (0, 2, 0)), 0.1),
+    "tree:3": (lambda: RegularTree(3), ((1,), (2, 0, 1)), 0.1),
+    "random-float": (lambda: random_weighted_graph(20, seed=9), (4, 11), 1),
+    "random-exact": (lambda: random_weighted_graph(16, seed=2, exact=True), (5, 9), 0.25),
+    # two components; the root's is a path, the other a triangle
+    "disconnected": (
+        lambda: FiniteGraph.from_edges(
+            {i: 1 + (i % 2) for i in range(8)},
+            [(0, 1, 1), (1, 2, 2), (2, 3, 1), (5, 6, 1), (6, 7, 3), (5, 7, 1)],
+            root=0,
+        ),
+        (3, 6),
+        1,
+    ),
+}
+
+
+@st.composite
+def cone_cases(draw):
+    name = draw(st.sampled_from(sorted(CONE_GRAPHS)))
+    build, support, limit = CONE_GRAPHS[name]
+    graph = build()
+    # the random graphs' weights fix the arithmetic; the families take either
+    exact = {"random-float": False, "random-exact": True}.get(name)
+    if exact is None:
+        exact = draw(st.booleans())
+    values = draw(st.lists(st.sampled_from((1, -3, 5)), min_size=len(support), max_size=len(support)))
+    data = LocalFunction({x: Fraction(v, 4) if exact else v / 4 for x, v in zip(support, values)})
+    pool = sorted(graph.ball(graph.root, 3).union(*(graph.ball(x, 1) for x in support)), key=repr)
+    window = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    times = draw(st.lists(
+        st.one_of(
+            st.just(0),
+            st.floats(min_value=-limit, max_value=limit),
+            st.builds(Fraction, st.integers(-int(8 * limit), int(8 * limit)), st.just(8)),
+        ),
+        min_size=1, max_size=3,
+    ))
+    return graph, data, window, times
+
+
+def _typed(column):
+    return [(type(v), v) for v in column.tolist()]
+
+
+class TestLightCone:
+    """`prefetch` fills the columns the lazy full-table path would build."""
+
+    @given(cone_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    # a window reaching into the component without the root
+    @example((CONE_GRAPHS["disconnected"][0](), LocalFunction({3: 0.25, 6: -0.75}),
+              [1, 7], [0.5, Fraction(-3, 8), 0]))
+    def test_prefetched_columns_equal_the_full_table_columns(self, case):
+        graph, data, window, times = case
+        cone = SeriesSolution(graph, data)
+        cone.prefetch(window, times)
+        full = SeriesSolution(graph, data)
+        assert len(cone.table) == 1
+        dtypes = {p[2].dtype for p in map(cone._plan, times) if p[0]}
+        assert set(cone._columns) == {(x, d) for x in window for d in dtypes}
+        for (x, dtype), column in cone._columns.items():
+            assert _typed(column) == _typed(full._column(x, len(column) - 1, dtype))
+        for x in window:
+            for t in times:
+                assert series_eval(cone, x, t) == series_eval(full, x, t)
+
+    def test_finite_graph_walks_from_the_root_once(self, monkeypatch):
+        graph = path_graph(2000, root=1000)
+        window = list(range(996, 1006))
+        walks = []
+        layers = Graph.layers
+
+        def recording(self, sources):
+            sources = tuple(sources)
+            walks.append(sources)
+            return layers(self, sources)
+
+        def no_distance(self, x, y):
+            raise AssertionError("per-vertex distance walk")
+
+        monkeypatch.setattr(Graph, "layers", recording)
+        monkeypatch.setattr(Graph, "distance", no_distance)
+        cone = SeriesSolution(graph, LocalFunction({999: 1.0, 1003: -0.5}))
+        cone.prefetch(window, [0.5, -1.0])
+        assert walks == [(1000,)]
+        monkeypatch.undo()
+        full = SeriesSolution(graph, cone.initial)
+        for x in window:
+            for t in (0.5, -1.0):
+                assert series_eval(cone, x, t) == series_eval(full, x, t)
+
+    def test_refusals_are_those_of_series_eval(self):
+        z = IntegerLine()
+        sol = SeriesSolution(z, LocalFunction.delta(0, 1.0), tol=1e-300)
+        with pytest.raises(TruncationFailureError):
+            sol.prefetch([0, 1], [0.5, 1e3])
+        with pytest.raises(ValueError, match="non-finite time"):
+            sol.prefetch([0], [math.nan])
+        cert = radius_estimate(GrowthProfile(1.0, 1.0), DegreeGrowth(2.0, 0.0))
+        sol = SeriesSolution(z, LocalFunction.delta(0), certificate=cert)
+        with pytest.raises(RadiusExceededError):
+            sol.prefetch([0], [1.0])
+        sol.prefetch([], [1.0])  # no vertex, no evaluation, nothing to refuse
