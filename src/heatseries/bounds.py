@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import GrowthFitError
-from .graphs import LocalFunction
+from .graphs import LocalFunction, number_problem
 
 #: Exponent grid shared by the profile fitters, declared so fits reproduce.
 EXPONENT_GRID = tuple(i / 20 for i in range(41))
@@ -39,12 +39,21 @@ def exp_or_inf(log_value):
         return math.inf
 
 
+def _require_finite(**values):
+    """Refuse, by name, any value that is not a number finite in binary64."""
+    for name, value in values.items():
+        problem = number_problem(value)
+        if problem:
+            raise ValueError(f"{problem} {name} {value!r}")
+
+
 @dataclass(frozen=True)
 class GrowthProfile:
     """Envelope |f(x)| <= amplitude * e^{rate * d ln d} with d = d(x, root).
 
     The exponential is read as 1 on the spheres d = 0 and d = 1 (where
     d ln d degenerates), i.e. the envelope there is the bare amplitude.
+    Both constants must be finite in binary64.
     """
 
     amplitude: float
@@ -55,6 +64,7 @@ class GrowthProfile:
             raise ValueError("amplitude must be positive")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
+        _require_finite(amplitude=self.amplitude, rate=self.rate)
 
     def envelope(self, d):
         if d <= 1:
@@ -64,7 +74,10 @@ class GrowthProfile:
 
 @dataclass(frozen=True)
 class DegreeGrowth:
-    """Envelope Deg(x) <= cap * d(x, root)^power, with Deg(root) <= cap."""
+    """Envelope Deg(x) <= cap * d(x, root)^power, with Deg(root) <= cap.
+
+    Both constants must be finite in binary64.
+    """
 
     cap: float
     power: float
@@ -74,6 +87,7 @@ class DegreeGrowth:
             raise ValueError("cap must be positive")
         if self.power < 0:
             raise ValueError("power must be nonnegative")
+        _require_finite(cap=self.cap, power=self.power)
 
     def envelope(self, d):
         if d == 0:
@@ -135,6 +149,7 @@ def remainder_bound(k, delta, degree_growth, profile, big_r):
         raise ValueError("window radius must be >= 1")
     if not delta > 0:
         raise ValueError("delta must be positive")
+    _require_finite(delta=delta)
     rate = float(profile.rate) + float(degree_growth.power)
     log_q = (
         k * math.log(2.0 * delta * degree_growth.cap)

@@ -201,12 +201,12 @@ def build_parser():
     p.add_argument("--kmax", type=int, default=40, help="remainder table length")
     p.add_argument("--amplitude", type=float, default=None,
                    help="growth envelope amplitude (skips fitting)")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="growth envelope exponent rate (with --amplitude)")
+    p.add_argument("--rate", type=float, default=None,
+                   help="growth envelope exponent rate (with --amplitude; default 0)")
     p.add_argument("--deg-cap", type=float, default=None,
                    help="degree envelope cap (skips fitting)")
-    p.add_argument("--deg-power", type=float, default=0.0,
-                   help="degree envelope power (with --deg-cap)")
+    p.add_argument("--deg-power", type=float, default=None,
+                   help="degree envelope power (with --deg-cap; default 0)")
     p.add_argument("--delta", type=float, default=None,
                    help="time window half-width for the remainder table")
 
@@ -292,12 +292,19 @@ def _require_nonnegative(args, *names):
             raise HeatSeriesError(f"--{name} must be nonnegative, not {value!r}")
 
 
-def _eval_rows(solution, vertices, times):
-    solution.prefetch(vertices, times)
+def _eval_rows(solution, vertices, times, sign):
+    """One row per (vertex, time), evaluated at sign * time.
+
+    `sign` is +1 for the forward series and -1 for the backward problem,
+    which is the same series at negated time; each row reports the time it
+    was given.
+    """
+    signed = [sign * t for t in times]
+    solution.prefetch(vertices, signed)
     rows = []
     for x in vertices:
-        for t in times:
-            res = series_eval(solution, x, t)
+        for t, s in zip(times, signed):
+            res = series_eval(solution, x, s)
             rows.append(
                 {
                     "vertex": _jsonable_vertex(x),
@@ -328,16 +335,18 @@ def _cmd_laplacian(args, config):
 
 
 def _cmd_solve(args, config):
+    _require_nonnegative(args, "rmax")
     graph, initial = _resolve_source(args, config)
     times = _parse_times(args.t, args.exact)
     config.update({"t": [float(t) for t in times], "tol": args.tol, "rmax": args.rmax})
     solution = SeriesSolution(graph, initial, tol=args.tol)
     vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
-    rows = _eval_rows(solution, vertices, times)
+    rows = _eval_rows(solution, vertices, times, 1)
     return {"evaluations": rows}, True, rows
 
 
 def _cmd_backward(args, config):
+    _require_nonnegative(args, "kmax", "rmax")
     graph, initial = _resolve_source(args, config)
     times = _parse_times(args.t, args.exact)
     if any(t < 0 for t in times):
@@ -351,16 +360,14 @@ def _cmd_backward(args, config):
         }
     )
     solution = SeriesSolution(graph, initial, tol=args.tol)
-    vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
-    rows = _eval_rows(solution, vertices, [-t for t in times])
-    for row, (_x, t) in zip(rows, [(x, t) for x in vertices for t in times]):
-        row["t"] = float(t)  # report the backward time, not the internal negation
-
-    # without --degree-bound the audit takes the audited maximum itself
+    # the audit refuses a bad degree cap before any row is computed; without
+    # --degree-bound it takes the audited maximum itself
     audit = check_backward_solvability(
         graph, initial, args.degree_bound, args.kmax, args.rmax
     )
     config["degree_bound"] = audit.degree_cap
+    vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
+    rows = _eval_rows(solution, vertices, times, -1)
     report = {
         "evaluations": rows,
         "solvability": {
@@ -384,21 +391,25 @@ def _cmd_backward(args, config):
 
 def _cmd_radius(args, config):
     _require_nonnegative(args, "rmax", "kmax")
+    # an exponent belongs to its envelope and is never dropped unseen
+    if args.rate is not None and args.amplitude is None:
+        raise HeatSeriesError("--rate needs --amplitude")
+    if args.deg_power is not None and args.deg_cap is None:
+        raise HeatSeriesError("--deg-power needs --deg-cap")
     graph, initial = _resolve_source(args, config)
     config.update({"rmax": args.rmax, "kmax": args.kmax})
     if args.amplitude is not None:
-        config.update({"amplitude": args.amplitude, "rate": args.rate})
-    if args.deg_cap is not None:
-        config.update({"deg_cap": args.deg_cap, "deg_power": args.deg_power})
-
-    if args.amplitude is not None:
-        profile = bounds_mod.GrowthProfile(args.amplitude, args.rate)
+        rate = 0.0 if args.rate is None else args.rate
+        config.update({"amplitude": args.amplitude, "rate": rate})
+        profile = bounds_mod.GrowthProfile(args.amplitude, rate)
         profile_src = "explicit"
     else:
         profile = bounds_mod.fit_growth_profile(graph, initial, max(2, args.rmax))
         profile_src = "fitted"
     if args.deg_cap is not None:
-        growth = bounds_mod.DegreeGrowth(args.deg_cap, args.deg_power)
+        power = 0.0 if args.deg_power is None else args.deg_power
+        config.update({"deg_cap": args.deg_cap, "deg_power": power})
+        growth = bounds_mod.DegreeGrowth(args.deg_cap, power)
         growth_src = "explicit"
     else:
         growth = bounds_mod.fit_degree_growth(graph, max(1, args.rmax))

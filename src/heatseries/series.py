@@ -35,12 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import exp_or_inf, root_distances, xlnx
-from .errors import (
-    DegreeBoundError,
-    RadiusExceededError,
-    TruncationFailureError,
-    UnreachableVertexError,
-)
+from .errors import DegreeBoundError, RadiusExceededError, TruncationFailureError
 from .graphs import LocalFunction, number_problem, vertex_key
 from .laplacian import (
     IteratedLaplacianTable,
@@ -373,11 +368,15 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
 
 def _fit_envelope(graph, a, base, kmax, region):
     """(verdict, scale, rate, witnesses, note) of the backward audit."""
-    try:
-        dist = {x: graph.distance(x, graph.root) for x in region}
-    except UnreachableVertexError as exc:
-        note = f"audit region not connected to the root: {exc}"
-        return INCONCLUSIVE, math.nan, math.nan, [], note
+    distance = _root_distance(graph)
+    dist = {x: distance(x) for x in region}
+    for x in region:
+        if dist[x] == math.inf:
+            note = (
+                "audit region not connected to the root: "
+                f"no path from {x!r} to {graph.root!r}"
+            )
+            return INCONCLUSIVE, math.nan, math.nan, [], note
 
     table = IteratedLaplacianTable(graph, a)
     points = list(_envelope_points(table, region, dist, base, kmax))

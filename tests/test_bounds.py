@@ -112,6 +112,66 @@ class TestRemainderBound:
         with pytest.raises(ValueError):
             remainder_bound(1, 1.0, growth, profile, 0.5)
 
+    @pytest.mark.parametrize("delta", (math.inf, 10 ** 400, Fraction(10 ** 400, 3)))
+    def test_non_finite_delta_named(self, delta):
+        growth, profile = DegreeGrowth(1.0, 0.0), GrowthProfile(1.0, 0.0)
+        with pytest.raises(ValueError, match="non-finite delta"):
+            remainder_bound(1, delta, growth, profile, 1.0)
+
+    @pytest.mark.parametrize("delta", (0.0, -1.0, -math.inf, math.nan))
+    def test_nonpositive_delta_keeps_its_message(self, delta):
+        growth, profile = DegreeGrowth(1.0, 0.0), GrowthProfile(1.0, 0.0)
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            remainder_bound(1, delta, growth, profile, 1.0)
+
+
+# nan fails the sign checks of amplitude and cap first, with their old message
+OVERSIZED = (math.inf, 10 ** 400, Fraction(10 ** 400, 3))
+NON_FINITE = OVERSIZED + (math.nan,)
+
+
+class TestEnvelopeConstants:
+    """Both envelopes take constants finite in binary64, refused by name."""
+
+    @pytest.mark.parametrize("value", OVERSIZED)
+    def test_non_finite_amplitude(self, value):
+        with pytest.raises(ValueError, match="^non-finite amplitude "):
+            GrowthProfile(value, 0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_rate(self, value):
+        with pytest.raises(ValueError, match="^non-finite rate "):
+            GrowthProfile(1.0, value)
+
+    @pytest.mark.parametrize("value", OVERSIZED)
+    def test_non_finite_cap(self, value):
+        with pytest.raises(ValueError, match="^non-finite cap "):
+            DegreeGrowth(value, 0.0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_power(self, value):
+        with pytest.raises(ValueError, match="^non-finite power "):
+            DegreeGrowth(2.0, value)
+
+    @pytest.mark.parametrize("value", (math.nan, 0.0, -1.0, -math.inf))
+    def test_sign_checks_keep_their_messages(self, value):
+        with pytest.raises(ValueError, match="^amplitude must be positive$"):
+            GrowthProfile(value, 0.0)
+        with pytest.raises(ValueError, match="^cap must be positive$"):
+            DegreeGrowth(value, 0.0)
+
+    @pytest.mark.parametrize("value", (-1.0, -math.inf))
+    def test_negative_exponents_keep_their_messages(self, value):
+        with pytest.raises(ValueError, match="^rate must be nonnegative$"):
+            GrowthProfile(1.0, value)
+        with pytest.raises(ValueError, match="^power must be nonnegative$"):
+            DegreeGrowth(2.0, value)
+
+    def test_finite_rationals_accepted(self):
+        profile = GrowthProfile(Fraction(1, 3), Fraction(1, 2))
+        growth = DegreeGrowth(Fraction(5, 2), Fraction(1, 2))
+        assert radius_estimate(profile, growth).slack == 0
+
 
 class TestDecayThreshold:
     @pytest.mark.parametrize("slack", [0.2, 0.5])

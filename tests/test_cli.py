@@ -161,6 +161,74 @@ class TestBackwardCommand:
         assert code == 2
         assert "degree cap" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cap", ("nan", "1"))
+    def test_bad_degree_bound_refused_before_any_kernel_call(self, cap, monkeypatch):
+        calls = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            calls.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        code, err = _exit_and_stderr(
+            ["backward", "--family", "lattice:3", "--t=1", "--rmax", "4",
+             f"--degree-bound={cap}", "--kmax", "3"]
+        )
+        assert code == 2
+        assert ("degree cap" if cap == "nan" else "degree bound violated") in err
+        assert calls == []
+
+    def test_degree_cap_refusal_wins_over_a_time_refusal(self):
+        code, err = _exit_and_stderr(
+            ["backward", "--family", "z", "--t=1e9", "--degree-bound=nan", "--kmax", "3"]
+        )
+        assert code == 2
+        assert err == "error: non-finite degree cap nan\n"
+
+    @pytest.mark.parametrize("argv, option", [
+        (["solve", "--rmax=-1"], "--rmax"),
+        (["backward", "--rmax=-1"], "--rmax"),
+        (["backward", "--kmax=-1"], "--kmax"),
+    ])
+    def test_negative_window_named(self, argv, option):
+        code, err = _exit_and_stderr(argv + ["--family", "z"])
+        assert code == 2
+        assert err == f"error: {option} must be nonnegative, not -1\n"
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_rows_are_the_forward_series_at_negated_time(self, exact, capsys):
+        window = ["--family", "z", "--rmax", "2"] + exact
+        code, out = run(["backward", "--t=0.1,0,0.25", "--kmax", "3"] + window, capsys)
+        assert code == 0
+        backward = json.loads(out)["results"]["evaluations"]
+        code, out = run(["solve", "--t=-0.1,0,-0.25"] + window, capsys)
+        assert code == 0
+        forward = json.loads(out)["results"]["evaluations"]
+        assert [row["t"] for row in backward] == [0.1, 0.0, 0.25] * 5
+        assert [dict(row, t=None) for row in backward] == [dict(row, t=None) for row in forward]
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_disconnected_document_is_inconclusive(self, tmp_path, capsys, exact):
+        doc = {
+            "root": 0,
+            "vertices": [{"id": i, "mu": 1.0} for i in (0, 1, 5, 6)],
+            "edges": [{"u": 0, "v": 1, "w": 1.0}, {"u": 5, "v": 6, "w": 1.0}],
+        }
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[5, 1.0]]))
+        code, out = run(
+            ["backward", "--graph", write_graph(tmp_path, doc), "--initial", str(init),
+             "--kmax", "3", "--rmax", "1"] + exact,
+            capsys,
+        )
+        assert code == 1
+        solvability = json.loads(out)["results"]["solvability"]
+        assert solvability["verdict"] == "inconclusive"
+        assert solvability["note"] == (
+            "audit region not connected to the root: no path from 5 to 0"
+        )
+
 
 class TestRadiusCommand:
     def test_explicit_constants(self, capsys):
@@ -196,6 +264,37 @@ class TestRadiusCommand:
         code, err = _exit_and_stderr(["radius", option])
         assert code == 2
         assert option.split("=")[0] in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["--amplitude", "1", "--rate=nan"], "rate"),
+        (["--deg-cap", "2", "--deg-power=nan"], "power"),
+        (["--amplitude=inf"], "amplitude"),
+        (["--delta=inf"], "delta"),
+        (["--deg-cap=inf", "--amplitude", "1", "--rate", "1"], "cap"),
+    ])
+    def test_non_finite_constant_named(self, argv, name):
+        code, err = _exit_and_stderr(["radius", "--family", "z", "--kmax", "2"] + argv)
+        assert code == 2
+        assert err.startswith(f"error: non-finite {name} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option, partner", [
+        ("--rate=0.5", "--amplitude"), ("--deg-power=0.5", "--deg-cap"),
+    ])
+    def test_exponent_without_its_envelope_refused(self, option, partner):
+        code, err = _exit_and_stderr(["radius", "--family", "z", "--kmax", "2", option])
+        assert code == 2
+        assert option.split("=")[0] in err and partner in err
+
+    def test_omitted_exponents_recorded_as_zero(self, capsys):
+        code, out = run(
+            ["radius", "--family", "z", "--kmax", "2", "--amplitude", "1", "--deg-cap", "2"],
+            capsys,
+        )
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert list(config)[-7:] == ["rmax", "kmax", "amplitude", "rate", "deg_cap",
+                                     "deg_power", "delta"]
+        assert (config["rate"], config["deg_power"]) == (0.0, 0.0)
 
     def test_profile_fit_window_is_at_least_two(self, capsys):
         profiles = []
@@ -795,6 +894,11 @@ class TestFuzzedInput:
     @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=inf"])
     @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=nan"])
     @example(["counterexample", "--xmax", "8", "--kmax", "1", "--tol=-1"])
+    # non-finite or half-given envelope constants once passed
+    @example(["radius", "--family", "z", "--amplitude", "1", "--rate=nan"])
+    @example(["radius", "--family", "z", "--kmax", "2", "--delta=inf"])
+    @example(["radius", "--family", "z", "--kmax", "2", "--rate=0.5"])
+    @example(["radius", "--deg-cap=inf", "--amplitude", "1", "--rate", "1"])
     def test_argument_vectors(self, argv):
         code, err = _exit_and_stderr(argv)
         assert code in (0, 1, 2), err

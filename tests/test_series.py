@@ -262,6 +262,39 @@ class TestBackwardSolvability:
         )
         report = check_backward_solvability(g, LocalFunction.delta(5), 2.0, 3, 1)
         assert report.verdict == INCONCLUSIVE
+        # the first region vertex, in region order, off the root's component
+        assert report.note == "audit region not connected to the root: no path from 5 to 0"
+        assert math.isnan(report.scale) and math.isnan(report.rate) and report.witnesses == []
+
+    def test_disconnected_note_names_vertices_by_repr(self):
+        g = FiniteGraph.from_edges(
+            {"r": 1, "s": 1, "x": 1, "y": 1}, [("r", "s", 1), ("x", "y", 1)], root="r"
+        )
+        report = check_backward_solvability(g, LocalFunction.delta("y"), None, 2, 1)
+        assert report.verdict == INCONCLUSIVE
+        assert report.note == "audit region not connected to the root: no path from 'x' to 'r'"
+
+    def test_audit_distances_come_from_one_root_walk(self, monkeypatch):
+        g = path_graph(2000, root=1000)
+        a = LocalFunction({1003: 1.0, 1004: -0.5})
+        walks = []
+        layers = Graph.layers
+
+        def counted_layers(self, sources):
+            walks.append(frozenset(sources))
+            return layers(self, sources)
+
+        def no_distance(self, x, y):
+            raise AssertionError(f"per-vertex distance walk from {x!r}")
+
+        monkeypatch.setattr(Graph, "layers", counted_layers)
+        monkeypatch.setattr(Graph, "distance", no_distance)
+        report = check_backward_solvability(g, a, None, 6, 3)
+        assert report.verdict == CERTIFIED
+        # audit_region's root ball and support spread, then the root walk
+        assert sorted(walks, key=sorted) == [
+            frozenset({1000}), frozenset({1000}), frozenset({1003, 1004})
+        ]
 
 
     @pytest.mark.parametrize("cap", (math.nan, math.inf, -math.inf, Fraction(10 ** 400), "2"))

@@ -1,0 +1,220 @@
+"""Compare the CLI reports of two source trees, byte for byte.
+
+Usage (from the repository root):
+
+    python3 tools/report_diff.py BASE_SRC CHANGE_SRC [--seeds 3 4] [--size full|smoke]
+
+BASE_SRC and CHANGE_SRC are checkouts of the repository (or their `src`
+directories).  The invocations are every one that `heatbench/plan.py`
+builds for the volume, heatmap and audits workloads at each seed, then the
+fixed edge cases in `EDGE_CASES`.  For each tree one fresh interpreter
+(the two run side by side) imports `heatseries` from that tree and runs
+them all in order through `heatseries.cli.main`, each batch in a directory
+holding its input files, recording exit code, stdout and stderr.  The tool
+prints every argv whose outcome differs between the trees and exits 1 if
+any does, else 0.
+
+`plan.py` is imported from this repository without writing bytecode next
+to it, so the benchmark's files are only read.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = ("volume", "heatmap", "audits")
+
+_DISCONNECTED = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": 1.0} for i in (0, 1, 5, 6)],
+    "edges": [{"u": 0, "v": 1, "w": 1.0}, {"u": 5, "v": 6, "w": 1.0}],
+}
+_K2 = {
+    "root": 0,
+    "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
+    "edges": [{"u": 0, "v": 1, "w": 1.0}],
+}
+
+#: Input files of the edge cases, written to their batch directory.
+EDGE_FILES = {
+    "disconnected.json": json.dumps(_DISCONNECTED),
+    "disconnected.initial.json": json.dumps([[5, 1.0]]),
+    "k2.json": json.dumps(_K2),
+    "huge.initial.json": json.dumps([[0, 1e9]]),
+}
+
+#: Small edge cases of solve, backward and radius: refusals, precedence,
+#: audit verdicts and output shapes that no benchmark plan reaches.
+EDGE_CASES = (
+    ["backward", "--graph", "disconnected.json", "--initial", "disconnected.initial.json",
+     "--kmax", "3", "--rmax", "1"],
+    ["backward", "--graph", "disconnected.json", "--initial", "disconnected.initial.json",
+     "--kmax", "3", "--rmax", "1", "--exact"],
+    ["backward", "--graph", "k2.json", "--initial", "huge.initial.json", "--t", "0.1"],
+    ["backward", "--family", "tree:3", "--t", "0.05", "--kmax", "4", "--rmax", "2"],
+    ["backward", "--family", "tree:3", "--t", "0.05", "--kmax", "4", "--rmax", "2", "--exact"],
+    ["backward", "--family", "z", "--t", "0", "--kmax", "3", "--rmax", "2", "--format", "csv"],
+    ["solve", "--family", "z", "--t=0,-0.0", "--rmax", "2", "--format", "csv"],
+    ["backward", "--family", "z", "--t=-0.0,0.1", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "z", "--degree-bound", "1e200", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "z", "--degree-bound", "1", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "z", "--degree-bound=nan", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "lattice:2", "--t=1", "--rmax", "2", "--kmax", "2",
+     "--degree-bound=nan"],
+    ["backward", "--family", "z", "--t=1e9", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "z", "--t=1e9", "--kmax", "3", "--rmax", "1", "--degree-bound=nan"],
+    # a long audit on a family whose balls grow linearly; on lattice:2 the
+    # same kmax exhausts memory
+    ["backward", "--family", "z", "--t", "0.01", "--kmax", "600", "--rmax", "1"],
+    ["backward", "--family", "z", "--tol=0", "--kmax", "3"],
+    ["backward", "--family", "z", "--t=-0.1"],
+    ["backward", "--family", "z", "--rmax=-1"],
+    ["backward", "--family", "z", "--kmax=-1"],
+    ["solve", "--family", "z", "--rmax=-1"],
+    ["solve", "--family", "z", "--t=1e9", "--rmax", "1"],
+    ["solve", "--family", "lattice:2", "--t=0.5,-0.25", "--rmax", "2", "--exact"],
+    ["radius", "--family", "z", "--kmax", "3"],
+    ["radius", "--family", "z", "--kmax", "2", "--amplitude", "1", "--deg-cap", "2"],
+    ["radius", "--kmax", "3", "--amplitude", "1", "--rate", "1", "--deg-cap", "3",
+     "--deg-power", "0"],
+    ["radius", "--family", "z", "--kmax", "2", "--rate=0.5"],
+    ["radius", "--family", "z", "--kmax", "2", "--deg-power=0.5"],
+    ["radius", "--family", "z", "--amplitude", "1", "--rate=nan"],
+    ["radius", "--family", "z", "--deg-cap", "2", "--deg-power=nan"],
+    ["radius", "--family", "z", "--kmax", "2", "--amplitude=inf"],
+    ["radius", "--family", "z", "--kmax", "2", "--delta=inf"],
+    ["radius", "--deg-cap=inf", "--amplitude", "1", "--rate", "1"],
+)
+
+
+def _import_plan():
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(REPO / "heatbench"))
+    import plan
+
+    return plan
+
+
+def batches(seeds, size):
+    """[{"files", "argvs"}]: each plan batch, then the edge cases."""
+    plan = _import_plan()
+    out = []
+    for seed in seeds:
+        for workload in WORKLOADS:
+            invocations = plan.build(workload, seed, size)
+            files = {}
+            for inv in invocations:
+                files.update(inv["files"])
+            out.append({"files": files, "argvs": [inv["argv"] for inv in invocations]})
+    out.append({"files": EDGE_FILES, "argvs": [list(a) for a in EDGE_CASES]})
+    return out
+
+
+def source_dir(tree):
+    """The directory holding the `heatseries` package of `tree`."""
+    tree = Path(tree).resolve()
+    for candidate in (tree / "src", tree):
+        if (candidate / "heatseries" / "cli.py").is_file():
+            return candidate
+    raise SystemExit(f"error: no heatseries package under {tree}")
+
+
+def _worker():
+    """Run the batches read from stdin; write [[rc, stdout, stderr], ...]."""
+    import contextlib
+    import io
+    import traceback
+
+    import heatseries.cli as cli
+
+    src = os.path.realpath(os.environ["REPORT_DIFF_SRC"])
+    if not os.path.realpath(cli.__file__).startswith(src + os.sep):
+        raise RuntimeError(f"heatseries imported from {cli.__file__}, not from {src}")
+    results = []
+    for i, batch in enumerate(json.load(sys.stdin)):
+        workdir = Path(f"batch{i}")
+        workdir.mkdir()
+        for name, content in batch["files"].items():
+            (workdir / name).write_text(content)
+        os.chdir(workdir)
+        for argv in batch["argvs"]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = cli.main(argv)
+                except SystemExit as exc:  # argparse refusals
+                    rc = exc.code
+                except Exception as exc:  # escaped the CLI: part of the outcome
+                    rc = None
+                    err.write("".join(traceback.format_exception_only(type(exc), exc)))
+            results.append([rc, out.getvalue(), err.getvalue()])
+        os.chdir("..")
+    json.dump(results, sys.stdout)
+
+
+def run_trees(trees, work):
+    """Outcomes of every argv in `work` for each tree, one fresh interpreter each.
+
+    The interpreters run side by side, each in its own temporary directory.
+    """
+    code = (f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+            "import report_diff; report_diff._worker()")
+    with tempfile.TemporaryDirectory(prefix="report-diff-") as tmp:
+        tmp = Path(tmp)
+        (tmp / "work.json").write_text(json.dumps(work))
+        procs = []
+        for i, tree in enumerate(trees):
+            src = source_dir(tree)
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0",
+                       REPORT_DIFF_SRC=str(src))
+            env.pop("HEAT_SERIES_THREADS", None)
+            cwd = tmp / f"tree{i}"
+            cwd.mkdir()
+            with open(tmp / "work.json") as stdin, open(cwd / "out.json", "w") as out, \
+                    open(cwd / "err.txt", "w") as err:
+                procs.append(subprocess.Popen([sys.executable, "-c", code], stdin=stdin,
+                                              stdout=out, stderr=err, cwd=cwd, env=env))
+        statuses = [proc.wait() for proc in procs]
+        results = []
+        for i, (tree, status) in enumerate(zip(trees, statuses)):
+            if status != 0:
+                detail = (tmp / f"tree{i}" / "err.txt").read_text()
+                raise SystemExit(f"error: the worker for {tree} failed:\n{detail}")
+            results.append(json.loads((tmp / f"tree{i}" / "out.json").read_text()))
+    return results
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base", metavar="BASE_SRC")
+    parser.add_argument("change", metavar="CHANGE_SRC")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[3, 4])
+    parser.add_argument("--size", choices=("full", "smoke"), default="full")
+    args = parser.parse_args(argv)
+
+    work = batches(args.seeds, args.size)
+    argvs = [argv for batch in work for argv in batch["argvs"]]
+    base, change = run_trees([args.base, args.change], work)
+    differing = 0
+    for argv, old, new in zip(argvs, base, change):
+        if old != new:
+            differing += 1
+            parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new)
+                     if a != b]
+            print(f"differs ({', '.join(parts)}): {shlex.join(argv)}")
+            for label, (rc, _, err) in (("base", old), ("change", new)):
+                print(f"  {label}: exit {rc}, stderr {err[-200:]!r}")
+    print(f"{len(argvs)} invocations, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
