@@ -135,6 +135,13 @@ def radius_estimate(profile, degree_growth):
     return RadiusCertificate(OUT_OF_HYPOTHESIS, None, slack)
 
 
+def _check_delta(delta):
+    """Refuse a remainder window half-width that is not positive and finite."""
+    if not delta > 0:
+        raise ValueError("delta must be positive")
+    _require_finite(delta=delta)
+
+
 def remainder_bound(k, delta, degree_growth, profile, big_r):
     """Envelope on the k-th Taylor remainder over a radius-big_r window.
 
@@ -147,9 +154,7 @@ def remainder_bound(k, delta, degree_growth, profile, big_r):
         raise ValueError("k must be >= 1")
     if big_r < 1:
         raise ValueError("window radius must be >= 1")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
-    _require_finite(delta=delta)
+    _check_delta(delta)
     rate = float(profile.rate) + float(degree_growth.power)
     log_q = (
         k * math.log(2.0 * delta * degree_growth.cap)

@@ -360,11 +360,16 @@ def _cmd_backward(args, config):
         }
     )
     solution = SeriesSolution(graph, initial, tol=args.tol)
-    # the audit refuses a bad degree cap before any row is computed; without
-    # --degree-bound it takes the audited maximum itself
-    audit = check_backward_solvability(
-        graph, initial, args.degree_bound, args.kmax, args.rmax
-    )
+    # refuse before any kernel call: a non-finite cap first, then a time the
+    # series cannot reach (planning needs no iterate), then, in the audit, a
+    # cap below the audited Deg; without --degree-bound the audit takes that Deg
+    cap = args.degree_bound
+    problem = None if cap is None else number_problem(cap)
+    if problem:
+        raise HeatSeriesError(f"{problem} degree cap {cap!r}")
+    for t in times:
+        solution._plan(-t)
+    audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)
     config["degree_bound"] = audit.degree_cap
     vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
     rows = _eval_rows(solution, vertices, times, -1)
@@ -396,6 +401,9 @@ def _cmd_radius(args, config):
         raise HeatSeriesError("--rate needs --amplitude")
     if args.deg_power is not None and args.deg_cap is None:
         raise HeatSeriesError("--deg-power needs --deg-cap")
+    # a given window is checked whatever kind the certificate turns out to be
+    if args.delta is not None:
+        bounds_mod._check_delta(args.delta)
     graph, initial = _resolve_source(args, config)
     config.update({"rmax": args.rmax, "kmax": args.kmax})
     if args.amplitude is not None:

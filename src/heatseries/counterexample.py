@@ -352,8 +352,8 @@ class NonAnalyticityReport:
 
     flat_values[j] is |d_t^j v(x, s)| at the smallest dyadic s probed: all
     of them under the tolerance means every Taylor coefficient of
-    u(x, t) = v(x, t + shift) vanishes at t = -shift, while a positive
-    sample shows u is not the zero function.
+    u(x, t) = v(x, t + shift) vanishes at t = -shift, while a nonzero
+    sample, of either sign, shows u is not the zero function.
     """
 
     x: int
@@ -371,7 +371,7 @@ class NonAnalyticityReport:
 
 
 def non_analyticity_witness(params, x, kmax, tol=1e-8):
-    """Probe flatness at 0+ of all derivatives up to kmax, plus positivity.
+    """Probe flatness at 0+ of all derivatives up to kmax, plus nonzero samples.
 
     Derivative magnitudes are sampled along the geometric grid t = 2^-m
     (the recorded trace covers the last stretch of the descent); flat means
@@ -396,7 +396,7 @@ def non_analyticity_witness(params, x, kmax, tol=1e-8):
             flat_values[j] = trace[-1][1]
     samples = [(float(t), v_eval(params, x, t)) for t in SAMPLE_TIMES]
     flat = all(v <= tol for trace in flat_trace.values() for _, v in trace)
-    nonzero = any(v > 0 for _, v in samples)
+    nonzero = any(v != 0 for _, v in samples)
     return NonAnalyticityReport(
         x=x,
         flat=flat,

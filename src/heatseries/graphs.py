@@ -2,8 +2,9 @@
 
 A graph carries a positive symmetric edge weight, a positive vertex measure,
 and a distinguished root vertex used as the base point of all distance-based
-envelopes.  Finite graphs enumerate their vertices; infinite families expose
-a neighbor oracle plus a closed-form metric.
+envelopes.  A finite graph is built one way, from its measures and an edge
+list, and enumerates its vertices; infinite families expose a neighbor
+oracle plus a closed-form metric.
 
 Every derived query reads the graph's neighbor index, which calls the
 family's `neighbors` once per vertex; balls are not memoized but walked
@@ -292,41 +293,18 @@ class Graph:
 
 
 class FiniteGraph(Graph):
-    """Explicitly enumerated weighted graph."""
+    """Weighted graph from a vertex -> measure map and (u, v, weight) edges.
+
+    Each undirected edge is listed once and its weight charged to both ends,
+    so the graph is symmetric by construction.  Measures and weights must be
+    positive, endpoints and root declared; self-loops and duplicates fail.
+    """
 
     is_finite = True
 
-    def __init__(self, measures, adjacency, root):
+    def __init__(self, measures, edges, root):
         super().__init__(root)
-        self._mu = dict(measures)
-        # the Laplacian charges w(x, y) to both ends of an edge, so each
-        # adjacency row must be matched by the reverse entry
-        for x, row in adjacency.items():
-            for y, w in row.items():
-                if x not in self._mu or y not in self._mu:
-                    raise GraphSchemaError(f"edge ({x!r}, {y!r}) has an undeclared endpoint")
-                back = adjacency.get(y, {}).get(x)
-                if back != w:
-                    raise GraphSchemaError(
-                        f"asymmetric adjacency: w({x!r}, {y!r}) = {w}, "
-                        f"w({y!r}, {x!r}) = {back}"
-                    )
-        self._nbrs = {
-            x: tuple(sorted(adjacency.get(x, {}).items()))
-            for x in self._mu
-        }
-        if root not in self._mu:
-            raise UnknownVertexError(f"root {root!r} is not a vertex")
-        self._max_deg = None
-
-    @classmethod
-    def from_edges(cls, measures, edges, root):
-        """Build from an iterable of (u, v, weight) triples.
-
-        Enforces the weighted-graph invariants: simple (no self-loops),
-        symmetric positive weights, positive measures, endpoints declared.
-        """
-        mu = dict(measures)
+        mu = self._mu = dict(measures)
         for x, m in mu.items():
             if not m > 0:
                 raise GraphSchemaError(f"nonpositive measure {m} at vertex {x!r}")
@@ -342,7 +320,10 @@ class FiniteGraph(Graph):
                 raise GraphSchemaError(f"duplicate edge ({u!r}, {v!r})")
             adj[u][v] = w
             adj[v][u] = w
-        return cls(mu, adj, root)
+        if root not in mu:
+            raise UnknownVertexError(f"root {root!r} is not a vertex")
+        self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
+        self._max_deg = None
 
     def vertices(self):
         return tuple(sorted(self._mu))
@@ -490,38 +471,35 @@ def family_from_spec(spec):
 
 # -- convenience builders used by tests and CLI fixtures --------------------
 
-def path_graph(n, weight=1, measure=1, root=0):
+def _unit_graph(vertices, pairs, root=0):
+    """Integer unit weights and measures, so exact arithmetic stays exact."""
+    return FiniteGraph(dict.fromkeys(vertices, 1), [(u, v, 1) for u, v in pairs], root)
+
+
+def path_graph(n, root=0):
     """Path on vertices 0..n-1."""
-    mu = {i: measure for i in range(n)}
-    edges = [(i, i + 1, weight) for i in range(n - 1)]
-    return FiniteGraph.from_edges(mu, edges, root)
+    return _unit_graph(range(n), [(i, i + 1) for i in range(n - 1)], root)
 
 
-def cycle_graph(n, weight=1, measure=1, root=0):
-    """Cycle on vertices 0..n-1."""
-    mu = {i: measure for i in range(n)}
-    edges = [(i, (i + 1) % n, weight) for i in range(n)]
-    return FiniteGraph.from_edges(mu, edges, root)
+def cycle_graph(n):
+    """Cycle on vertices 0..n-1, rooted at 0."""
+    return _unit_graph(range(n), [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n, weight=1, measure=1, root=0):
-    mu = {i: measure for i in range(n)}
-    edges = [(i, j, weight) for i in range(n) for j in range(i + 1, n)]
-    return FiniteGraph.from_edges(mu, edges, root)
+def complete_graph(n):
+    """Complete graph on vertices 0..n-1, rooted at 0."""
+    return _unit_graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def star_graph(leaves, weight=1, measure=1):
+def star_graph(leaves):
     """Hub vertex 0 joined to `leaves` leaf vertices 1..leaves."""
-    mu = {i: measure for i in range(leaves + 1)}
-    edges = [(0, i, weight) for i in range(1, leaves + 1)]
-    return FiniteGraph.from_edges(mu, edges, 0)
+    return _unit_graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
 
 
-def integer_segment(half_width, weight=1, measure=1):
-    """Finite window [-half_width, half_width] of the integer line."""
-    mu = {i: measure for i in range(-half_width, half_width + 1)}
-    edges = [(i, i + 1, weight) for i in range(-half_width, half_width)]
-    return FiniteGraph.from_edges(mu, edges, 0)
+def integer_segment(half_width):
+    """Finite window [-half_width, half_width] of the integer line, rooted at 0."""
+    return _unit_graph(range(-half_width, half_width + 1),
+                       [(i, i + 1) for i in range(-half_width, half_width)])
 
 
 def random_weighted_graph(n, seed, extra_edges=None, exact=False):
@@ -557,7 +535,7 @@ def random_weighted_graph(n, seed, extra_edges=None, exact=False):
     mu = {i: draw() for i in range(n)}
     triples = [(min(p), max(p), w) for p, w in edges.items()]
     triples.sort()
-    return FiniteGraph.from_edges(mu, triples, 0)
+    return FiniteGraph(mu, triples, 0)
 
 
 # -- document loader ---------------------------------------------------------
@@ -641,4 +619,4 @@ def load_graph(source, exact=False):
     root = _vertex_id(doc["root"], {"root": doc["root"]})
     if root not in mu:
         raise GraphSchemaError(f"root {root!r} is not a declared vertex")
-    return FiniteGraph.from_edges(mu, edges, root)
+    return FiniteGraph(mu, edges, root)

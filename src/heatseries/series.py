@@ -70,7 +70,7 @@ class SeriesSolution:
     one coefficient table that extends on demand, the per-time plans and the
     per-vertex coefficient columns.  The graph must report a uniform degree
     bound (all built-in graphs do), since that constant drives the certified
-    truncation.
+    truncation.  `tol` must be positive and finite in binary64.
     """
 
     graph: object
@@ -82,6 +82,9 @@ class SeriesSolution:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
+        problem = number_problem(self.tol)
+        if problem:
+            raise ValueError(f"{problem} tolerance {self.tol!r}")
         self.table = IteratedLaplacianTable(self.graph, self.initial)
         self._sup = float(self.initial.sup_norm())
         cap = self.graph.uniform_degree_bound()

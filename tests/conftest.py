@@ -47,4 +47,4 @@ def tree_radial_reduction(degree, length):
     for d in range(1, length + 1):
         mu[d] = degree * (degree - 1) ** (d - 1)
     edges = [(d, d + 1, degree * (degree - 1) ** d) for d in range(length)]
-    return FiniteGraph.from_edges(mu, edges, 0)
+    return FiniteGraph(mu, edges, 0)

@@ -179,6 +179,24 @@ class TestBackwardCommand:
         assert ("degree cap" if cap == "nan" else "degree bound violated") in err
         assert calls == []
 
+    @pytest.mark.parametrize("cap", ([], ["--degree-bound", "1"]))
+    def test_unreachable_time_refused_before_any_kernel_call(self, cap, monkeypatch):
+        calls = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            calls.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        code, err = _exit_and_stderr(
+            ["backward", "--family", "z", "--t=1e9", "--kmax", "600", "--rmax", "1"] + cap
+        )
+        assert code == 2
+        # a time refusal wins over a finite cap below the audited Deg
+        assert err.startswith("error: tail bound inf did not reach tolerance")
+        assert calls == []
+
     def test_degree_cap_refusal_wins_over_a_time_refusal(self):
         code, err = _exit_and_stderr(
             ["backward", "--family", "z", "--t=1e9", "--degree-bound=nan", "--kmax", "3"]
@@ -277,6 +295,30 @@ class TestRadiusCommand:
         assert code == 2
         assert err.startswith(f"error: non-finite {name} ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--kmax", "0", "--delta=-1"], "delta must be positive"),
+        (["--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=nan"],
+         "delta must be positive"),
+        (["--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=inf"],
+         "non-finite delta inf"),
+    ])
+    def test_meaningless_delta_refused_whatever_the_kind(self, argv, message):
+        code, err = _exit_and_stderr(["radius", "--family", "z"] + argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    def test_degree_growth_beyond_the_grid_exit2(self, tmp_path):
+        # Deg = 1e6 + 1 at distance 2 outgrows cap * d^power for every grid power
+        weights = (1, 1, 1e6, 1)
+        doc = {
+            "root": 0,
+            "vertices": [{"id": i, "mu": 1} for i in range(5)],
+            "edges": [{"u": i, "v": i + 1, "w": w} for i, w in enumerate(weights)],
+        }
+        code, err = _exit_and_stderr(["radius", "--graph", write_graph(tmp_path, doc)])
+        assert code == 2
+        assert err == "error: no grid power up to 2.0 certifies the degrees with cap 2.0\n"
+
     @pytest.mark.parametrize("option, partner", [
         ("--rate=0.5", "--amplitude"), ("--deg-power=0.5", "--deg-cap"),
     ])
@@ -325,6 +367,17 @@ class TestCounterexampleCommand:
         assert results["max_residual"] <= 1e-9 * results["max_value"]
         assert results["conclusion"]["not_time_analytic"] is True
         assert report["config"]["T"] == 1.0
+
+    def test_a_negative_sample_shows_a_nonzero_solution(self, capsys):
+        # at beta 10 the solution at x = 3 is zero, zero, then negative
+        code, out = run(
+            ["counterexample", "--beta", "10", "--xmax", "12", "--kmax", "3"], capsys
+        )
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert [v for _, v in results["positivity"][3]["samples"]][:2] == [0, 0]
+        assert results["positivity"][3]["samples"][2][1] < 0
+        assert results["conclusion"]["not_time_analytic"] is True
 
     def test_bad_theta_exit2(self, capsys):
         code, _ = run(["counterexample", "--beta", "4", "--theta", "0.95"], capsys)
@@ -510,6 +563,33 @@ class TestSchemaErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_invalid_json_graph_exit2(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"root": 0,')
+        code, err = _exit_and_stderr(["solve", "--graph", str(path)])
+        assert code == 2
+        assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
+
+    def test_malformed_initial_record_exit2(self, tmp_path):
+        init = tmp_path / "a.json"
+        init.write_text("[[0, 1.0], [1]]")
+        code, err = _exit_and_stderr(["solve", "--family", "z", "--initial", str(init)])
+        assert code == 2
+        assert err == "error: malformed initial-data record [1]\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--t=5", "--rmax", "0"], ["backward", "--kmax", "3"], ["verify"],
+    ])
+    @pytest.mark.parametrize("tol, message", [
+        ("inf", "non-finite tolerance inf"),
+        ("nan", "tolerance must be positive"),
+        ("0", "tolerance must be positive"),
+    ])
+    def test_meaningless_tol_exit2(self, argv, tol, message):
+        code, err = _exit_and_stderr(argv + [f"--tol={tol}"])
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_missing_file_exit2(self, capsys):
         code, _ = run(["solve", "--graph", "/nonexistent.json", "--t=0"], capsys)

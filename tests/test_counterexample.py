@@ -373,6 +373,13 @@ class TestNonAnalyticity:
         assert sample[0.5] == g_eval(beta4, 0.5) > 0
         assert report.not_analytic
 
+    def test_a_negative_sample_is_nonzero(self):
+        # at beta 10, x = 3 the samples are 0, 0 and about -356.5
+        report = non_analyticity_witness(FlatBumpParams(beta=10), 3, 3)
+        samples = [v for _, v in report.positive_samples]
+        assert samples[:2] == [0, 0] and samples[2] < 0
+        assert report.flat and report.nonzero and report.not_analytic
+
     def test_x3_witness(self, beta4):
         report = non_analyticity_witness(beta4, 3, 10)
         assert report.flat and report.nonzero and report.not_analytic

@@ -49,7 +49,7 @@ class TestDegree:
         assert IntegerLine().deg(0) == 2
 
     def test_weighted_vertex(self):
-        g = FiniteGraph.from_edges(
+        g = FiniteGraph(
             {0: 2, 1: 1, 2: 1, 3: 1},
             [(0, 1, 1), (0, 2, 2), (0, 3, 3)],
             root=0,
@@ -57,7 +57,7 @@ class TestDegree:
         assert g.deg(0) == 3  # (1+2+3)/2
 
     def test_isolated_vertex(self):
-        g = FiniteGraph.from_edges({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
+        g = FiniteGraph({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
         assert g.deg(2) == 0
 
     def test_unknown_vertex(self):
@@ -77,7 +77,7 @@ class TestDistance:
         assert c6.distance(0, 3) == 3
 
     def test_disconnected(self):
-        g = FiniteGraph.from_edges({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
+        g = FiniteGraph({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
         with pytest.raises(UnreachableVertexError):
             g.distance(0, 2)
 
@@ -219,7 +219,7 @@ class TestNeighborIndexWalk:
         assert graph.expanded == Counter({(0,): 1, (1, 1): 1})
 
     def test_layers_end_on_a_disconnected_graph(self):
-        g = FiniteGraph.from_edges({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
+        g = FiniteGraph({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], root=0)
         assert list(g.layers({0})) == [frozenset({0}), frozenset({1})]
         assert list(g.layers(set())) == []
         assert g.ball(0, 5) == frozenset({0, 1})
@@ -307,21 +307,19 @@ class TestWeightsSymmetry:
                 assert g.deg(x) == total / g.measure(x)
 
     @pytest.mark.parametrize(
-        "adjacency, message",
+        "edges, message",
         [
-            ({0: {1: 1}, 1: {}}, "asymmetric"),  # one-sided
-            ({0: {1: 1}}, "asymmetric"),  # reverse row missing
-            ({0: {1: 1}, 1: {0: 2}}, "asymmetric"),  # weights disagree
-            ({0: {2: 1}, 1: {}}, "undeclared"),  # endpoint not a vertex
-            ({0: {}, 1: {}, 5: {0: 1}}, "undeclared"),  # row not a vertex
+            ([(0, 2, 1)], "undeclared"),  # endpoint not a vertex
+            ([(5, 0, 1)], "undeclared"),  # first endpoint not a vertex
+            ([(0, 1, 1), (1, 0, 2)], "duplicate"),  # one edge, two weights
         ],
     )
-    def test_finite_graph_rejects_asymmetric_adjacency(self, adjacency, message):
+    def test_finite_graph_rejects_bad_edges(self, edges, message):
         with pytest.raises(GraphSchemaError, match=message):
-            FiniteGraph({0: 1, 1: 1}, adjacency, 0)
+            FiniteGraph({0: 1, 1: 1}, edges, 0)
 
-    def test_finite_graph_accepts_symmetric_adjacency(self):
-        g = FiniteGraph({0: 1, 1: 2}, {0: {1: 3}, 1: {0: 3}}, 0)
+    def test_edge_weight_is_charged_to_both_ends(self):
+        g = FiniteGraph({0: 1, 1: 2}, [(0, 1, 3)], 0)
         assert g.weight(0, 1) == g.weight(1, 0) == 3
 
 

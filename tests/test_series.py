@@ -61,7 +61,7 @@ def growing_comb(levels, arms):
             mu[nxt] = 1
             edges.append((j, nxt, 1))
             nxt += 1
-    return FiniteGraph.from_edges(mu, edges, 0)
+    return FiniteGraph(mu, edges, 0)
 
 
 class TestSeriesEval:
@@ -118,6 +118,16 @@ class TestSeriesEval:
         assert series_eval(sol, 0, 0.0).value == 1
         with pytest.raises(RadiusExceededError):
             series_eval(sol, 0, 1e-9)
+
+    @pytest.mark.parametrize("tol, message", [
+        (math.inf, "non-finite tolerance inf"),
+        (Fraction(10) ** 400, "non-finite tolerance"),
+        (math.nan, "tolerance must be positive"),
+        (0.0, "tolerance must be positive"),
+    ])
+    def test_meaningless_tolerance_named(self, k2, tol, message):
+        with pytest.raises(ValueError, match=message):
+            SeriesSolution(k2, LocalFunction.delta(0, 1.0), tol=tol)
 
     def test_truncation_failure_carries_best_bound(self):
         g = cycle_graph(6)
@@ -255,7 +265,7 @@ class TestBackwardSolvability:
         assert "not finite" in report.note
 
     def test_disconnected_inconclusive(self):
-        g = FiniteGraph.from_edges(
+        g = FiniteGraph(
             {0: 1, 1: 1, 5: 1, 6: 1},
             [(0, 1, 1), (5, 6, 1)],
             root=0,
@@ -267,7 +277,7 @@ class TestBackwardSolvability:
         assert math.isnan(report.scale) and math.isnan(report.rate) and report.witnesses == []
 
     def test_disconnected_note_names_vertices_by_repr(self):
-        g = FiniteGraph.from_edges(
+        g = FiniteGraph(
             {"r": 1, "s": 1, "x": 1, "y": 1}, [("r", "s", 1), ("x", "y", 1)], root="r"
         )
         report = check_backward_solvability(g, LocalFunction.delta("y"), None, 2, 1)
@@ -321,7 +331,7 @@ def _default_cap_cases():
     exact = random_weighted_graph(12, seed=5, exact=True)
     yield "fraction", exact, LocalFunction({0: Fraction(1, 3), 2: Fraction(-5, 4)}), 6, 2
     yield "fraction-z", IntegerLine(), LocalFunction({0: Fraction(1, 2), 1: Fraction(-1, 3)}), 6, 1
-    edgeless = FiniteGraph.from_edges({"a": 1}, [], "a")
+    edgeless = FiniteGraph({"a": 1}, [], "a")
     yield "edgeless", edgeless, LocalFunction.delta("a", 1.0), 3, 1
 
 
@@ -598,7 +608,7 @@ CONE_GRAPHS = {
     "random-exact": (lambda: random_weighted_graph(16, seed=2, exact=True), (5, 9), 0.25),
     # two components; the root's is a path, the other a triangle
     "disconnected": (
-        lambda: FiniteGraph.from_edges(
+        lambda: FiniteGraph(
             {i: 1 + (i % 2) for i in range(8)},
             [(0, 1, 1), (1, 2, 2), (2, 3, 1), (5, 6, 1), (6, 7, 3), (5, 7, 1)],
             root=0,

@@ -51,8 +51,8 @@ EDGE_FILES = {
     "huge.initial.json": json.dumps([[0, 1e9]]),
 }
 
-#: Small edge cases of solve, backward and radius: refusals, precedence,
-#: audit verdicts and output shapes that no benchmark plan reaches.
+#: Small edge cases of solve, backward, radius and counterexample: refusals,
+#: precedence, audit verdicts and output shapes that no benchmark plan reaches.
 EDGE_CASES = (
     ["backward", "--graph", "disconnected.json", "--initial", "disconnected.initial.json",
      "--kmax", "3", "--rmax", "1"],
@@ -71,6 +71,8 @@ EDGE_CASES = (
      "--degree-bound=nan"],
     ["backward", "--family", "z", "--t=1e9", "--kmax", "3", "--rmax", "1"],
     ["backward", "--family", "z", "--t=1e9", "--kmax", "3", "--rmax", "1", "--degree-bound=nan"],
+    # an unreachable time is refused before the long audit
+    ["backward", "--family", "z", "--t=1e9", "--kmax", "600", "--rmax", "1"],
     # a long audit on a family whose balls grow linearly; on lattice:2 the
     # same kmax exhausts memory
     ["backward", "--family", "z", "--t", "0.01", "--kmax", "600", "--rmax", "1"],
@@ -80,6 +82,7 @@ EDGE_CASES = (
     ["backward", "--family", "z", "--kmax=-1"],
     ["solve", "--family", "z", "--rmax=-1"],
     ["solve", "--family", "z", "--t=1e9", "--rmax", "1"],
+    ["solve", "--family", "z", "--tol=inf", "--t=5", "--rmax", "0"],
     ["solve", "--family", "lattice:2", "--t=0.5,-0.25", "--rmax", "2", "--exact"],
     ["radius", "--family", "z", "--kmax", "3"],
     ["radius", "--family", "z", "--kmax", "2", "--amplitude", "1", "--deg-cap", "2"],
@@ -92,6 +95,10 @@ EDGE_CASES = (
     ["radius", "--family", "z", "--kmax", "2", "--amplitude=inf"],
     ["radius", "--family", "z", "--kmax", "2", "--delta=inf"],
     ["radius", "--deg-cap=inf", "--amplitude", "1", "--rate", "1"],
+    ["radius", "--family", "z", "--kmax", "0", "--delta=-1"],
+    ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=nan"],
+    # x = 3 samples 0, 0 and a negative value
+    ["counterexample", "--beta", "10", "--xmax", "12", "--kmax", "3"],
 )
 
 
