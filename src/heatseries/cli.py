@@ -257,6 +257,8 @@ def _resolve_initial(args, graph):
                 raise HeatSeriesError(f"malformed initial-data record {rec!r}")
             x = _parse_vertex(rec[0])
             graph.check_vertex(x)
+            if x in values:
+                raise HeatSeriesError(f"duplicate vertex {x!r} in initial-data record {rec!r}")
             value = rec[1]
             problem = number_problem(value)
             if problem:
@@ -276,7 +278,11 @@ def _parse_times(spec, exact):
     for chunk in str(spec).split(","):
         chunk = chunk.strip()
         if chunk:
-            t = Fraction(chunk) if exact else float(chunk)
+            try:
+                t = Fraction(chunk) if exact else float(chunk)
+            except (ValueError, ZeroDivisionError):
+                kind = "rational" if exact else "float (rationals need --exact)"
+                raise HeatSeriesError(f"--t: {chunk!r} is not a {kind}") from None
             if number_problem(t):
                 raise HeatSeriesError(f"non-finite time {chunk!r}")
             out.append(t)
@@ -427,9 +433,15 @@ def _cmd_radius(args, config):
     delta = args.delta
     if delta is None:
         if cert.kind == bounds_mod.FINITE_LOWER_BOUND:
-            delta = cert.radius / 2.0
+            delta, rule = cert.radius / 2.0, "radius / 2"
         else:
-            delta = 0.9 / (2.0 * math.e * float(growth.cap))
+            delta, rule = 0.9 / (2.0 * math.e * float(growth.cap)), "0.9 / (2 e cap)"
+        # an extreme cap under- or overflows the window; name what set it
+        if not 0 < delta < math.inf:
+            raise HeatSeriesError(
+                f"derived window delta = {rule} = {delta!r} is not positive and "
+                f"finite for degree cap {float(growth.cap)!r}; give --delta"
+            )
     config["delta"] = delta
 
     table_rows = []

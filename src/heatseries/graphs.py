@@ -453,20 +453,32 @@ class RegularTree(Graph):
 
 
 def family_from_spec(spec):
-    """Parse a family descriptor: 'z', 'lattice:<d>' or 'tree:<k>'."""
-    name, _, arg = spec.partition(":")
+    """Parse a family descriptor: 'z', 'lattice:<d>' or 'tree:<k>'.
+
+    A refused descriptor is named in the message.
+    """
+    name, colon, arg = spec.partition(":")
     name = name.strip().lower()
     if name == "z":
+        if colon:
+            raise ValueError(f"family {spec!r}: z takes no parameter")
         return IntegerLine()
     if name == "lattice":
         if not arg:
             raise ValueError("lattice family needs a dimension, e.g. lattice:2")
-        return IntegerLattice(int(arg))
+        return IntegerLattice(_family_parameter(spec, arg, "dimension"))
     if name == "tree":
         if not arg:
             raise ValueError("tree family needs a degree, e.g. tree:3")
-        return RegularTree(int(arg))
+        return RegularTree(_family_parameter(spec, arg, "degree"))
     raise ValueError(f"unknown graph family {spec!r}")
+
+
+def _family_parameter(spec, arg, what):
+    try:
+        return int(arg)
+    except ValueError:
+        raise ValueError(f"family {spec!r}: {what} {arg!r} is not an integer") from None
 
 
 # -- convenience builders used by tests and CLI fixtures --------------------

@@ -10,10 +10,15 @@ A solution caches two things.  For each distinct time it keeps a plan: the
 truncation order K and its tail bound, which depend on t alone, and the
 weights t^k / k! for k <= K.  For each vertex it keeps a column, the
 coefficients L^k a(x) for k up to the largest K asked of that vertex.  An
-evaluation is one sequential sum of column times weights.  A column is read
-off the full iterate table on demand, or filled ahead by `prefetch` for a
-whole grid of vertices and times in one pass that computes L^k a only where
-it can still reach those vertices by step K, with the same values.  Both
+evaluation is one sequential sum of column times weights, in the arithmetic
+of its time: binary64 when t is a Python float, Python objects otherwise.
+At a float time every term but the first is a float whatever the data, since
+Python rounds an int or Fraction coefficient to the nearest double when it
+multiplies it by a float weight, so the binary64 sum gives the bits the
+term-by-term loop gives.  A Fraction time keeps exact data exact.  A column
+is read off the full iterate table on demand, or filled ahead by `prefetch`
+for a whole grid of vertices and times in one pass that computes L^k a only
+where it can still reach those vertices by step K, with the same values.  Both
 caches grow with the distinct times and vertices asked for and live as long
 as the solution.  Like its graph, a solution is filled on demand without
 locks and must not be shared between threads.
@@ -70,7 +75,9 @@ class SeriesSolution:
     one coefficient table that extends on demand, the per-time plans and the
     per-vertex coefficient columns.  The graph must report a uniform degree
     bound (all built-in graphs do), since that constant drives the certified
-    truncation.  `tol` must be positive and finite in binary64.
+    truncation.  `tol` must be positive and finite in binary64.  The type of
+    the time alone picks the arithmetic of a sum: binary64 when t is a Python
+    float, Python objects otherwise.
     """
 
     graph: object
@@ -95,9 +102,6 @@ class SeriesSolution:
             )
         self._deg_cap = float(cap)
         self._derivative = None
-        # binary64 arrays reproduce the Python arithmetic exactly only when
-        # every operand is a Python float; anything else sums as objects
-        self._float_data = all(type(v) is float for _, v in self.initial.items())
         self._plans = {}
         self._columns = {}
 
@@ -137,7 +141,7 @@ class SeriesSolution:
         if t == 0:
             return 0, 0.0, None
         rho = 2.0 * abs(float(t)) * self._deg_cap
-        weights = [1]  # t^k / k!, in the ambient arithmetic
+        weights = [1]  # t^k / k!, in the arithmetic of t
         tail_next = self._sup * rho  # T(k+1) for the current k = 0
         k = 0
         best = math.inf
@@ -158,7 +162,7 @@ class SeriesSolution:
             k += 1
             weights.append(weights[-1] * t / k)
             tail_next = tail_next * rho / (k + 1)
-        dtype = np.float64 if self._float_data and type(t) is float else object
+        dtype = np.float64 if type(t) is float else object
         return k, bound, np.array(weights, dtype=dtype)
 
     def prefetch(self, vertices, times):

@@ -25,6 +25,7 @@ from heatseries.bounds import (
 )
 from heatseries.errors import GrowthFitError
 from heatseries.graphs import (
+    FiniteGraph,
     IntegerLine,
     LocalFunction,
     RegularTree,
@@ -295,6 +296,16 @@ class TestFits:
         # round-trip: envelope really covers the hub and the leaves
         assert growth.envelope(0) >= 9
         assert growth.envelope(1) >= 1
+
+    @pytest.mark.parametrize("measure, weight, why", [
+        (1, None, "the root 0 has no edges"),
+        (1e-308, 1e308, "Deg overflows binary64"),
+    ])
+    def test_degree_cap_outside_binary64_refused_by_name(self, measure, weight, why):
+        edges = [] if weight is None else [(0, 1, weight)]
+        graph = FiniteGraph({0: measure, 1: measure}, edges, 0)
+        with pytest.raises(GrowthFitError, match=f"^fitted degree cap .* is not positive and finite: {why}$"):
+            fit_degree_growth(graph, 2)
 
     def test_grid_declared(self):
         assert EXPONENT_GRID[0] == 0.0

@@ -307,6 +307,28 @@ class TestRadiusCommand:
         assert code == 2
         assert err == f"error: {message}\n"
 
+    def test_root_without_edges_names_the_fitted_cap(self, tmp_path):
+        doc = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
+        code, err = _exit_and_stderr(["radius", "--graph", write_graph(tmp_path, doc)])
+        assert code == 2
+        assert err == (
+            "error: fitted degree cap 0.0 is not positive and finite: the root 0 has no edges\n"
+        )
+
+    @pytest.mark.parametrize("mu, w, delta", [
+        (1, 1e308, "0.0"), (1e-308, 1, "0.0"), (1, 5e-324, "inf"),
+    ])
+    def test_derived_window_beyond_binary64_is_named(self, tmp_path, mu, w, delta):
+        doc = {
+            "root": 0,
+            "vertices": [{"id": 0, "mu": mu}, {"id": 1, "mu": mu}],
+            "edges": [{"u": 0, "v": 1, "w": w}],
+        }
+        code, err = _exit_and_stderr(["radius", "--graph", write_graph(tmp_path, doc)])
+        assert code == 2
+        assert err.startswith(f"error: derived window delta = 0.9 / (2 e cap) = {delta} ")
+        assert "degree cap" in err and "--delta" in err
+
     def test_degree_growth_beyond_the_grid_exit2(self, tmp_path):
         # Deg = 1e6 + 1 at distance 2 outgrows cap * d^power for every grid power
         weights = (1, 1, 1e6, 1)
@@ -570,6 +592,40 @@ class TestSchemaErrors:
         code, err = _exit_and_stderr(["solve", "--graph", str(path)])
         assert code == 2
         assert err.startswith("error: invalid JSON: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_duplicate_initial_vertex_exit2(self, tmp_path, exact):
+        init = tmp_path / "a.json"
+        init.write_text("[[0, 1.0], [1, 3.0], [0, 2.0]]")
+        code, err = _exit_and_stderr(
+            ["solve", "--family", "z", "--initial", str(init)] + exact
+        )
+        assert code == 2
+        value = "Fraction(2, 1)" if exact else "2.0"
+        assert err == f"error: duplicate vertex 0 in initial-data record [0, {value}]\n"
+
+    @pytest.mark.parametrize("command", ["solve", "backward"])
+    @pytest.mark.parametrize("spec, exact, message", [
+        ("1/2", [], "--t: '1/2' is not a float (rationals need --exact)"),
+        ("0.1,x", [], "--t: 'x' is not a float (rationals need --exact)"),
+        ("abc", ["--exact"], "--t: 'abc' is not a rational"),
+        ("1/0", ["--exact"], "--t: '1/0' is not a rational"),
+    ])
+    def test_unparsable_time_names_the_option(self, command, spec, exact, message):
+        code, err = _exit_and_stderr([command, "--family", "z", f"--t={spec}"] + exact)
+        assert code == 2
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("spec, message", [
+        ("lattice:1.5", "family 'lattice:1.5': dimension '1.5' is not an integer"),
+        ("tree:x", "family 'tree:x': degree 'x' is not an integer"),
+        ("z:3", "family 'z:3': z takes no parameter"),
+        ("z:", "family 'z:': z takes no parameter"),
+    ])
+    def test_bad_family_spec_named(self, spec, message):
+        code, err = _exit_and_stderr(["solve", "--family", spec, "--t=0"])
+        assert code == 2
+        assert err == f"error: {message}\n"
 
     def test_malformed_initial_record_exit2(self, tmp_path):
         init = tmp_path / "a.json"

@@ -526,15 +526,23 @@ SUM_GRAPHS = {
     "lattice:2": (lambda exact: IntegerLattice(2), ((0, 0), (1, 0), (0, -1)), 1),
     "random": (lambda exact: random_weighted_graph(20, seed=3, exact=exact), (0, 3, 7), 20),
 }
-SUM_VALUES = (Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2))
+SUM_DATA = {
+    # kind: (values on the support, the random graph's weights exact or not)
+    "float": ((0.75, -1.25, 0.5), (False,)),
+    "Fraction": ((Fraction(3, 4), Fraction(-5, 4), Fraction(1, 2)), (True,)),
+    "int": ((3, -5, 2), (False, True)),
+    "mixed": ((3, -1.25, Fraction(1, 2)), (False, True)),
+    # ints beyond 2^53 round when they meet a float weight
+    "mixed-big": ((10 ** 25 + 1, -0.75, Fraction(10 ** 15 + 1, 3)), (False, True)),
+}
 
 
 @functools.cache
-def shared_solution(name, kind):
+def shared_solution(name, kind, exact):
     """One solution per graph and data kind, so its caches see many times."""
     build, support, _ = SUM_GRAPHS[name]
-    data = LocalFunction({x: kind(v) for x, v in zip(support, SUM_VALUES)})
-    return SeriesSolution(build(kind is Fraction), data)
+    data = LocalFunction(dict(zip(support, SUM_DATA[kind][0])))
+    return SeriesSolution(build(exact), data)
 
 
 def times_up_to(limit):
@@ -548,28 +556,43 @@ def times_up_to(limit):
 @st.composite
 def sum_cases(draw):
     name = draw(st.sampled_from(sorted(SUM_GRAPHS)))
-    kind = draw(st.sampled_from((float, Fraction)))
-    solution = shared_solution(name, kind)
+    kind = draw(st.sampled_from(sorted(SUM_DATA)))
+    solution = shared_solution(name, kind, draw(st.sampled_from(SUM_DATA[kind][1])))
     graph = solution.graph
     x = draw(st.sampled_from(sorted(graph.ball(graph.root, 3), key=repr)))
     return solution, x, draw(times_up_to(SUM_GRAPHS[name][2]))
+
+
+def assert_same_as_the_naive_loop(solution, x, t):
+    want = naive_series_eval(solution, x, t)
+    got = outcome(lambda: series_eval(solution, x, t))
+    assert type(got) is type(want)
+    if isinstance(want, TruncationFailureError):
+        assert (got.best_bound, got.terms_used) == (want.best_bound, want.terms_used)
+    elif isinstance(want, EvalResult):
+        # the huge terms of the random graph at large |t| can sum to nan
+        assert got.value == want.value or (want.value != want.value and got.value != got.value)
+        assert type(got.value) is type(want.value)
+        assert got[1:] == want[1:]
 
 
 class TestCachedSummation:
     @given(sum_cases())
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_the_naive_loop(self, case):
-        solution, x, t = case
-        want = naive_series_eval(solution, x, t)
-        got = outcome(lambda: series_eval(solution, x, t))
-        assert type(got) is type(want)
-        if isinstance(want, TruncationFailureError):
-            assert (got.best_bound, got.terms_used) == (want.best_bound, want.terms_used)
-        elif isinstance(want, EvalResult):
-            # the huge terms of the random graph at large |t| can sum to nan
-            assert got.value == want.value or (want.value != want.value and got.value != got.value)
-            assert type(got.value) is type(want.value)
-            assert got[1:] == want[1:]
+        assert_same_as_the_naive_loop(*case)
+
+    @pytest.mark.parametrize("name", sorted(SUM_GRAPHS))
+    @pytest.mark.parametrize("kind, exact", [
+        (kind, exact) for kind, (_, exacts) in SUM_DATA.items() for exact in exacts
+    ])
+    def test_every_data_kind_at_every_time_type(self, name, kind, exact):
+        solution = shared_solution(name, kind, exact)
+        limit = SUM_GRAPHS[name][2]
+        times = (0.3, -0.75 * limit, 1, -limit, Fraction(3, 8), Fraction(-limit))
+        for x in (solution.graph.root, *SUM_GRAPHS[name][1][1:]):
+            for t in times:
+                assert_same_as_the_naive_loop(solution, x, t)
 
     @pytest.mark.parametrize("data", (1, 1.0))
     @pytest.mark.parametrize("first, second", [(0.5, Fraction(1, 2)), (-0.0, 0)])

@@ -37,22 +37,33 @@ _DISCONNECTED = {
     "vertices": [{"id": i, "mu": 1.0} for i in (0, 1, 5, 6)],
     "edges": [{"u": 0, "v": 1, "w": 1.0}, {"u": 5, "v": 6, "w": 1.0}],
 }
-_K2 = {
-    "root": 0,
-    "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
-    "edges": [{"u": 0, "v": 1, "w": 1.0}],
-}
+
+
+def _k2(mu, w):
+    return {
+        "root": 0,
+        "vertices": [{"id": 0, "mu": mu}, {"id": 1, "mu": mu}],
+        "edges": [{"u": 0, "v": 1, "w": w}],
+    }
+
+
+_ISOLATED_ROOT = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
 
 #: Input files of the edge cases, written to their batch directory.
 EDGE_FILES = {
     "disconnected.json": json.dumps(_DISCONNECTED),
     "disconnected.initial.json": json.dumps([[5, 1.0]]),
-    "k2.json": json.dumps(_K2),
+    "k2.json": json.dumps(_k2(1.0, 1.0)),
     "huge.initial.json": json.dumps([[0, 1e9]]),
+    "duplicate.initial.json": json.dumps([[0, 1.0], [0, 2.0]]),
+    "isolated-root.json": json.dumps(_ISOLATED_ROOT),
+    "heavy-k2.json": json.dumps(_k2(1, 1e308)),
+    "light-k2.json": json.dumps(_k2(1e-308, 1)),
 }
 
-#: Small edge cases of solve, backward, radius and counterexample: refusals,
-#: precedence, audit verdicts and output shapes that no benchmark plan reaches.
+#: Small edge cases of solve, backward, radius, counterexample and verify:
+#: refusals, precedence, audit verdicts, output shapes and summation paths
+#: that no benchmark plan reaches.
 EDGE_CASES = (
     ["backward", "--graph", "disconnected.json", "--initial", "disconnected.initial.json",
      "--kmax", "3", "--rmax", "1"],
@@ -99,6 +110,18 @@ EDGE_CASES = (
     ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=nan"],
     # x = 3 samples 0, 0 and a negative value
     ["counterexample", "--beta", "10", "--xmax", "12", "--kmax", "3"],
+    # integer data summed at float times
+    ["verify", "--exact"],
+    ["verify", "--exact", "--format", "csv"],
+    ["solve", "--family", "z", "--initial", "duplicate.initial.json"],
+    ["solve", "--family", "z", "--t", "1/2"],
+    ["solve", "--family", "z", "--exact", "--t", "abc"],
+    ["solve", "--family", "lattice:1.5"],
+    ["solve", "--family", "tree:x"],
+    ["solve", "--family", "z:3"],
+    ["radius", "--graph", "isolated-root.json"],
+    ["radius", "--graph", "heavy-k2.json"],
+    ["radius", "--graph", "light-k2.json"],
 )
 
 
