@@ -118,10 +118,11 @@ class NeighborIndex:
     vertex in the index is a vertex of the graph and `Graph.neighbors` runs
     at most once per vertex.  The index holds no reference to its graph: a
     graph and its index are freed together without waiting for the cycle
-    collector.
+    collector.  `rows` holds the Laplacian kernel's arrays over the index
+    (`laplacian.KernelRows`), made by the first kernel step on the graph.
     """
 
-    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared")
+    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared", "rows")
 
     def __init__(self):
         self.positions = {}
@@ -130,6 +131,7 @@ class NeighborIndex:
         self.neighbors = []
         self.weights = []
         self._shared = {}
+        self.rows = None
 
     def _add(self, graph, x):
         # x is a vertex: expand validated it, or `neighbors` produced it

@@ -4,13 +4,262 @@ Arithmetic follows the data: rational weights, measures and function values
 propagate exact `Fraction` results, and any float among them gives binary64.
 The command line picks float64 unless `--exact` is given.  Support handling
 is structural: applying the operator can only grow the support by one ring.
+
+One application is an array step over the graph's neighbor index.  Its
+results are those of the plain loop in which each support vertex x, in
+order, adds -deg_w(x) f(x) to itself and w(x, y) f(x) to each neighbour y,
+after which every total goes through `exact_div` by its measure: the same
+values, the same types and the same order of `items()`.  The step sums each
+target's terms left to right, one term per target at a time, never with a
+pairwise `reduce`, so a float total rounds exactly as the loop rounds it.
+
+An iterate's values are stored as float64 when every value is a Python
+float, since Python then computes in binary64 whatever the int, float or
+Fraction weights and measures.  Otherwise (int, Fraction or mixed data, or a
+graph with weights of another type) they are stored as Python objects, and
+the same step runs on the original weights with Python's own arithmetic; a
+total is divided by `Fraction(m)` for a rational measure m, which gives
+`exact_div`'s result, and by `exact_div` itself where a type other than
+int, float and Fraction takes part or a measure lies beyond binary64.
+numpy's floating-point warnings are off inside the step: an overflow gives
+inf or nan silently, as Python floats do.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import accumulate, chain
+
+import numpy as np
 
 from .graphs import LocalFunction, exact_div
+
+#: Types whose binary64 arithmetic with a Python float is that of numpy.
+_PLAIN = frozenset((int, float, Fraction))
+
+#: `exact_div` elementwise over object arrays.
+_exact_div = np.frompyfunc(exact_div, 2, 1)
+
+
+class IndexedFunction(LocalFunction):
+    """A LocalFunction held as arrays over a graph's neighbor index.
+
+    `pos` holds index positions and `vals` their values, in `items()` order:
+    float64 when every value is a Python float, objects otherwise.  The dict
+    the LocalFunction methods read is built on first use.
+    """
+
+    __slots__ = ("index", "pos", "vals", "_dict")
+
+    def __init__(self, index, pos, vals):
+        self.index = index
+        self.pos = pos
+        self.vals = vals
+        self._dict = None
+
+    @property
+    def _values(self):
+        if self._dict is None:
+            vertices = self.index.vertices
+            self._dict = dict(zip([vertices[i] for i in self.pos.tolist()], self.vals.tolist()))
+        return self._dict
+
+    def __call__(self, x):
+        return (self._dict or self._values).get(x, 0)
+
+    def __len__(self):
+        return len(self.pos)
+
+    def restrict(self, keep):
+        """The function on the entries where the boolean array `keep` holds."""
+        return IndexedFunction(self.index, self.pos[keep], self.vals[keep])
+
+
+def _stored(values):
+    """The numbers `values` as float64 if all are Python floats, else as objects."""
+    return np.array(values, dtype=np.float64 if all(type(v) is float for v in values) else object)
+
+
+def _grown(a, n, fill):
+    """`a`, or a copy with room for at least `n` entries, new ones `fill`."""
+    if len(a) >= n:
+        return a
+    out = np.full(max(n, 2 * len(a), 64), fill, dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class KernelRows:
+    """The Laplacian step's arrays over one neighbor index.
+
+    Position i gets a row when it is first a source of a step: its targets
+    [i, neighbours...] and coefficients [-deg_w, w...] lie back to back in
+    `targets` and `coefs` from `start[i]`, `length[i]` long, so a vertex of
+    high degree pads no other row.  Coefficients and measures are the
+    original objects; `floats` and `divisors` give the copies the float64
+    and the exact step read, converted on first use.
+    """
+
+    __slots__ = ("npos", "used", "start", "length", "measures", "targets", "coefs",
+                 "_floats", "_divisors")
+
+    def __init__(self):
+        self.npos = self.used = 0
+        self.start = np.empty(0, dtype=np.intp)
+        self.length = np.empty(0, dtype=np.intp)
+        self.measures = np.empty(0, dtype=object)
+        self.targets = np.empty(0, dtype=np.intp)
+        self.coefs = np.empty(0, dtype=object)
+        # converted positions and entries, float measures and coefficients
+        self._floats = (0, 0, np.empty(0), np.empty(0))
+        self._divisors = (0, np.empty(0, dtype=object))
+
+    def _sync(self, index):
+        """Measures, and room for a row, for every position of `index`."""
+        lo, hi = self.npos, len(index.vertices)
+        if lo == hi:
+            return
+        self.start = _grown(self.start, hi, -1)
+        self.length = _grown(self.length, hi, 0)
+        self.measures = _grown(self.measures, hi, None)
+        self.measures[lo:hi] = index.measures[lo:hi]
+        self.npos = hi
+
+    def fill(self, graph, pos):
+        """Give every position in `pos` its row, expanding it if need be."""
+        index = graph.index
+        self._sync(index)
+        new = pos[self.start[pos] < 0].tolist()
+        if not new:
+            return
+        neighbors, weights, vertices = index.neighbors, index.weights, index.vertices
+        for i in new:
+            if neighbors[i] is None:
+                index.expand(graph, vertices[i])
+        self._sync(index)
+        lengths = [len(neighbors[i]) + 1 for i in new]
+        targets = list(chain.from_iterable((i,) + neighbors[i] for i in new))
+        coefs = list(chain.from_iterable((-wdeg,) + ws for ws, wdeg in map(weights.__getitem__, new)))
+        lo, hi = self.used, self.used + len(targets)
+        self.targets = _grown(self.targets, hi, 0)
+        self.coefs = _grown(self.coefs, hi, None)
+        self.targets[lo:hi] = targets
+        self.coefs[lo:hi] = coefs
+        self.start[new] = list(accumulate(lengths[:-1], initial=lo))
+        self.length[new] = lengths
+        self.used = hi
+
+    def floats(self):
+        """(coefficients, measures) as float64, or None where Python would
+        not compute in binary64 with them: once a weight or measure is not an
+        int, float or Fraction, or lies beyond binary64."""
+        if self._floats is None:
+            return None
+        npos, used, measures, coefs = self._floats
+        measures = _float_tail(measures, self.measures, npos, self.npos)
+        coefs = _float_tail(coefs, self.coefs, used, self.used)
+        if measures is None or coefs is None:
+            self._floats = None
+            return None
+        self._floats = (self.npos, self.used, measures, coefs)
+        return coefs, measures
+
+    def divisors(self):
+        """The measures as the exact step divides by them (see `_divisor`),
+        or None once one of them needs `exact_div` itself."""
+        if self._divisors is None:
+            return None
+        lo, divisors = self._divisors
+        if lo == self.npos:
+            return divisors
+        more = [_divisor(m) for m in self.measures[lo:self.npos]]
+        if None in more:
+            self._divisors = None
+            return None
+        divisors = _grown(divisors, self.npos, None)
+        divisors[lo:self.npos] = more
+        self._divisors = (self.npos, divisors)
+        return divisors
+
+
+def _divisor(m):
+    """The measure `m` as the exact step divides by it: `Fraction(m)` for an
+    int or Fraction, `m` for a float, None for any other type or a value
+    beyond binary64.  For an int, Fraction or float total v, v / _divisor(m)
+    is `exact_div(v, m)`, type and bits."""
+    if type(m) not in _PLAIN:
+        return None
+    try:
+        float(m)
+    except OverflowError:
+        return None
+    return m if type(m) is float else Fraction(m)
+
+
+def _float_tail(out, values, lo, hi):
+    """`out` with values[lo:hi] as float64 at lo:hi, or None if one of them
+    is not an int, float or Fraction or does not convert."""
+    if lo == hi:
+        return out
+    part = values[lo:hi]
+    if not set(map(type, part)) <= _PLAIN:
+        return None
+    try:
+        part = part.astype(np.float64)
+    except OverflowError:
+        return None
+    out = _grown(out, hi, 0.0)
+    out[lo:hi] = part
+    return out
+
+
+@np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
+def _step(rows, pos, vals, floats):
+    """(targets, values) of one application to `vals` at positions `pos`.
+
+    The terms w f(x) are put in the loop's order, stably sorted by target,
+    and summed per target left to right; the targets come out in the order
+    the loop first touches them, zeros dropped.  `floats` are the rows'
+    float64 copies for float64 `vals`, else None.
+    """
+    coefs, measures = floats or (rows.coefs, rows.measures)
+    lengths = rows.length[pos]
+    ends = lengths.cumsum()
+    total = int(ends[-1])
+    ramp = np.arange(total)
+    flat = ramp + (rows.start[pos] - ends + lengths).repeat(lengths)
+    terms = coefs[flat] * vals.repeat(lengths)
+    # a stable sort by target: the keys pack (target, place in the loop),
+    # which fits int64 while positions and terms stay below 2^31
+    shift = total.bit_length()
+    keys = rows.targets[flat] << shift | ramp
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    targets = keys >> shift
+    terms = terms[order]
+    edges = np.empty(total + 1, dtype=bool)  # where a target's terms start or end
+    edges[0] = edges[total] = True
+    np.not_equal(targets[1:], targets[:-1], out=edges[1:total])
+    bounds = edges.nonzero()[0]
+    heads = bounds[:-1]
+    fewer = heads - bounds[1:]  # minus each target's term count
+    # most terms first, so that the targets still adding a term form a prefix
+    by_count = fewer.argsort()
+    heads, fewer = heads[by_count], fewer[by_count]
+    acc = np.zeros(len(heads), dtype=terms.dtype)
+    for r, n in enumerate(fewer.searchsorted(-np.arange(-fewer[0])).tolist()):
+        acc[:n] += terms[heads[:n] + r]
+    touch = order[heads].argsort()
+    targets = targets[heads[touch]]
+    if floats is not None:
+        values = acc[touch] / measures[targets]
+    elif set(map(type, acc)) <= _PLAIN and (divisors := rows.divisors()) is not None:
+        values = acc[touch] / divisors[targets]
+    else:
+        values = _exact_div(acc[touch], measures[targets])
+    keep = values != 0
+    return targets[keep], values[keep]
 
 
 def laplacian_at(graph, f, x):
@@ -35,23 +284,35 @@ def apply_laplacian(graph, f):
     total is then divided by the measure of its vertex.  The neighbors come
     from the graph's neighbor index, so `graph.neighbors` runs once per
     support vertex over the graph's lifetime and never on the outer ring.
+    The result is an `IndexedFunction` over that index.
     """
     index = graph.index
-    positions, vertices, neighbors, weights = (
-        index.positions, index.vertices, index.neighbors, index.weights
-    )
-    acc = {}
-    get = acc.get
-    for x, fx in f.items():
-        i = positions.get(x)
-        if i is None or neighbors[i] is None or vertices[i] is not x:
-            i = index.expand(graph, x)
-        ws, wdeg = weights[i]
-        acc[i] = get(i, 0) - wdeg * fx
-        for j, w in zip(neighbors[i], ws):
-            acc[j] = get(j, 0) + w * fx
-    measures = index.measures
-    return LocalFunction({vertices[j]: exact_div(v, measures[j]) for j, v in acc.items()})
+    if index.rows is None:
+        index.rows = KernelRows()
+    rows = index.rows
+    if isinstance(f, IndexedFunction) and f.index is index:
+        pos, vals = f.pos, f.vals
+    else:
+        positions, vertices, neighbors = index.positions, index.vertices, index.neighbors
+        items = list(f.items())
+        pos = []
+        for x, _ in items:
+            i = positions.get(x)
+            if i is None or neighbors[i] is None or vertices[i] is not x:
+                i = index.expand(graph, x)
+            pos.append(i)
+        pos = np.array(pos, dtype=np.intp)
+        vals = _stored([v for _, v in items])
+    if not len(pos):
+        return IndexedFunction(index, pos, vals)
+    rows.fill(graph, pos)
+    floats = None if vals.dtype == object else rows.floats()
+    if floats is None:
+        vals = vals.astype(object)
+    targets, values = _step(rows, pos, vals, floats)
+    if values.dtype == object:
+        values = _stored(values)
+    return IndexedFunction(index, targets, values)
 
 
 class IteratedLaplacianTable:
@@ -83,26 +344,48 @@ def light_cone_iterates(graph, base, depth, distance, reach):
     each iterate is kept there alone.  On the kept set the values are the
     full table's bit for bit: every term a kept vertex receives comes from
     a kept vertex, in the same order.  An iterate is not filtered while the
-    support, spreading one ring a step, still fits in its cone.
+    support, spreading one ring a step, still fits in its cone.  The cut
+    reads an array of distances by index position, each computed once.
     """
-    known = {}
-
-    def dist(x):
-        d = known.get(x)
-        if d is None:
-            d = known[x] = distance(x)
-        return d
-
-    near = max(map(dist, base.support), default=-math.inf)
+    vertices = graph.index.vertices
+    dist = np.empty(0)
+    near = max(map(distance, base.support), default=-math.inf)
     f = base
     out = [f]
     for k in range(1, depth + 1):
         f = apply_laplacian(graph, f)
         bound = reach + depth - k
         if near + k > bound:
-            f = LocalFunction({x: v for x, v in f.items() if dist(x) <= bound})
+            if len(dist) < len(vertices):
+                more = [distance(x) for x in vertices[len(dist):]]
+                dist = np.concatenate((dist, more))
+            f = f.restrict(dist[f.pos] <= bound)
         out.append(f)
     return out
+
+
+def window_values(iterates, vertices, dtype):
+    """Array of `dtype` with rows f(x) for f in `iterates`, columns x in `vertices`.
+
+    The first iterate may be any LocalFunction, the others are
+    `IndexedFunction`s over one index; `vertices` must be distinct.  Each
+    value is converted as `np.array([f(x), ...], dtype)` would convert it,
+    with 0 off a support.
+    """
+    table = np.zeros((len(iterates), len(vertices)), dtype=dtype)
+    table[0] = [iterates[0](x) for x in vertices]
+    if len(iterates) > 1:
+        index = iterates[1].index
+        slot = np.full(len(index.vertices), -1, dtype=np.intp)
+        for j, x in enumerate(vertices):
+            i = index.positions.get(x)
+            if i is not None:
+                slot[i] = j
+        for k, f in enumerate(iterates[1:], 1):
+            s = slot[f.pos]
+            hit = s >= 0
+            table[k, s[hit]] = f.vals[hit]
+    return table
 
 
 def iterated_laplacian(graph, a, k):

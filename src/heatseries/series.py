@@ -11,17 +11,19 @@ truncation order K and its tail bound, which depend on t alone, and the
 weights t^k / k! for k <= K.  For each vertex it keeps a column, the
 coefficients L^k a(x) for k up to the largest K asked of that vertex.  An
 evaluation is one sequential sum of column times weights, in the arithmetic
-of its time: binary64 when t is a Python float, Python objects otherwise.
-At a float time every term but the first is a float whatever the data, since
-Python rounds an int or Fraction coefficient to the nearest double when it
-multiplies it by a float weight, so the binary64 sum gives the bits the
-term-by-term loop gives.  A Fraction time keeps exact data exact.  A column
-is read off the full iterate table on demand, or filled ahead by `prefetch`
-for a whole grid of vertices and times in one pass that computes L^k a only
-where it can still reach those vertices by step K, with the same values.  Both
-caches grow with the distinct times and vertices asked for and live as long
-as the solution.  Like its graph, a solution is filled on demand without
-locks and must not be shared between threads.
+of its time: Python objects when t is a `Fraction`, binary64 otherwise.  An
+int time is summed in binary64 too, since t^k / k! is a float for k >= 1
+when t is an int.  At such a time every term but the first is a float
+whatever the data, since Python rounds an int or Fraction coefficient to the
+nearest double when it multiplies it by a float weight, so the binary64 sum
+gives the bits the term-by-term loop gives.  A Fraction time keeps exact
+data exact.  A column is read off the full iterate table on demand, or
+filled ahead by `prefetch` for a whole grid of vertices and times in one
+pass that computes L^k a only where it can still reach those vertices by
+step K, with the same values.  Both caches grow with the distinct times and
+vertices asked for and live as long as the solution.  Like its graph, a
+solution is filled on demand without locks and must not be shared between
+threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
@@ -47,6 +50,7 @@ from .laplacian import (
     apply_laplacian,
     laplacian_at,
     light_cone_iterates,
+    window_values,
 )
 
 #: Hard cap on the number of series terms per evaluation.
@@ -76,8 +80,8 @@ class SeriesSolution:
     per-vertex coefficient columns.  The graph must report a uniform degree
     bound (all built-in graphs do), since that constant drives the certified
     truncation.  `tol` must be positive and finite in binary64.  The type of
-    the time alone picks the arithmetic of a sum: binary64 when t is a Python
-    float, Python objects otherwise.
+    the time alone picks the arithmetic of a sum: Python objects when t is a
+    `Fraction`, binary64 otherwise.
     """
 
     graph: object
@@ -162,7 +166,7 @@ class SeriesSolution:
             k += 1
             weights.append(weights[-1] * t / k)
             tail_next = tail_next * rho / (k + 1)
-        dtype = np.float64 if type(t) is float else object
+        dtype = object if isinstance(t, Fraction) else np.float64
         return k, bound, np.array(weights, dtype=dtype)
 
     def prefetch(self, vertices, times):
@@ -172,10 +176,11 @@ class SeriesSolution:
         `series_eval` would.  With K the largest truncation order among the
         plans, it computes L^k a only on the light cone of the vertices (see
         `light_cone_iterates`) and stores each vertex's column up to K, with
-        the values the full table gives.  `table` is not extended.
+        the values the full table gives, read off the iterates' arrays for
+        the window vertices alone.  `table` is not extended.
         """
         graph = self.graph
-        vertices = list(vertices)
+        vertices = list(dict.fromkeys(vertices))
         if not vertices:
             return
         for x in vertices:
@@ -189,10 +194,11 @@ class SeriesSolution:
         reach = max(map(distance, vertices))
         iterates = light_cone_iterates(graph, self.initial, big_k, distance, reach)
         for dtype in dtypes:
-            for x in vertices:
-                column = self._columns.get((x, dtype))
-                if column is None or len(column) <= big_k:
-                    self._columns[x, dtype] = np.array([f(x) for f in iterates], dtype=dtype)
+            columns = window_values(iterates, vertices, dtype).T.copy()
+            for x, column in zip(vertices, columns):
+                stored = self._columns.get((x, dtype))
+                if stored is None or len(stored) <= big_k:
+                    self._columns[x, dtype] = column
 
     def _column(self, x, big_k, dtype):
         """L^k a(x) for k <= at least `big_k`, as an array of `dtype`."""

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from heatseries.errors import UnknownVertexError
 from heatseries.graphs import (
+    FiniteGraph,
     IntegerLattice,
     IntegerLine,
     LocalFunction,
     RegularTree,
+    exact_div,
     family_from_spec,
     integer_segment,
     path_graph,
@@ -25,7 +27,9 @@ from heatseries.laplacian import (
     iterated_laplacian,
     key_estimate_bound,
     laplacian_at,
+    light_cone_iterates,
 )
+from heatseries.series import _root_distance
 
 
 def numpy_laplacian(graph):
@@ -323,3 +327,150 @@ class TestSupBounds:
         it = iterated_laplacian(g, a, j)
         for x in g.vertices():
             assert abs(it(x)) <= iterate_sup_bound(g, a, x, j)
+
+
+# -- the array kernel against the dict loop it replaced ----------------------
+
+def naive_laplacian(graph, f):
+    """One application as the plain dict loop: each support vertex in order
+    adds -deg_w f(x) to itself and w f(x) to each neighbour, then every
+    total is divided by its measure and zeros are dropped."""
+    acc = {}
+    for x, fx in f.items():
+        pairs = graph.neighbors(x)
+        wdeg = sum(w for _, w in pairs)
+        acc[x] = acc.get(x, 0) - wdeg * fx
+        for y, w in pairs:
+            acc[y] = acc.get(y, 0) + w * fx
+    return LocalFunction({x: exact_div(v, graph.measure(x)) for x, v in acc.items()})
+
+
+def typed_items(f):
+    """(vertex, type, repr) of every entry in `items()` order: repr tells
+    -0.0 from 0.0 and keeps every bit of a float."""
+    return [(x, type(v), repr(v)) for x, v in f.items()]
+
+
+WEIGHTS = (1, 2, 0.5, 1.25, Fraction(1, 3), Fraction(7, 4))
+MEASURES = (1, 3, 0.5, 2.25, Fraction(2, 3), Fraction(5, 2))
+DATA = {
+    "float": st.sampled_from((1.0, -0.75, 0.1, 3.5e-7, -2.0, 1e300)),
+    "exact": st.sampled_from((1, -2, 5, Fraction(1, 3), Fraction(-7, 5))),
+    "mixed": st.sampled_from((1, -3, 0.25, -1.5, 1e-3, 4)),
+}
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random weighted graph with non-unit measures and data on it."""
+    n = draw(st.integers(1, 7))
+    measures = {i: draw(st.sampled_from(MEASURES)) for i in range(n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(u, v, draw(st.sampled_from(WEIGHTS))) for u, v in chosen]
+    graph = FiniteGraph(measures, edges, root=draw(st.integers(0, n - 1)))
+    support = draw(st.lists(st.integers(0, n - 1), unique=True))
+    values = DATA[draw(st.sampled_from(sorted(DATA)))]
+    return graph, LocalFunction({x: draw(values) for x in support})
+
+
+def assert_kernel_matches_the_loop(graph, f, steps=6, plain=True):
+    want, got = f, f
+    for _ in range(steps):
+        try:
+            want = naive_laplacian(graph, want)
+        except ArithmeticError as exc:  # an int beyond binary64 meets a float
+            with pytest.raises(type(exc), match=str(exc)):
+                apply_laplacian(graph, got)
+            return
+        got = apply_laplacian(graph, got)
+        assert typed_items(got) == typed_items(want)
+        if plain:  # int, float and Fraction inputs give Python scalars
+            assert all(type(v) in (int, float, Fraction) for _, v in got.items())
+        assert len(got) == len(want) and got.support == want.support
+
+
+def assert_cone_matches_the_loop(graph, f, depth, reach):
+    distance = _root_distance(graph)
+    cone = light_cone_iterates(graph, f, depth, distance, reach)
+    assert cone[0] is f
+    want = f
+    for k, got in enumerate(cone[1:], 1):
+        want = naive_laplacian(graph, want)
+        bound = reach + depth - k
+        kept = LocalFunction({x: v for x, v in want.items() if distance(x) <= bound})
+        assert typed_items(got) == typed_items(kept)
+
+
+class TestAgainstTheDictLoop:
+    """Bit for bit, in `items()` order and in type, the dict loop's results."""
+
+    @given(kernel_cases())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_random_graphs(self, case):
+        graph, f = case
+        assert_kernel_matches_the_loop(graph, f)
+
+    @given(kernel_cases(), st.integers(0, 6), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_light_cone_entries(self, case, depth, reach):
+        graph, f = case
+        assert_cone_matches_the_loop(graph, f, depth, reach)
+
+    @pytest.mark.parametrize("spec", KERNEL_GRAPHS)
+    @pytest.mark.parametrize("kind", ("float", "exact", "mixed"))
+    def test_families(self, spec, kind):
+        graph = kernel_graph(spec)
+        rng = random.Random(f"{spec}-{kind}")
+        number = {
+            "float": lambda r: r.uniform(-1.0, 1.0),
+            "exact": lambda r: Fraction(r.randrange(-9, 10), r.randrange(1, 5)),
+            "mixed": lambda r: r.choice((r.randrange(-9, 10), r.uniform(-1.0, 1.0))),
+        }[kind]
+        f = random_data(graph, rng, number)
+        assert_kernel_matches_the_loop(graph, f, steps=5)
+        assert_cone_matches_the_loop(kernel_graph(spec), f, 5, 1)
+
+    @pytest.mark.parametrize("f", (
+        LocalFunction(),
+        # terms that underflow to -0.0 and to 0.0
+        LocalFunction({0: 5e-324, 1: -5e-324, 2: 1e-310}),
+        # overflow to inf, then inf - inf = nan
+        LocalFunction({0: 1e308, 1: -1.7e308, 2: 1e308}),
+        LocalFunction({0: 10 ** 400, 1: 0.5}),
+    ))
+    def test_edge_data(self, f):
+        graph = FiniteGraph({0: 1, 1: 0.5, 2: Fraction(1, 3), 3: 1},
+                            [(0, 1, 0.5), (1, 2, 1.5), (2, 3, Fraction(3, 2))], root=0)
+        with np.errstate(all="raise"):  # the kernel itself stays silent
+            assert_kernel_matches_the_loop(graph, f)
+        if f.sup_norm() < 10 ** 400:
+            assert_cone_matches_the_loop(graph, f, 4, 0)
+
+    def test_support_leaving_the_cone_passes_through(self):
+        graph = FiniteGraph({0: 1, 1: 1, 5: 1, 6: 1}, [(0, 1, 1.0), (5, 6, 1.0)], root=0)
+        cone = light_cone_iterates(graph, LocalFunction({5: 1.0}), 3, _root_distance(graph), 1)
+        assert [len(f) for f in cone] == [1, 0, 0, 0]
+        assert len(apply_laplacian(graph, cone[-1])) == 0
+
+    def test_vertex_equal_to_a_vertex_is_refused(self):
+        z = IntegerLine()
+        with pytest.raises(UnknownVertexError):
+            apply_laplacian(z, LocalFunction({1.0: 1.0}))
+        assert_kernel_matches_the_loop(z, LocalFunction({0: 1.0, 3: 2}), steps=3)
+        with pytest.raises(UnknownVertexError):
+            apply_laplacian(z, LocalFunction({1.0: 1.0}))
+
+    def test_other_numbers_take_the_object_path_and_exact_div(self):
+        # numpy scalars and bools in the graph: Python's arithmetic decides
+        for measure in (2, np.float64(2.0)):
+            graph = FiniteGraph({0: measure, 1: 1, 2: Fraction(1, 2)},
+                                [(0, 1, np.float64(0.5)), (1, 2, True)], root=0)
+            for f in (LocalFunction({1: 1.5, 2: -0.25}), LocalFunction({0: 3, 1: Fraction(1, 3)})):
+                assert_kernel_matches_the_loop(graph, f, steps=4, plain=False)
+            assert graph.index.rows.floats() is None
+        # a measure beyond binary64: exact data divide exactly, float data overflow
+        graph = FiniteGraph({0: 10 ** 400, 1: 1, 2: Fraction(1, 3)}, [(0, 1, 1), (1, 2, 0.5)], root=0)
+        for f in (LocalFunction({1: 2, 2: Fraction(-1, 3)}), LocalFunction({0: 1, 1: 1.5})):
+            assert_kernel_matches_the_loop(graph, f, steps=4)
+        assert graph.index.rows.divisors() is None

@@ -605,6 +605,27 @@ class TestCachedSummation:
                 res = series_eval(shared, x, t)
                 assert res == fresh and type(res.value) is type(fresh.value)
 
+    @pytest.mark.parametrize("name", sorted(SUM_GRAPHS))
+    @pytest.mark.parametrize("kind, exact", [
+        (kind, exact) for kind, (_, exacts) in SUM_DATA.items() for exact in exacts
+    ])
+    def test_int_times_sum_as_float_times(self, name, kind, exact):
+        solution = shared_solution(name, kind, exact)
+        limit = SUM_GRAPHS[name][2]
+        for t in sorted({1, -1, -limit, limit}):
+            plan = outcome(lambda: solution._plan(t))
+            assert isinstance(plan, TruncationFailureError) or plan[2].dtype == np.float64
+            for x in (solution.graph.root, *SUM_GRAPHS[name][1][1:]):
+                as_int = outcome(lambda: series_eval(solution, x, t))
+                as_float = outcome(lambda: series_eval(solution, x, float(t)))
+                assert type(as_int) is type(as_float)
+                if isinstance(as_int, EvalResult):
+                    assert type(as_int.value) is type(as_float.value) is float
+                    assert repr(as_int.value) == repr(as_float.value)
+                    assert as_int[1:] == as_float[1:]
+                else:
+                    assert repr(as_int) == repr(as_float)
+
     @pytest.mark.parametrize("t", (math.nan, math.inf, -math.inf, Fraction(10 ** 400)))
     def test_non_finite_time_refused(self, t):
         sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))

@@ -49,6 +49,14 @@ def _k2(mu, w):
 
 _ISOLATED_ROOT = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
 
+# a path 0-1-2-3-4 with the chord 1-3, measures and weights off 1
+_WEIGHED = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": mu} for i, mu in enumerate((0.5, 2, 1.5, 3, 0.25))],
+    "edges": [{"u": u, "v": v, "w": w}
+              for u, v, w in ((0, 1, 0.75), (1, 2, 1.25), (2, 3, 2), (3, 4, 0.5), (1, 3, 1.5))],
+}
+
 #: Input files of the edge cases, written to their batch directory.
 EDGE_FILES = {
     "disconnected.json": json.dumps(_DISCONNECTED),
@@ -59,6 +67,8 @@ EDGE_FILES = {
     "isolated-root.json": json.dumps(_ISOLATED_ROOT),
     "heavy-k2.json": json.dumps(_k2(1, 1e308)),
     "light-k2.json": json.dumps(_k2(1e-308, 1)),
+    "near-max.initial.json": json.dumps([[0, 1.7e308], [1, -1.5e308], [3, 1e308]]),
+    "weighed.json": json.dumps(_WEIGHED),
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -122,6 +132,12 @@ EDGE_CASES = (
     ["radius", "--graph", "isolated-root.json"],
     ["radius", "--graph", "heavy-k2.json"],
     ["radius", "--graph", "light-k2.json"],
+    # float iterates that overflow to inf and nan
+    ["solve", "--family", "z", "--initial", "near-max.initial.json", "--rmax", "2"],
+    # exact iterates through the light cone
+    ["solve", "--exact", "--family", "lattice:2", "--t=1/4", "--rmax", "2"],
+    ["backward", "--exact", "--graph", "weighed.json", "--t", "1/10", "--kmax", "4",
+     "--rmax", "2"],
 )
 
 
