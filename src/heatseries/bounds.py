@@ -270,9 +270,9 @@ def fit_degree_growth(graph, rmax):
     dist = root_distances(graph, rmax)
     degs = {x: graph.deg(x) for x in dist}
     cap = float(max(degs[x] for x, d in dist.items() if d <= 1))
-    if not 0 < cap < math.inf:
-        why = f"the root {graph.root!r} has no edges" if cap == 0 else "Deg overflows binary64"
-        raise GrowthFitError(f"fitted degree cap {cap!r} is not positive and finite: {why}")
+    if cap == 0:
+        raise GrowthFitError(f"fitted degree cap {cap!r} is not positive and finite: "
+                             f"the root {graph.root!r} has no edges")
     for power in EXPONENT_GRID:
         growth = DegreeGrowth(cap, power)
         if all(degs[x] <= growth.envelope(d) for x, d in dist.items()):

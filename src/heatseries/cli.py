@@ -28,6 +28,7 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     family_from_spec,
+    float_or_inf,
     integer_segment,
     load_graph,
     number_problem,
@@ -315,7 +316,7 @@ def _eval_rows(solution, vertices, times, sign):
                 {
                     "vertex": _jsonable_vertex(x),
                     "t": float(t),
-                    "value": float(res.value),
+                    "value": float_or_inf(res.value),
                     "tail_bound": res.tail_bound,
                     "K_used": res.terms_used,
                 }
@@ -335,7 +336,7 @@ def _cmd_laplacian(args, config):
         entry = table.entry(k)
         for x in sorted(entry.support, key=vertex_key):
             rows.append(
-                {"k": k, "vertex": _jsonable_vertex(x), "value": float(entry(x))}
+                {"k": k, "vertex": _jsonable_vertex(x), "value": float_or_inf(entry(x))}
             )
     return {"values": rows}, True, rows
 

@@ -39,6 +39,11 @@ def vertex_key(x):
     return repr(x)
 
 
+#: The types a graph's measures and weights, and a kernel's function
+#: values, may have: exactly these, so no bool or numpy scalar.
+NUMBER_TYPES = frozenset((int, float, Fraction))
+
+
 def number_problem(value):
     """Why `value` is not a real number finite in binary64, or None if it is."""
     if isinstance(value, bool) or not isinstance(value, Real):
@@ -49,6 +54,23 @@ def number_problem(value):
     except OverflowError:  # an int or rational beyond the float range
         pass
     return "non-finite"
+
+
+def float_or_inf(value):
+    """`float(value)`, or inf with the sign of `value` where it lies beyond binary64."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _number_refusal(value):
+    """Why `value` cannot be a graph's measure or weight, or None if it can."""
+    if type(value) not in NUMBER_TYPES:
+        return f"is of type {type(value).__name__}, not int, float or Fraction"
+    if number_problem(value):
+        return "is not finite in binary64"
+    return None if value > 0 else "is nonpositive"
 
 
 class LocalFunction:
@@ -177,6 +199,14 @@ class Graph:
 
     Subclasses provide `neighbors`, membership and, for a non-unit measure,
     `_measure`; the derived queries read the neighbor index.
+
+    The number contract, which `FiniteGraph` checks when it is built and
+    the lazy families meet with int 1 throughout: every measure and weight
+    is exactly an int, float or Fraction (no bool, no numpy scalar),
+    positive and finite in binary64; no measure rounds to 0.0 in binary64;
+    and each vertex's weight sum and Deg = weight sum / measure are finite
+    in binary64.  The Laplacian kernel computes in binary64 or exactly on
+    these numbers alone.
     """
 
     is_finite = False
@@ -298,8 +328,12 @@ class FiniteGraph(Graph):
     """Weighted graph from a vertex -> measure map and (u, v, weight) edges.
 
     Each undirected edge is listed once and its weight charged to both ends,
-    so the graph is symmetric by construction.  Measures and weights must be
-    positive, endpoints and root declared; self-loops and duplicates fail.
+    so the graph is symmetric by construction.  Endpoints and root must be
+    declared; self-loops and duplicates fail.  Construction is where the
+    numbers are checked against the `Graph` contract: a GraphSchemaError
+    names the vertex or edge whose measure, weight, weight sum or Deg breaks
+    it.  Each weight sum is taken in neighbor order, as the neighbor index
+    takes it, and the largest Deg is kept as the uniform degree bound.
     """
 
     is_finite = True
@@ -308,16 +342,18 @@ class FiniteGraph(Graph):
         super().__init__(root)
         mu = self._mu = dict(measures)
         for x, m in mu.items():
-            if not m > 0:
-                raise GraphSchemaError(f"nonpositive measure {m} at vertex {x!r}")
+            why = _number_refusal(m) or ("rounds to 0.0 in binary64" if float(m) == 0 else None)
+            if why:
+                raise GraphSchemaError(f"measure {m!r} at vertex {x!r} {why}")
         adj = {x: {} for x in mu}
         for u, v, w in edges:
             if u == v:
                 raise GraphSchemaError(f"self-loop at vertex {u!r}")
             if u not in mu or v not in mu:
                 raise GraphSchemaError(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
-            if not w > 0:
-                raise GraphSchemaError(f"nonpositive weight {w} on edge ({u!r}, {v!r})")
+            why = _number_refusal(w)
+            if why:
+                raise GraphSchemaError(f"weight {w!r} on edge ({u!r}, {v!r}) {why}")
             if v in adj[u]:
                 raise GraphSchemaError(f"duplicate edge ({u!r}, {v!r})")
             adj[u][v] = w
@@ -325,7 +361,17 @@ class FiniteGraph(Graph):
         if root not in mu:
             raise UnknownVertexError(f"root {root!r} is not a vertex")
         self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
-        self._max_deg = None
+        degs = []
+        for x, pairs in self._nbrs.items():
+            total = sum(w for _, w in pairs)
+            if number_problem(total):
+                raise GraphSchemaError(f"weight sum at vertex {x!r} is not finite in binary64")
+            deg = exact_div(total, mu[x])
+            if number_problem(deg):
+                raise GraphSchemaError(
+                    f"Deg = weight sum / measure at vertex {x!r} is not finite in binary64")
+            degs.append(deg)
+        self._max_deg = max(degs, default=0)
 
     def vertices(self):
         return tuple(sorted(self._mu))
@@ -346,8 +392,6 @@ class FiniteGraph(Graph):
         return self._mu[x]
 
     def uniform_degree_bound(self):
-        if self._max_deg is None:
-            self._max_deg = max((self.deg(x) for x in self._mu), default=0)
         return self._max_deg
 
 
@@ -562,22 +606,14 @@ def _vertex_id(value, rec):
     return value
 
 
-def _positive(rec, key, what):
-    """`rec[key]` if it is a positive real number finite in binary64."""
-    value = rec[key]
-    problem = number_problem(value) or (None if value > 0 else "nonpositive")
-    if problem:
-        raise GraphSchemaError(f"{problem} {what} record {rec!r}")
-    return value
-
-
 def load_graph(source, exact=False):
     """Load a finite graph from its JSON description.
 
     Schema: {"root": id, "vertices": [{"id": int, "mu": num}, ...],
     "edges": [{"u": id, "v": id, "w": num}, ...]} with every undirected edge
     listed exactly once.  With exact=True, numeric literals are parsed as
-    rationals so downstream arithmetic stays exact.
+    rationals so downstream arithmetic stays exact.  The measures and
+    weights are checked by `FiniteGraph`, against the `Graph` number contract.
 
     `source` may be a path, a JSON string, or an already-parsed mapping.
     """
@@ -608,7 +644,7 @@ def load_graph(source, exact=False):
         vid = _vertex_id(rec["id"], rec)
         if vid in mu:
             raise GraphSchemaError(f"duplicate vertex id {vid!r}")
-        mu[vid] = _positive(rec, "mu", "measure in vertex")
+        mu[vid] = rec["mu"]
 
     seen = set()
     edges = []
@@ -620,7 +656,6 @@ def load_graph(source, exact=False):
             raise GraphSchemaError(f"self-loop in edge record {rec!r}")
         if u not in mu or v not in mu:
             raise GraphSchemaError(f"dangling vertex id in edge record {rec!r}")
-        w = _positive(rec, "w", "weight in edge")
         key = frozenset((u, v))
         if key in seen:
             raise GraphSchemaError(
@@ -628,7 +663,7 @@ def load_graph(source, exact=False):
                 "(each undirected edge must appear exactly once)"
             )
         seen.add(key)
-        edges.append((u, v, w))
+        edges.append((u, v, rec["w"]))
 
     root = _vertex_id(doc["root"], {"root": doc["root"]})
     if root not in mu:

@@ -13,14 +13,15 @@ values, the same types and the same order of `items()`.  The step sums each
 target's terms left to right, one term per target at a time, never with a
 pairwise `reduce`, so a float total rounds exactly as the loop rounds it.
 
-An iterate's values are stored as float64 when every value is a Python
-float, since Python then computes in binary64 whatever the int, float or
-Fraction weights and measures.  Otherwise (int, Fraction or mixed data, or a
-graph with weights of another type) they are stored as Python objects, and
-the same step runs on the original weights with Python's own arithmetic; a
-total is divided by `Fraction(m)` for a rational measure m, which gives
-`exact_div`'s result, and by `exact_div` itself where a type other than
-int, float and Fraction takes part or a measure lies beyond binary64.
+The step has two arithmetics.  The graph's numbers obey the `Graph`
+contract (int, float or Fraction, finite in binary64) and a function's
+values must be ints, floats or Fractions too.  When every value is a Python
+float, Python computes in binary64 whatever the weights and measures are,
+so the values are stored as float64 and the step runs on float64 copies of
+the weights and measures.  Otherwise (int, Fraction or mixed data) they are
+stored as Python objects and the step runs on the original weights with
+Python's own arithmetic, dividing each total by `Fraction(m)` for a rational
+measure m and by m itself for a float, which is `exact_div`'s result.
 numpy's floating-point warnings are off inside the step: an overflow gives
 inf or nan silently, as Python floats do.
 """
@@ -33,13 +34,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .graphs import LocalFunction, exact_div
-
-#: Types whose binary64 arithmetic with a Python float is that of numpy.
-_PLAIN = frozenset((int, float, Fraction))
-
-#: `exact_div` elementwise over object arrays.
-_exact_div = np.frompyfunc(exact_div, 2, 1)
+from .graphs import NUMBER_TYPES, LocalFunction, exact_div
 
 
 class IndexedFunction(LocalFunction):
@@ -76,9 +71,18 @@ class IndexedFunction(LocalFunction):
         return IndexedFunction(self.index, self.pos[keep], self.vals[keep])
 
 
-def _stored(values):
-    """The numbers `values` as float64 if all are Python floats, else as objects."""
-    return np.array(values, dtype=np.float64 if all(type(v) is float for v in values) else object)
+def _stored(values, items=()):
+    """The numbers `values` as float64 if all are Python floats, else as objects.
+
+    A value of another type than int, float and Fraction is refused with a
+    TypeError naming its vertex, found among the (vertex, value) `items`.
+    """
+    kinds = set(map(type, values))
+    if not kinds <= NUMBER_TYPES:
+        x, v = next((x, v) for x, v in items if type(v) not in NUMBER_TYPES)
+        raise TypeError(f"value {v!r} at vertex {x!r} is of type {type(v).__name__}, "
+                        "not int, float or Fraction")
+    return np.array(values, dtype=np.float64 if kinds <= {float} else object)
 
 
 def _grown(a, n, fill):
@@ -111,7 +115,7 @@ class KernelRows:
         self.measures = np.empty(0, dtype=object)
         self.targets = np.empty(0, dtype=np.intp)
         self.coefs = np.empty(0, dtype=object)
-        # converted positions and entries, float measures and coefficients
+        # converted entries and positions, float coefficients and measures
         self._floats = (0, 0, np.empty(0), np.empty(0))
         self._divisors = (0, np.empty(0, dtype=object))
 
@@ -151,79 +155,39 @@ class KernelRows:
         self.used = hi
 
     def floats(self):
-        """(coefficients, measures) as float64, or None where Python would
-        not compute in binary64 with them: once a weight or measure is not an
-        int, float or Fraction, or lies beyond binary64."""
-        if self._floats is None:
-            return None
-        npos, used, measures, coefs = self._floats
-        measures = _float_tail(measures, self.measures, npos, self.npos)
-        coefs = _float_tail(coefs, self.coefs, used, self.used)
-        if measures is None or coefs is None:
-            self._floats = None
-            return None
-        self._floats = (self.npos, self.used, measures, coefs)
+        """(coefficients, measures) as float64."""
+        used, npos, coefs, measures = self._floats
+        if (used, npos) != (self.used, self.npos):
+            coefs = _grown(coefs, self.used, 0.0)
+            coefs[used:self.used] = self.coefs[used:self.used]
+            measures = _grown(measures, self.npos, 0.0)
+            measures[npos:self.npos] = self.measures[npos:self.npos]
+            self._floats = (self.used, self.npos, coefs, measures)
         return coefs, measures
 
     def divisors(self):
-        """The measures as the exact step divides by them (see `_divisor`),
-        or None once one of them needs `exact_div` itself."""
-        if self._divisors is None:
-            return None
-        lo, divisors = self._divisors
-        if lo == self.npos:
-            return divisors
-        more = [_divisor(m) for m in self.measures[lo:self.npos]]
-        if None in more:
-            self._divisors = None
-            return None
-        divisors = _grown(divisors, self.npos, None)
-        divisors[lo:self.npos] = more
-        self._divisors = (self.npos, divisors)
+        """The measures as the exact step divides by them: a float m as it
+        is, an int or Fraction m as `Fraction(m)`.  For an int, float or
+        Fraction total v, v / divisor is `exact_div(v, m)`, type and bits."""
+        npos, divisors = self._divisors
+        if npos != self.npos:
+            divisors = _grown(divisors, self.npos, None)
+            divisors[npos:self.npos] = [m if type(m) is float else Fraction(m)
+                                        for m in self.measures[npos:self.npos]]
+            self._divisors = (self.npos, divisors)
         return divisors
 
 
-def _divisor(m):
-    """The measure `m` as the exact step divides by it: `Fraction(m)` for an
-    int or Fraction, `m` for a float, None for any other type or a value
-    beyond binary64.  For an int, Fraction or float total v, v / _divisor(m)
-    is `exact_div(v, m)`, type and bits."""
-    if type(m) not in _PLAIN:
-        return None
-    try:
-        float(m)
-    except OverflowError:
-        return None
-    return m if type(m) is float else Fraction(m)
-
-
-def _float_tail(out, values, lo, hi):
-    """`out` with values[lo:hi] as float64 at lo:hi, or None if one of them
-    is not an int, float or Fraction or does not convert."""
-    if lo == hi:
-        return out
-    part = values[lo:hi]
-    if not set(map(type, part)) <= _PLAIN:
-        return None
-    try:
-        part = part.astype(np.float64)
-    except OverflowError:
-        return None
-    out = _grown(out, hi, 0.0)
-    out[lo:hi] = part
-    return out
-
-
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
-def _step(rows, pos, vals, floats):
+def _step(rows, pos, vals):
     """(targets, values) of one application to `vals` at positions `pos`.
 
     The terms w f(x) are put in the loop's order, stably sorted by target,
     and summed per target left to right; the targets come out in the order
-    the loop first touches them, zeros dropped.  `floats` are the rows'
-    float64 copies for float64 `vals`, else None.
+    the loop first touches them, zeros dropped.  float64 `vals` are stepped
+    on the rows' float64 copies, object `vals` on the original numbers.
     """
-    coefs, measures = floats or (rows.coefs, rows.measures)
+    coefs, divisors = (rows.coefs, rows.divisors()) if vals.dtype == object else rows.floats()
     lengths = rows.length[pos]
     ends = lengths.cumsum()
     total = int(ends[-1])
@@ -252,12 +216,7 @@ def _step(rows, pos, vals, floats):
         acc[:n] += terms[heads[:n] + r]
     touch = order[heads].argsort()
     targets = targets[heads[touch]]
-    if floats is not None:
-        values = acc[touch] / measures[targets]
-    elif set(map(type, acc)) <= _PLAIN and (divisors := rows.divisors()) is not None:
-        values = acc[touch] / divisors[targets]
-    else:
-        values = _exact_div(acc[touch], measures[targets])
+    values = acc[touch] / divisors[targets]
     keep = values != 0
     return targets[keep], values[keep]
 
@@ -284,7 +243,8 @@ def apply_laplacian(graph, f):
     total is then divided by the measure of its vertex.  The neighbors come
     from the graph's neighbor index, so `graph.neighbors` runs once per
     support vertex over the graph's lifetime and never on the outer ring.
-    The result is an `IndexedFunction` over that index.
+    The result is an `IndexedFunction` over that index.  A value of `f` that
+    is not an int, float or Fraction is refused with a TypeError.
     """
     index = graph.index
     if index.rows is None:
@@ -302,14 +262,11 @@ def apply_laplacian(graph, f):
                 i = index.expand(graph, x)
             pos.append(i)
         pos = np.array(pos, dtype=np.intp)
-        vals = _stored([v for _, v in items])
+        vals = _stored([v for _, v in items], items)
     if not len(pos):
         return IndexedFunction(index, pos, vals)
     rows.fill(graph, pos)
-    floats = None if vals.dtype == object else rows.floats()
-    if floats is None:
-        vals = vals.astype(object)
-    targets, values = _step(rows, pos, vals, floats)
+    targets, values = _step(rows, pos, vals)
     if values.dtype == object:
         values = _stored(values)
     return IndexedFunction(index, targets, values)

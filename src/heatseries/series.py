@@ -44,7 +44,7 @@ import numpy as np
 
 from .bounds import exp_or_inf, root_distances, xlnx
 from .errors import DegreeBoundError, RadiusExceededError, TruncationFailureError
-from .graphs import LocalFunction, number_problem, vertex_key
+from .graphs import LocalFunction, float_or_inf, number_problem, vertex_key
 from .laplacian import (
     IteratedLaplacianTable,
     apply_laplacian,
@@ -313,7 +313,7 @@ def _envelope_points(table, order, dist, base, kmax):
         entry = table.entry(k)
         base_k = _power_or_inf(base, k)
         for x in order:
-            yield k, x, abs(float(entry(x))), base_k, dist[x]
+            yield k, x, abs(float_or_inf(entry(x))), base_k, dist[x]
 
 
 @dataclass

@@ -23,7 +23,7 @@ from heatseries.bounds import (
     stirling_lower_holds,
     xlnx,
 )
-from heatseries.errors import GrowthFitError
+from heatseries.errors import GraphSchemaError, GrowthFitError
 from heatseries.graphs import (
     FiniteGraph,
     IntegerLine,
@@ -297,15 +297,17 @@ class TestFits:
         assert growth.envelope(0) >= 9
         assert growth.envelope(1) >= 1
 
-    @pytest.mark.parametrize("measure, weight, why", [
-        (1, None, "the root 0 has no edges"),
-        (1e-308, 1e308, "Deg overflows binary64"),
+    @pytest.mark.parametrize("measure, weight, error, message", [
+        (1, None, GrowthFitError,
+         "fitted degree cap .* is not positive and finite: the root 0 has no edges"),
+        # a Deg beyond binary64 is refused when the graph is built
+        (1e-308, 1e308, GraphSchemaError,
+         "Deg = weight sum / measure at vertex 0 is not finite in binary64"),
     ])
-    def test_degree_cap_outside_binary64_refused_by_name(self, measure, weight, why):
+    def test_degree_cap_outside_binary64_refused_by_name(self, measure, weight, error, message):
         edges = [] if weight is None else [(0, 1, weight)]
-        graph = FiniteGraph({0: measure, 1: measure}, edges, 0)
-        with pytest.raises(GrowthFitError, match=f"^fitted degree cap .* is not positive and finite: {why}$"):
-            fit_degree_growth(graph, 2)
+        with pytest.raises(error, match=f"^{message}$"):
+            fit_degree_growth(FiniteGraph({0: measure, 1: measure}, edges, 0), 2)
 
     def test_grid_declared(self):
         assert EXPONENT_GRID[0] == 0.0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -570,6 +571,22 @@ class TestSchemaErrors:
         assert code == 2
         assert "non-finite value" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["solve", "backward", "radius", "laplacian"])
+    @pytest.mark.parametrize("mu, w, message", [
+        # the measure 1e-400 rounds to 0.0; Deg = 1e300 / 1e-300 lies beyond binary64
+        ("1e-400", "1", r"measure Fraction\(1, 10+\) at vertex 1 rounds to 0.0 in binary64"),
+        ("1e-300", "1e300", "Deg = weight sum / measure at vertex 1 is not finite in binary64"),
+    ])
+    def test_exact_graph_numbers_beyond_binary64_exit2(self, tmp_path, capsys, command, mu, w,
+                                                       message):
+        path = tmp_path / "g.json"
+        path.write_text('{"root": 0, "vertices": [{"id": 0, "mu": 1}, {"id": 1, "mu": %s}], '
+                        '"edges": [{"u": 0, "v": 1, "w": %s}]}' % (mu, w))
+        code = main([command, "--graph", str(path), "--exact"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(f"error: {message}\n", err)
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -685,6 +702,29 @@ class TestExactMode:
             for x in range(-k, k + 1)
         }
         assert values == expected
+
+    def test_iterates_beyond_binary64_report_signed_inf(self, tmp_path, capsys):
+        init = tmp_path / "a.json"
+        init.write_text("[[0, 1e300]]")
+        argv = ["laplacian", "--family", "z", "--kmax", "20", "--initial", str(init)]
+        reports = []
+        for exact in ([], ["--exact"]):
+            assert main(argv + exact) == 0
+            reports.append(json.loads(capsys.readouterr().out)["results"]["values"])
+        # as in float mode, where these iterates overflow
+        infinite = [[(r["k"], r["vertex"], r["value"]) for r in rows
+                     if r["value"] in ("inf", "-inf")] for rows in reports]
+        assert infinite[0] and infinite[1] == infinite[0]
+
+    def test_backward_audit_beyond_binary64_inconclusive(self, tmp_path, capsys):
+        init = tmp_path / "a.json"
+        init.write_text("[[0, 1e300]]")
+        code, out = run(["backward", "--family", "z", "--exact", "--kmax", "20", "--rmax", "1",
+                         "--t=1/1000", "--initial", str(init)], capsys)
+        assert code == 1
+        results = json.loads(out)["results"]
+        assert results["solvability"]["note"] == "an audited iterate is not finite in binary64"
+        assert all(math.isfinite(row["value"]) for row in results["evaluations"])
 
 
 def _table_value_types(monkeypatch, argv, initial, capsys, tmp_path):

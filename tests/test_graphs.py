@@ -1,9 +1,11 @@
 import contextlib
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from heatseries.bounds import root_distances
@@ -321,6 +323,51 @@ class TestWeightsSymmetry:
     def test_edge_weight_is_charged_to_both_ends(self):
         g = FiniteGraph({0: 1, 1: 2}, [(0, 1, 3)], 0)
         assert g.weight(0, 1) == g.weight(1, 0) == 3
+
+
+class TestNumberContract:
+    """FiniteGraph refuses, by vertex or edge, every number outside the contract."""
+
+    @pytest.mark.parametrize("measures, edges, message", [
+        ({0: 1, 1: 1}, [(0, 1, np.float64(1.0))],
+         r"weight .* on edge \(0, 1\) is of type float64, not int, float or Fraction"),
+        ({0: 1, 1: 1}, [(0, 1, True)], r"weight True on edge \(0, 1\) is of type bool, "),
+        ({0: 1, 1: "1"}, [], "measure '1' at vertex 1 is of type str, "),
+        ({0: 1, 1: np.float64(2.0)}, [], "measure .* at vertex 1 is of type float64, "),
+        ({0: 1, 1: 10 ** 400}, [], "measure 10+ at vertex 1 is not finite in binary64"),
+        ({0: 1, 1: math.nan}, [], "measure nan at vertex 1 is not finite in binary64"),
+        ({0: 1, 1: 1}, [(0, 1, math.inf)], r"weight inf on edge \(0, 1\) is not finite"),
+        ({0: 1, 1: 0}, [], "measure 0 at vertex 1 is nonpositive"),
+        ({0: 1, 1: 1}, [(0, 1, Fraction(-1, 2))], r"weight Fraction\(-1, 2\) on edge \(0, 1\) is nonpositive"),
+        ({0: 1, 1: Fraction(1, 10 ** 400)}, [],
+         r"measure Fraction\(1, 10+\) at vertex 1 rounds to 0.0 in binary64"),
+        ({0: 1, 1: 1, 2: 1}, [(0, 1, 10 ** 308), (0, 2, 10 ** 308)],
+         "weight sum at vertex 0 is not finite in binary64"),
+        ({0: 1e-308, 1: 1}, [(0, 1, 1e308)],
+         "Deg = weight sum / measure at vertex 0 is not finite in binary64"),
+        ({0: 1, 1: Fraction(1, 10 ** 300)}, [(0, 1, 10 ** 300)],
+         "Deg = weight sum / measure at vertex 1 is not finite in binary64"),
+    ])
+    def test_refused_by_name(self, measures, edges, message):
+        with pytest.raises(GraphSchemaError, match=f"^{message}"):
+            FiniteGraph(measures, edges, 0)
+
+    def test_edges_of_binary64_pass(self):
+        # a subnormal measure, and a Deg and a weight sum at the binary64 maximum
+        g = FiniteGraph({0: Fraction(1, 10 ** 310), 1: 1, 2: 1},
+                        [(0, 1, Fraction(1, 10 ** 10)), (1, 2, 1.7e308)], 2)
+        assert g.deg(0) == Fraction(10 ** 300)
+        assert g.deg(1) == g.deg(2) == g.uniform_degree_bound() == 1.7e308
+        assert FiniteGraph({0: 1e-308, 1: 1e-308}, [(0, 1, 1)], 0).deg(0) == 1e308
+
+    @pytest.mark.parametrize("order", ([0, 1, 2, 3], [2, 3, 0, 1]))
+    def test_degree_bound_is_the_first_largest_deg(self, order):
+        # Deg 2 at 0 and 1 as a Fraction, at 2 as a float: the first one counts
+        measures = {0: 1, 1: 1, 2: 0.5, 3: 1}
+        g = FiniteGraph({x: measures[x] for x in order}, [(0, 1, 2), (2, 3, 1.0)], 0)
+        want = max(g.deg(x) for x in order)
+        bound = g.uniform_degree_bound()
+        assert (bound, type(bound)) == (want, type(want))
 
 
 class TestLocalFunction:

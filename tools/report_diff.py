@@ -49,6 +49,14 @@ def _k2(mu, w):
 
 _ISOLATED_ROOT = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
 
+
+def _k2_text(mu, w):
+    """A two-vertex document with measures 1 and `mu`, written as JSON literals
+    that an exact parse keeps apart from their binary64 roundings."""
+    return ('{"root": 0, "vertices": [{"id": 0, "mu": 1}, {"id": 1, "mu": %s}], '
+            '"edges": [{"u": 0, "v": 1, "w": %s}]}' % (mu, w))
+
+
 # a path 0-1-2-3-4 with the chord 1-3, measures and weights off 1
 _WEIGHED = {
     "root": 0,
@@ -69,6 +77,10 @@ EDGE_FILES = {
     "light-k2.json": json.dumps(_k2(1e-308, 1)),
     "near-max.initial.json": json.dumps([[0, 1.7e308], [1, -1.5e308], [3, 1e308]]),
     "weighed.json": json.dumps(_WEIGHED),
+    # under --exact: a measure that rounds to 0.0, a Deg beyond binary64
+    "tiny-measure.json": _k2_text("1e-400", "1"),
+    "heavy-deg.json": _k2_text("1e-300", "1e300"),
+    "big.initial.json": json.dumps([[0, 1e300]]),
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -138,6 +150,15 @@ EDGE_CASES = (
     ["solve", "--exact", "--family", "lattice:2", "--t=1/4", "--rmax", "2"],
     ["backward", "--exact", "--graph", "weighed.json", "--t", "1/10", "--kmax", "4",
      "--rmax", "2"],
+    # graph numbers outside binary64, refused when the graph is built
+    ["solve", "--exact", "--graph", "tiny-measure.json"],
+    ["radius", "--exact", "--graph", "tiny-measure.json"],
+    ["solve", "--exact", "--graph", "heavy-deg.json"],
+    ["radius", "--exact", "--graph", "heavy-deg.json"],
+    # exact iterates beyond binary64, reported as signed inf
+    ["laplacian", "--family", "z", "--exact", "--kmax", "20", "--initial", "big.initial.json"],
+    ["backward", "--family", "z", "--exact", "--kmax", "20", "--rmax", "1", "--t=1/1000",
+     "--initial", "big.initial.json"],
 )
 
 
