@@ -308,14 +308,16 @@ def _eval_rows(solution, vertices, times, sign):
     """
     signed = [sign * t for t in times]
     solution.prefetch(vertices, signed)
+    stamps = list(zip(map(float, times), signed))
     rows = []
     for x in vertices:
-        for t, s in zip(times, signed):
+        vertex = _jsonable_vertex(x)
+        for stamp, s in stamps:
             res = series_eval(solution, x, s)
             rows.append(
                 {
-                    "vertex": _jsonable_vertex(x),
-                    "t": float(t),
+                    "vertex": vertex,
+                    "t": stamp,
                     "value": float_or_inf(res.value),
                     "tail_bound": res.tail_bound,
                     "K_used": res.terms_used,

@@ -73,6 +73,19 @@ def _number_refusal(value):
     return None if value > 0 else "is nonpositive"
 
 
+def _brief(value):
+    """`repr(value)`, or for a long one a short form: an int or Fraction by
+    its type and order of magnitude, anything else cut to 24 characters."""
+    text = repr(value)
+    if len(text) <= 32:
+        return text
+    if type(value) in (int, Fraction):
+        sign = "-" if value < 0 else ""
+        exponent = round(math.log10(abs(value.numerator)) - math.log10(value.denominator))
+        return f"~{sign}1e{exponent:+d} ({type(value).__name__})"
+    return f"{text[:24]}... ({type(value).__name__})"
+
+
 class LocalFunction:
     """Finitely supported real-valued vertex function.
 
@@ -135,13 +148,15 @@ class NeighborIndex:
     Position i holds vertex `vertices[i]` and its measure.  Once the vertex
     is expanded, `neighbors[i]` holds the positions of its neighbors and
     `weights[i]` the pair (edge weights in the same order, their sum).
-    Equal weight pairs are stored once.  A vertex gets a position when it is
-    expanded or first seen as a neighbor of an expanded vertex, so every
-    vertex in the index is a vertex of the graph and `Graph.neighbors` runs
-    at most once per vertex.  The index holds no reference to its graph: a
-    graph and its index are freed together without waiting for the cycle
-    collector.  `rows` holds the Laplacian kernel's arrays over the index
-    (`laplacian.KernelRows`), made by the first kernel step on the graph.
+    Pairs of equal weights are stored once, told apart by the types of the
+    weights on a graph with `mixed_weights`.  A vertex gets a position when
+    it is expanded or first seen as a neighbor of an expanded vertex, so
+    every vertex in the index is a vertex of the graph and `Graph.neighbors`
+    runs at most once per vertex.  The index holds no reference to its
+    graph: a graph and its index are freed together without waiting for the
+    cycle collector.  `rows` holds the Laplacian kernel's arrays over the
+    index (`laplacian.KernelRows`), made by the first kernel step on the
+    graph.
     """
 
     __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared", "rows")
@@ -186,9 +201,13 @@ class NeighborIndex:
             j = positions.get(y)
             nbrs.append(self._add(graph, y) if j is None else j)
         ws = tuple(w for _, w in pairs)
-        shared = self._shared.get(ws)
+        # (1, 1) == (1.0, 1.0), but they compute apart; one flat key, since
+        # a tuple of types made and dropped per vertex piles up on CPython's
+        # tuple free list (0.1 MB of peak RSS)
+        key = (ws, *map(type, ws)) if graph.mixed_weights else ws
+        shared = self._shared.get(key)
         if shared is None:
-            shared = self._shared[ws] = (ws, sum(ws))
+            shared = self._shared[key] = (ws, sum(ws))
         self.neighbors[i] = tuple(nbrs)
         self.weights[i] = shared
         return i
@@ -207,9 +226,14 @@ class Graph:
     and each vertex's weight sum and Deg = weight sum / measure are finite
     in binary64.  The Laplacian kernel computes in binary64 or exactly on
     these numbers alone.
+
+    `mixed_weights` says whether the weights may be of more than one type:
+    true unless a subclass knows better, as the lazy families, whose weights
+    are all int 1, and `FiniteGraph`, which looks, do.
     """
 
     is_finite = False
+    mixed_weights = True
 
     def __init__(self, root):
         self.root = root
@@ -344,8 +368,9 @@ class FiniteGraph(Graph):
         for x, m in mu.items():
             why = _number_refusal(m) or ("rounds to 0.0 in binary64" if float(m) == 0 else None)
             if why:
-                raise GraphSchemaError(f"measure {m!r} at vertex {x!r} {why}")
+                raise GraphSchemaError(f"measure {_brief(m)} at vertex {x!r} {why}")
         adj = {x: {} for x in mu}
+        kinds = set()
         for u, v, w in edges:
             if u == v:
                 raise GraphSchemaError(f"self-loop at vertex {u!r}")
@@ -353,14 +378,16 @@ class FiniteGraph(Graph):
                 raise GraphSchemaError(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
             why = _number_refusal(w)
             if why:
-                raise GraphSchemaError(f"weight {w!r} on edge ({u!r}, {v!r}) {why}")
+                raise GraphSchemaError(f"weight {_brief(w)} on edge ({u!r}, {v!r}) {why}")
             if v in adj[u]:
                 raise GraphSchemaError(f"duplicate edge ({u!r}, {v!r})")
             adj[u][v] = w
             adj[v][u] = w
+            kinds.add(type(w))
         if root not in mu:
             raise UnknownVertexError(f"root {root!r} is not a vertex")
         self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
+        self.mixed_weights = len(kinds) > 1
         degs = []
         for x, pairs in self._nbrs.items():
             total = sum(w for _, w in pairs)
@@ -398,6 +425,8 @@ class FiniteGraph(Graph):
 class IntegerLine(Graph):
     """The integers with unit nearest-neighbor weights and unit measure."""
 
+    mixed_weights = False
+
     def __init__(self):
         super().__init__(0)
 
@@ -419,6 +448,8 @@ class IntegerLine(Graph):
 
 class IntegerLattice(Graph):
     """Z^d with unit weights; vertices are integer d-tuples, metric is l1."""
+
+    mixed_weights = False
 
     def __init__(self, dim):
         if int(dim) != dim or dim < 1:
@@ -459,6 +490,8 @@ class RegularTree(Graph):
     branching is labelled 0..k-2 (one edge of each non-base vertex points
     back toward the base).  The metric is the word metric.
     """
+
+    mixed_weights = False
 
     def __init__(self, degree):
         if int(degree) != degree or degree < 2:

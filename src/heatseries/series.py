@@ -6,24 +6,27 @@ chained one-ring estimate, so a returned value is always accompanied by the
 radius of trust around it.  The backward Cauchy problem is the same series
 at negated time.
 
-A solution caches two things.  For each distinct time it keeps a plan: the
+A solution caches three things.  For each distinct time it keeps a plan: the
 truncation order K and its tail bound, which depend on t alone, and the
 weights t^k / k! for k <= K.  For each vertex it keeps a column, the
-coefficients L^k a(x) for k up to the largest K asked of that vertex.  An
-evaluation is one sequential sum of column times weights, in the arithmetic
-of its time: Python objects when t is a `Fraction`, binary64 otherwise.  An
-int time is summed in binary64 too, since t^k / k! is a float for k >= 1
-when t is an int.  At such a time every term but the first is a float
-whatever the data, since Python rounds an int or Fraction coefficient to the
-nearest double when it multiplies it by a float weight, so the binary64 sum
-gives the bits the term-by-term loop gives.  A Fraction time keeps exact
-data exact.  A column is read off the full iterate table on demand, or
-filled ahead by `prefetch` for a whole grid of vertices and times in one
-pass that computes L^k a only where it can still reach those vertices by
-step K, with the same values.  Both caches grow with the distinct times and
-vertices asked for and live as long as the solution.  Like its graph, a
-solution is filled on demand without locks and must not be shared between
-threads.
+coefficients L^k a(x) for k up to the largest K asked of that vertex.  On a
+time's plan it keeps the values of the last grid `prefetch` summed at that
+time, which `series_eval` reads.  Any other evaluation is one sequential sum
+of column times weights, in the arithmetic of its time: Python objects when
+t is a `Fraction`, binary64 otherwise.  An int time is summed in binary64
+too, since t^k / k! is a float for k >= 1 when t is an int.  At such a time
+every term but the first is a float whatever the data, since Python rounds
+an int or Fraction coefficient to the nearest double when it multiplies it
+by a float weight, so the binary64 sum gives the bits the term-by-term loop
+gives.  A Fraction time keeps exact data exact.  A column is read off the
+full iterate table on demand, or filled ahead by `prefetch` for a whole grid
+of vertices and times in one pass that computes L^k a only where it can
+still reach those vertices by step K, with the same values.  It then sums
+the grid, one array accumulate per time that adds each vertex's terms left
+to right as the sequential sum does, so the values are the same too.  The
+caches grow with the distinct times and vertices asked for and live as long
+as the solution.  Like its graph, a solution is filled on demand without
+locks and must not be shared between threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -69,6 +72,21 @@ class EvalResult(NamedTuple):
     value: object
     tail_bound: float
     terms_used: int
+
+
+class _Plan:
+    """The summation at one time: its order `k` = K, tail `bound` and
+    `weights` t^j / j! for j <= K, plus the sums the last `prefetch` of
+    this time made, the value at x being `sums[slots[x]]`."""
+
+    __slots__ = ("k", "bound", "weights", "slots", "sums")
+
+    def __init__(self, k, bound, weights):
+        self.k = k
+        self.bound = bound
+        self.weights = weights
+        self.slots = {}
+        self.sums = None
 
 
 @dataclass
@@ -120,7 +138,7 @@ class SeriesSolution:
         return self._derivative
 
     def _plan(self, t):
-        """(K, tail bound, weights t^k / k! for k <= K) for the time `t`.
+        """The `_Plan` of the time `t`.
 
         Keyed on the type as well as the value, since 0.5 and Fraction(1, 2)
         are equal but sum in different arithmetic.  A time outside a finite
@@ -143,7 +161,7 @@ class SeriesSolution:
         if problem:
             raise ValueError(f"{problem} time {t!r}")
         if t == 0:
-            return 0, 0.0, None
+            return _Plan(0, 0.0, None)
         rho = 2.0 * abs(float(t)) * self._deg_cap
         weights = [1]  # t^k / k!, in the arithmetic of t
         tail_next = self._sup * rho  # T(k+1) for the current k = 0
@@ -167,17 +185,21 @@ class SeriesSolution:
             weights.append(weights[-1] * t / k)
             tail_next = tail_next * rho / (k + 1)
         dtype = object if isinstance(t, Fraction) else np.float64
-        return k, bound, np.array(weights, dtype=dtype)
+        return _Plan(k, bound, np.array(weights, dtype=dtype))
 
     def prefetch(self, vertices, times):
-        """Fill the columns that evaluating `vertices` at `times` will read.
+        """Evaluate the grid `vertices` x `times` ahead of `series_eval`.
 
         Checks every vertex, then plans every time in order, refusing as
         `series_eval` would.  With K the largest truncation order among the
         plans, it computes L^k a only on the light cone of the vertices (see
         `light_cone_iterates`) and stores each vertex's column up to K, with
         the values the full table gives, read off the iterates' arrays for
-        the window vertices alone.  `table` is not extended.
+        the window vertices alone.  `table` is not extended.  Then it sums
+        each distinct time's columns in one accumulate and keeps the values
+        on the time's plan, replacing those of an earlier call: the same
+        operations in the same order as `series_eval`'s single sum, so the
+        same bits, or the same Python objects at a `Fraction` time.
         """
         graph = self.graph
         vertices = list(dict.fromkeys(vertices))
@@ -185,20 +207,26 @@ class SeriesSolution:
             return
         for x in vertices:
             graph.check_vertex(x)
-        plans = [self._plan(t) for t in times]
-        dtypes = {weights.dtype for k, _, weights in plans if k}
-        if not dtypes:
+        plans = [plan for plan in dict.fromkeys(map(self._plan, times)) if plan.k]
+        if not plans:
             return
-        big_k = max(k for k, _, _ in plans)
+        big_k = max(plan.k for plan in plans)
         distance = _root_distance(graph)
         reach = max(map(distance, vertices))
         iterates = light_cone_iterates(graph, self.initial, big_k, distance, reach)
-        for dtype in dtypes:
-            columns = window_values(iterates, vertices, dtype).T.copy()
+        tables = {dtype: window_values(iterates, vertices, dtype).T.copy()
+                  for dtype in {plan.weights.dtype for plan in plans}}
+        del iterates  # freed first, so that making the sums adds no peak memory
+        slots = {x: i for i, x in enumerate(vertices)}
+        for dtype, columns in tables.items():
             for x, column in zip(vertices, columns):
                 stored = self._columns.get((x, dtype))
                 if stored is None or len(stored) <= big_k:
                     self._columns[x, dtype] = column
+            for plan in plans:
+                if plan.weights.dtype == dtype:
+                    plan.slots = slots
+                    plan.sums = _sum_terms(columns[:, : plan.k + 1], plan.weights)
 
     def _column(self, x, big_k, dtype):
         """L^k a(x) for k <= at least `big_k`, as an array of `dtype`."""
@@ -227,9 +255,13 @@ def _root_distance(graph):
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
-def _sum_terms(column, weights):
-    """column[0] w_0 + column[1] w_1 + ..., added strictly left to right."""
-    return np.add.accumulate(column * weights).item(-1)
+def _sum_terms(columns, weights):
+    """column[0] w_0 + column[1] w_1 + ..., added strictly left to right.
+
+    A column gives its sum as a Python number, a matrix of columns by rows
+    gives the list of its rows' sums.
+    """
+    return np.add.accumulate(columns * weights, axis=-1)[..., -1].tolist()
 
 
 def series_eval(solution, x, t):
@@ -239,14 +271,19 @@ def series_eval(solution, x, t):
     T(k) = (2|t| D)^k/k! * sup|a| and ratio q = T(K+2)/T(K+1) < 1/2, drops
     to the solution's tolerance.  Outside a finite certified radius the
     evaluation refuses rather than extrapolate; a time that is not finite
-    in binary64 raises ValueError.
+    in binary64 raises ValueError.  A value `prefetch` made is read, not
+    summed again.
     """
     solution.graph.check_vertex(x)
-    big_k, bound, weights = solution._plan(t)
+    plan = solution._plan(t)
+    big_k = plan.k
     if big_k == 0:
-        return EvalResult(solution.initial(x), bound, 0)
-    column = solution._column(x, big_k, weights.dtype)
-    return EvalResult(_sum_terms(column[: big_k + 1], weights), bound, big_k)
+        return EvalResult(solution.initial(x), plan.bound, 0)
+    slot = plan.slots.get(x)
+    if slot is not None:
+        return EvalResult(plan.sums[slot], plan.bound, big_k)
+    column = solution._column(x, big_k, plan.weights.dtype)
+    return EvalResult(_sum_terms(column[: big_k + 1], plan.weights), plan.bound, big_k)
 
 
 def backward_solve(graph, a, x, t, tol=1e-11):

@@ -334,13 +334,13 @@ class TestNumberContract:
         ({0: 1, 1: 1}, [(0, 1, True)], r"weight True on edge \(0, 1\) is of type bool, "),
         ({0: 1, 1: "1"}, [], "measure '1' at vertex 1 is of type str, "),
         ({0: 1, 1: np.float64(2.0)}, [], "measure .* at vertex 1 is of type float64, "),
-        ({0: 1, 1: 10 ** 400}, [], "measure 10+ at vertex 1 is not finite in binary64"),
+        ({0: 1, 1: 10 ** 400}, [], r"measure ~1e\+400 \(int\) at vertex 1 is not finite in binary64"),
         ({0: 1, 1: math.nan}, [], "measure nan at vertex 1 is not finite in binary64"),
         ({0: 1, 1: 1}, [(0, 1, math.inf)], r"weight inf on edge \(0, 1\) is not finite"),
         ({0: 1, 1: 0}, [], "measure 0 at vertex 1 is nonpositive"),
         ({0: 1, 1: 1}, [(0, 1, Fraction(-1, 2))], r"weight Fraction\(-1, 2\) on edge \(0, 1\) is nonpositive"),
         ({0: 1, 1: Fraction(1, 10 ** 400)}, [],
-         r"measure Fraction\(1, 10+\) at vertex 1 rounds to 0.0 in binary64"),
+         r"measure ~1e-400 \(Fraction\) at vertex 1 rounds to 0.0 in binary64"),
         ({0: 1, 1: 1, 2: 1}, [(0, 1, 10 ** 308), (0, 2, 10 ** 308)],
          "weight sum at vertex 0 is not finite in binary64"),
         ({0: 1e-308, 1: 1}, [(0, 1, 1e308)],
@@ -351,6 +351,19 @@ class TestNumberContract:
     def test_refused_by_name(self, measures, edges, message):
         with pytest.raises(GraphSchemaError, match=f"^{message}"):
             FiniteGraph(measures, edges, 0)
+
+    @pytest.mark.parametrize("measure, weight, names", [
+        (Fraction(1, 10 ** 400), 1, "measure ~1e-400 (Fraction) at vertex 'v7'"),
+        (-10 ** 400, 1, "measure ~-1e+400 (int) at vertex 'v7'"),
+        (Fraction(10 ** 400 + 1, 10 ** 400), 10 ** 400, "weight ~1e+400 (int) on edge (0, 'v7')"),
+        (1, -Fraction(10 ** 500, 3), "weight ~-1e+500 (Fraction) on edge (0, 'v7')"),
+        ("1" * 500, 1, "measure '11111111111111111111111... (str) at vertex 'v7'"),
+    ])
+    def test_refusal_prints_a_long_number_short(self, measure, weight, names):
+        with pytest.raises(GraphSchemaError) as exc:
+            FiniteGraph({0: 1, "v7": measure}, [(0, "v7", weight)], 0)
+        assert str(exc.value).startswith(names)
+        assert len(str(exc.value)) < 100
 
     def test_edges_of_binary64_pass(self):
         # a subnormal measure, and a Deg and a weight sum at the binary64 maximum

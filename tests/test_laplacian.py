@@ -446,6 +446,18 @@ class TestAgainstTheDictLoop:
         if f.sup_norm() < 10 ** 400:
             assert_cone_matches_the_loop(graph, f, 4, 0)
 
+    @pytest.mark.parametrize("first", (1, 4))
+    def test_equal_weights_of_other_types_are_not_shared(self, first):
+        # (1, 1) == (1.0, 1.0), yet vertex 1 computes with ints and 4 with floats
+        graph = FiniteGraph({x: 1 for x in range(6)},
+                            [(0, 1, 1), (1, 2, 1), (3, 4, 1.0), (4, 5, 1.0)], root=0)
+        assert graph.mixed_weights and not path_graph(6).mixed_weights
+        graph.deg(first)
+        assert repr(graph.deg(1)) == repr(Fraction(2))
+        assert repr(graph.deg(4)) == repr(2.0)
+        f = LocalFunction({x: Fraction(1, 3) for x in (first, 5 - first)})
+        assert_kernel_matches_the_loop(graph, f)
+
     def test_support_leaving_the_cone_passes_through(self):
         graph = FiniteGraph({0: 1, 1: 1, 5: 1, 6: 1}, [(0, 1, 1.0), (5, 6, 1.0)], root=0)
         cone = light_cone_iterates(graph, LocalFunction({5: 1.0}), 3, _root_distance(graph), 1)

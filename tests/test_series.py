@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import heatseries.series
 from heatseries.bounds import (
     DegreeGrowth,
     GrowthProfile,
@@ -614,7 +615,7 @@ class TestCachedSummation:
         limit = SUM_GRAPHS[name][2]
         for t in sorted({1, -1, -limit, limit}):
             plan = outcome(lambda: solution._plan(t))
-            assert isinstance(plan, TruncationFailureError) or plan[2].dtype == np.float64
+            assert isinstance(plan, TruncationFailureError) or plan.weights.dtype == np.float64
             for x in (solution.graph.root, *SUM_GRAPHS[name][1][1:]):
                 as_int = outcome(lambda: series_eval(solution, x, t))
                 as_float = outcome(lambda: series_eval(solution, x, float(t)))
@@ -674,17 +675,45 @@ def cone_cases(draw):
         exact = draw(st.booleans())
     values = draw(st.lists(st.sampled_from((1, -3, 5)), min_size=len(support), max_size=len(support)))
     data = LocalFunction({x: Fraction(v, 4) if exact else v / 4 for x, v in zip(support, values)})
+    return graph, data, draw(cone_windows(graph, support)), draw(cone_times(limit))
+
+
+def cone_windows(graph, support):
+    """Up to four vertices near the root or the data."""
     pool = sorted(graph.ball(graph.root, 3).union(*(graph.ball(x, 1) for x in support)), key=repr)
-    window = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def cone_times(draw, limit):
+    """Up to three times of |t| <= limit, int, float or Fraction, and repeats."""
     times = draw(st.lists(
         st.one_of(
-            st.just(0),
+            st.sampled_from((0, -0.0)),
+            st.integers(-int(limit), int(limit)),
             st.floats(min_value=-limit, max_value=limit),
             st.builds(Fraction, st.integers(-int(8 * limit), int(8 * limit)), st.just(8)),
         ),
         min_size=1, max_size=3,
     ))
-    return graph, data, window, times
+    return times + draw(st.lists(st.sampled_from(times), max_size=2))
+
+
+#: Float data this large overflows to inf, then nan, within a few steps.
+HUGE = 2.0 ** 1000
+
+
+@st.composite
+def grid_cases(draw):
+    """A cone case with its float data made huge or not, and a second grid."""
+    graph, data, window, times = draw(cone_cases())
+    tol = 1e-11
+    if all(type(v) is float for _, v in data.items()) and draw(st.booleans()):
+        # a tolerance as large, so that the truncation orders stay small
+        data, tol = data.scale(HUGE), HUGE * 1e-11
+    limit = max(abs(float(t)) for t in times) or 0.1
+    again = draw(cone_windows(graph, data.support)), draw(cone_times(limit))
+    return graph, data, tol, (window, times), again
 
 
 def _typed(column):
@@ -705,13 +734,51 @@ class TestLightCone:
         cone.prefetch(window, times)
         full = SeriesSolution(graph, data)
         assert len(cone.table) == 1
-        dtypes = {p[2].dtype for p in map(cone._plan, times) if p[0]}
+        dtypes = {p.weights.dtype for p in map(cone._plan, times) if p.k}
         assert set(cone._columns) == {(x, d) for x in window for d in dtypes}
         for (x, dtype), column in cone._columns.items():
             assert _typed(column) == _typed(full._column(x, len(column) - 1, dtype))
         for x in window:
             for t in times:
                 assert series_eval(cone, x, t) == series_eval(full, x, t)
+
+    @given(grid_cases())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example((IntegerLine(), LocalFunction({-2: 0.25 * HUGE, 3: -0.75 * HUGE}), HUGE * 1e-11,
+              ([0, 3, -2], [2, -1.5, 2.0, -0.0]), ([1, 3], [Fraction(-3, 2), 2, 0, 1.25])))
+    def test_prefetched_sums_equal_fresh_per_point_sums(self, case):
+        graph, data, tol, *grids = case
+        solution = SeriesSolution(graph, data, tol=tol)
+        fresh = SeriesSolution(graph, data, tol=tol)
+        seen = ([], [])
+        for window, times in grids:
+            solution.prefetch(window, times)
+            seen[0].extend(window)
+            seen[1].extend(times)
+            for x in seen[0]:
+                for t in seen[1]:
+                    got, want = series_eval(solution, x, t), series_eval(fresh, x, t)
+                    assert (type(got.value), repr(got.value)) == (type(want.value), repr(want.value))
+                    assert got[1:] == want[1:]
+
+    def test_a_prefetched_pair_is_read_not_summed(self, monkeypatch):
+        solution = SeriesSolution(IntegerLine(), LocalFunction({0: 1.0, 2: -0.5}))
+        solution.prefetch([0, 1], [0.5, Fraction(1, 4)])
+        calls = []
+        sum_terms = heatseries.series._sum_terms
+
+        def recording(columns, weights):
+            calls.append(columns.shape)
+            return sum_terms(columns, weights)
+
+        monkeypatch.setattr(heatseries.series, "_sum_terms", recording)
+        for x in (0, 1):
+            for t in (0.5, Fraction(1, 4)):
+                series_eval(solution, x, t)
+        assert calls == []
+        series_eval(solution, 2, 0.5)  # a vertex off the window
+        series_eval(solution, 1, -0.5)  # a time off the grid
+        assert len(calls) == 2
 
     def test_finite_graph_walks_from_the_root_once(self, monkeypatch):
         graph = path_graph(2000, root=1000)

@@ -150,6 +150,10 @@ EDGE_CASES = (
     ["solve", "--exact", "--family", "lattice:2", "--t=1/4", "--rmax", "2"],
     ["backward", "--exact", "--graph", "weighed.json", "--t", "1/10", "--kmax", "4",
      "--rmax", "2"],
+    # grids summed ahead: repeated times, 0 beside -0.0, 1/2 beside 0.5
+    ["solve", "--family", "z", "--t=0.5,0,0.5,-0.5,-0.0", "--rmax", "3"],
+    ["solve", "--family", "z", "--t=0.5,1/2,0,0.5,-0.5,-0.0", "--rmax", "3", "--exact"],
+    ["backward", "--graph", "weighed.json", "--t", "0.1,0.05,0.1", "--kmax", "4", "--rmax", "2"],
     # graph numbers outside binary64, refused when the graph is built
     ["solve", "--exact", "--graph", "tiny-measure.json"],
     ["radius", "--exact", "--graph", "tiny-measure.json"],
