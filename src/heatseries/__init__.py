@@ -13,7 +13,6 @@ from .bounds import (
     lagrange_gap_bound,
     radius_estimate,
     remainder_bound,
-    stirling_lower,
     stirling_lower_holds,
 )
 from .counterexample import (
@@ -53,13 +52,11 @@ from .graphs import (
     integer_segment,
     load_graph,
     path_graph,
-    star_graph,
 )
 from .laplacian import (
     IteratedLaplacianTable,
     apply_laplacian,
     iterate_sup_bound,
-    iterated_laplacian,
     key_estimate_bound,
     laplacian_at,
 )

@@ -189,13 +189,6 @@ def decay_envelope(slack, amplitude, k):
     return amplitude * exp_or_inf(-(float(slack) / 3.0) * xlnx(k))
 
 
-def stirling_lower(k):
-    """k^k sqrt(k) / e^k, a lower bound of k! (inf if above float range)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return exp_or_inf(xlnx(k) + 0.5 * math.log(k) - k)
-
-
 def stirling_lower_holds(k):
     """Exact certificate that k! >= k^k sqrt(k) / e^k.
 

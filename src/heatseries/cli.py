@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -25,6 +26,7 @@ from . import counterexample as cx
 from .errors import HeatSeriesError
 from .graphs import (
     LocalFunction,
+    _brief,
     complete_graph,
     cycle_graph,
     family_from_spec,
@@ -170,6 +172,7 @@ def _add_source(parser):
     )
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="heat-series",
@@ -263,7 +266,8 @@ def _resolve_initial(args, graph):
             value = rec[1]
             problem = number_problem(value)
             if problem:
-                raise HeatSeriesError(f"{problem} value in initial-data record {rec!r}")
+                raise HeatSeriesError(
+                    f"{problem} value {_brief(value)} at vertex {x!r} of the initial data")
             values[x] = value if args.exact else float(value)
         return LocalFunction(values), {"initial": args.initial}
     return _unit_delta(graph, args.exact), {"initial": "delta-at-root"}

@@ -582,11 +582,6 @@ def complete_graph(n):
     return _unit_graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def star_graph(leaves):
-    """Hub vertex 0 joined to `leaves` leaf vertices 1..leaves."""
-    return _unit_graph(range(leaves + 1), [(0, i) for i in range(1, leaves + 1)])
-
-
 def integer_segment(half_width):
     """Finite window [-half_width, half_width] of the integer line, rooted at 0."""
     return _unit_graph(range(-half_width, half_width + 1),

@@ -345,11 +345,6 @@ def window_values(iterates, vertices, dtype):
     return table
 
 
-def iterated_laplacian(graph, a, k):
-    """k-fold Laplacian of `a`, computed by successive one-ring applications."""
-    return IteratedLaplacianTable(graph, a).entry(k)
-
-
 def key_estimate_bound(graph, f, x):
     """One-step sup bound: 2 Deg(x) max over the unit ball of |f|.
 

@@ -6,27 +6,25 @@ chained one-ring estimate, so a returned value is always accompanied by the
 radius of trust around it.  The backward Cauchy problem is the same series
 at negated time.
 
-A solution caches three things.  For each distinct time it keeps a plan: the
-truncation order K and its tail bound, which depend on t alone, and the
-weights t^k / k! for k <= K.  For each vertex it keeps a column, the
-coefficients L^k a(x) for k up to the largest K asked of that vertex.  On a
-time's plan it keeps the values of the last grid `prefetch` summed at that
-time, which `series_eval` reads.  Any other evaluation is one sequential sum
-of column times weights, in the arithmetic of its time: Python objects when
-t is a `Fraction`, binary64 otherwise.  An int time is summed in binary64
-too, since t^k / k! is a float for k >= 1 when t is an int.  At such a time
+Besides its iterate table, a solution caches one plan per distinct time:
+the truncation order K and its tail bound, which depend on t alone, the
+weights t^k / k! for k <= K, and the values of the last grid `prefetch`
+summed at that time, which `series_eval` reads.  Any other evaluation is
+one sequential sum of the coefficients L^k a(x), k <= K, read off the full
+iterate table, times the weights, in the arithmetic of its time: Python
+objects when t is a `Fraction`, binary64 otherwise.  An int time is summed
+in binary64 too, since t^k / k! is a float for k >= 1 when t is an int.  At such a time
 every term but the first is a float whatever the data, since Python rounds
 an int or Fraction coefficient to the nearest double when it multiplies it
 by a float weight, so the binary64 sum gives the bits the term-by-term loop
-gives.  A Fraction time keeps exact data exact.  A column is read off the
-full iterate table on demand, or filled ahead by `prefetch` for a whole grid
-of vertices and times in one pass that computes L^k a only where it can
-still reach those vertices by step K, with the same values.  It then sums
-the grid, one array accumulate per time that adds each vertex's terms left
-to right as the sequential sum does, so the values are the same too.  The
-caches grow with the distinct times and vertices asked for and live as long
-as the solution.  Like its graph, a solution is filled on demand without
-locks and must not be shared between threads.
+gives.  A Fraction time keeps exact data exact.  `prefetch` evaluates a
+whole grid of vertices and times in one pass that computes L^k a only where
+it can still reach those vertices by step K, with the values the full
+table gives, and sums it with one array accumulate per time that adds each
+vertex's terms left to right as the sequential sum does, so the values are
+the same too.  The plans grow with the distinct times asked for and live as
+long as the solution.  Like its graph, a solution is filled on demand
+without locks and must not be shared between threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -94,12 +92,12 @@ class SeriesSolution:
     """A series propagator for one graph and one finitely supported datum.
 
     Evaluations at distinct (vertex, time) pairs are independent; they share
-    one coefficient table that extends on demand, the per-time plans and the
-    per-vertex coefficient columns.  The graph must report a uniform degree
-    bound (all built-in graphs do), since that constant drives the certified
-    truncation.  `tol` must be positive and finite in binary64.  The type of
-    the time alone picks the arithmetic of a sum: Python objects when t is a
-    `Fraction`, binary64 otherwise.
+    one coefficient table that extends on demand and the per-time plans,
+    with the sums `prefetch` keeps on them.  The graph must report a uniform
+    degree bound (all built-in graphs do), since that constant drives the
+    certified truncation.  `tol` must be positive and finite in binary64.
+    The type of the time alone picks the arithmetic of a sum: Python objects
+    when t is a `Fraction`, binary64 otherwise.
     """
 
     graph: object
@@ -125,7 +123,6 @@ class SeriesSolution:
         self._deg_cap = float(cap)
         self._derivative = None
         self._plans = {}
-        self._columns = {}
 
     def derivative_solution(self):
         """Series for the time derivative: same machinery, initial data L a."""
@@ -193,13 +190,13 @@ class SeriesSolution:
         Checks every vertex, then plans every time in order, refusing as
         `series_eval` would.  With K the largest truncation order among the
         plans, it computes L^k a only on the light cone of the vertices (see
-        `light_cone_iterates`) and stores each vertex's column up to K, with
-        the values the full table gives, read off the iterates' arrays for
-        the window vertices alone.  `table` is not extended.  Then it sums
-        each distinct time's columns in one accumulate and keeps the values
-        on the time's plan, replacing those of an earlier call: the same
-        operations in the same order as `series_eval`'s single sum, so the
-        same bits, or the same Python objects at a `Fraction` time.
+        `light_cone_iterates`) and reads the window's coefficients for k <= K
+        off the iterates' arrays, with the values the full table gives.
+        `table` is not extended and no coefficient is kept.  Then it sums
+        each distinct time's coefficients in one accumulate and keeps the
+        values on the time's plan, replacing those of an earlier call: the
+        same operations in the same order as `series_eval`'s single sum, so
+        the same bits, or the same Python objects at a `Fraction` time.
         """
         graph = self.graph
         vertices = list(dict.fromkeys(vertices))
@@ -214,31 +211,13 @@ class SeriesSolution:
         distance = _root_distance(graph)
         reach = max(map(distance, vertices))
         iterates = light_cone_iterates(graph, self.initial, big_k, distance, reach)
-        tables = {dtype: window_values(iterates, vertices, dtype).T.copy()
+        tables = {dtype: window_values(iterates, vertices, dtype).T
                   for dtype in {plan.weights.dtype for plan in plans}}
         del iterates  # freed first, so that making the sums adds no peak memory
         slots = {x: i for i, x in enumerate(vertices)}
-        for dtype, columns in tables.items():
-            for x, column in zip(vertices, columns):
-                stored = self._columns.get((x, dtype))
-                if stored is None or len(stored) <= big_k:
-                    self._columns[x, dtype] = column
-            for plan in plans:
-                if plan.weights.dtype == dtype:
-                    plan.slots = slots
-                    plan.sums = _sum_terms(columns[:, : plan.k + 1], plan.weights)
-
-    def _column(self, x, big_k, dtype):
-        """L^k a(x) for k <= at least `big_k`, as an array of `dtype`."""
-        key = (x, dtype)
-        column = self._columns.get(key)
-        start = 0 if column is None else len(column)
-        if start <= big_k:
-            entry = self.table.entry
-            more = np.array([entry(k)(x) for k in range(start, big_k + 1)], dtype=dtype)
-            column = more if column is None else np.concatenate((column, more))
-            self._columns[key] = column
-        return column
+        for plan in plans:
+            plan.slots = slots
+            plan.sums = _sum_terms(tables[plan.weights.dtype][:, : plan.k + 1], plan.weights)
 
 
 def _root_distance(graph):
@@ -282,8 +261,9 @@ def series_eval(solution, x, t):
     slot = plan.slots.get(x)
     if slot is not None:
         return EvalResult(plan.sums[slot], plan.bound, big_k)
-    column = solution._column(x, big_k, plan.weights.dtype)
-    return EvalResult(_sum_terms(column[: big_k + 1], plan.weights), plan.bound, big_k)
+    entry = solution.table.entry
+    column = np.array([entry(k)(x) for k in range(big_k + 1)], dtype=plan.weights.dtype)
+    return EvalResult(_sum_terms(column, plan.weights), plan.bound, big_k)
 
 
 def backward_solve(graph, a, x, t, tol=1e-11):

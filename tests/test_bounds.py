@@ -19,7 +19,6 @@ from heatseries.bounds import (
     lagrange_gap_bound,
     radius_estimate,
     remainder_bound,
-    stirling_lower,
     stirling_lower_holds,
     xlnx,
 )
@@ -29,7 +28,6 @@ from heatseries.graphs import (
     IntegerLine,
     LocalFunction,
     RegularTree,
-    star_graph,
 )
 
 
@@ -192,18 +190,6 @@ class TestDecayThreshold:
 
 
 class TestStirling:
-    def test_k1(self):
-        assert stirling_lower(1) == pytest.approx(1 / math.e, rel=1e-15)
-        assert stirling_lower(1) <= 1
-
-    def test_k5(self):
-        assert stirling_lower(5) == pytest.approx(5**5 * math.sqrt(5) / math.e**5)
-        assert stirling_lower(5) <= 120
-
-    def test_float_values_below_factorial(self):
-        for k in range(1, 100):
-            assert stirling_lower(k) <= math.factorial(k)
-
     def test_exact_certificate_spot(self):
         for k in (1, 2, 3, 10, 77, 250, 500):
             assert stirling_lower_holds(k)
@@ -291,7 +277,8 @@ class TestFits:
         assert (growth.cap, growth.power) == (3.0, 0.0)
 
     def test_degree_star(self):
-        growth = fit_degree_growth(star_graph(9), 3)
+        star = FiniteGraph(dict.fromkeys(range(10), 1), [(0, i, 1) for i in range(1, 10)], 0)
+        growth = fit_degree_growth(star, 3)
         assert (growth.cap, growth.power) == (9.0, 0.0)
         # round-trip: envelope really covers the hub and the leaves
         assert growth.envelope(0) >= 9

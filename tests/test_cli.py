@@ -14,7 +14,7 @@ from heatseries import cli
 from heatseries import counterexample as cx_mod
 from heatseries import laplacian as laplacian_mod
 from heatseries.cli import canonical_json, main
-from heatseries.laplacian import iterated_laplacian
+from heatseries.laplacian import IteratedLaplacianTable
 from heatseries.oracle import brute_iterate, dense_laplacian
 from heatseries.series import SeriesSolution
 
@@ -457,7 +457,7 @@ def _old_iterate_errors(exact):
         for k in range(0, 9):
             ref = brute_iterate(op, vec, k)
             scale = max(1.0, max(abs(float(v)) for v in ref))
-            mine = iterated_laplacian(graph, initial, k)
+            mine = IteratedLaplacianTable(graph, initial).entry(k)
             err = max(
                 err,
                 max(
@@ -570,6 +570,22 @@ class TestSchemaErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "non-finite value" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, exact, shown", [
+        ("[[0, 1], [1, 1e400]]", [], "non-finite value inf at vertex 1"),
+        ("[[0, 1], [1, 1e400]]", ["--exact"],
+         r"non-finite value ~1e\+400 \(Fraction\) at vertex 1"),
+        ('[[0, 1], [-3, "%s"]]' % ("x" * 500), [],
+         r"non-numeric value 'x{23}\.\.\. \(str\) at vertex -3"),
+    ], ids=["float", "exact", "string"])
+    def test_refused_initial_value_is_short_and_names_its_vertex(self, tmp_path, text, exact,
+                                                               shown):
+        init = tmp_path / "a.json"
+        init.write_text(text)
+        code, err = _exit_and_stderr(["solve", "--family", "z", "--initial", str(init)] + exact)
+        assert code == 2
+        assert re.fullmatch(f"error: {shown} of the initial data\n", err)
+        assert len(err) < 100
 
     @pytest.mark.parametrize("command", ["solve", "backward", "radius", "laplacian"])
     @pytest.mark.parametrize("mu, w, message", [
@@ -997,6 +1013,35 @@ TIMES = st.lists(st.one_of(st.floats(-4, 4).map(repr), REALS), max_size=3).map("
 FAMILIES = st.sampled_from(
     ["z", "lattice:1", "tree:2", "lattice:0", "tree:1", "lattice:", "tree:x", "foo", "z:3"]
 )
+
+
+class TestParserReuse:
+    ARGVS = (
+        ["solve", "--family", "z", "--exact", "--t=1/4", "--rmax", "1"],
+        ["solve", "--family", "z", "--t=0.25", "--rmax", "1"],
+        ["backward", "--family", "z", "--t=0.1", "--kmax", "3", "--rmax", "1", "--format", "csv"],
+        ["laplacian", "--family", "lattice:2", "--kmax", "2", "--exact"],
+        ["solve", "--family", "z", "--t=0.25", "--rmax", "1"],
+    )
+
+    def _outcomes(self, capsys, fresh):
+        out = []
+        for argv in self.ARGVS:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_calls_in_a_row_give_the_bytes_of_fresh_calls(self, capsys):
+        fresh = self._outcomes(capsys, fresh=True)
+        cli.build_parser.cache_clear()
+        reused = self._outcomes(capsys, fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert reused == fresh
+        arithmetic = [json.loads(out)["arithmetic"] for _, out, _ in reused[:2]]
+        assert arithmetic == ["exact", "float64"]
 
 
 def _option(name, values):

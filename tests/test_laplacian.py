@@ -24,7 +24,6 @@ from heatseries.laplacian import (
     IteratedLaplacianTable,
     apply_laplacian,
     iterate_sup_bound,
-    iterated_laplacian,
     key_estimate_bound,
     laplacian_at,
     light_cone_iterates,
@@ -61,7 +60,7 @@ class TestApply:
     def test_delta_twice(self):
         # frozen from the dense matrix-power oracle on a path segment
         z = IntegerLine()
-        out = iterated_laplacian(z, LocalFunction.delta(0), 2)
+        out = IteratedLaplacianTable(z, LocalFunction.delta(0)).entry(2)
         assert dict(out.items()) == {-2: 1, -1: -4, 0: 6, 1: -4, 2: 1}
 
         seg = integer_segment(5)
@@ -206,12 +205,12 @@ class TestIterates:
     def test_identity_and_first(self):
         z = IntegerLine()
         a = LocalFunction({0: 2, 1: -1})
-        assert iterated_laplacian(z, a, 0) == a
-        assert iterated_laplacian(z, a, 1) == apply_laplacian(z, a)
+        assert IteratedLaplacianTable(z, a).entry(0) == a
+        assert IteratedLaplacianTable(z, a).entry(1) == apply_laplacian(z, a)
 
     def test_value_at_origin(self):
         z = IntegerLine()
-        assert iterated_laplacian(z, LocalFunction.delta(0), 2)(0) == 6
+        assert IteratedLaplacianTable(z, LocalFunction.delta(0)).entry(2)(0) == 6
 
     def test_table_recursion_invariant(self):
         g = random_weighted_graph(15, seed=4, exact=True)
@@ -271,7 +270,7 @@ class TestSupBounds:
         z = IntegerLine()
         d0 = LocalFunction.delta(0)
         assert iterate_sup_bound(z, d0, 0, 2) == 16
-        assert abs(iterated_laplacian(z, d0, 2)(0)) == 6
+        assert abs(IteratedLaplacianTable(z, d0).entry(2)(0)) == 6
 
     def test_iterate_bound_zero(self):
         z = IntegerLine()
@@ -324,7 +323,7 @@ class TestSupBounds:
         a = LocalFunction(
             {x: Fraction(rng.randrange(-5, 6)) for x in rng.sample(range(9), 3)}
         )
-        it = iterated_laplacian(g, a, j)
+        it = IteratedLaplacianTable(g, a).entry(j)
         for x in g.vertices():
             assert abs(it(x)) <= iterate_sup_bound(g, a, x, j)
 

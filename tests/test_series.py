@@ -716,31 +716,26 @@ def grid_cases(draw):
     return graph, data, tol, (window, times), again
 
 
-def _typed(column):
-    return [(type(v), v) for v in column.tolist()]
-
-
 class TestLightCone:
-    """`prefetch` fills the columns the lazy full-table path would build."""
+    """`prefetch` sums what the full-table path sums, without extending the table."""
 
     @given(cone_cases())
     @settings(max_examples=60, deadline=None, derandomize=True)
     # a window reaching into the component without the root
     @example((CONE_GRAPHS["disconnected"][0](), LocalFunction({3: 0.25, 6: -0.75}),
               [1, 7], [0.5, Fraction(-3, 8), 0]))
-    def test_prefetched_columns_equal_the_full_table_columns(self, case):
+    def test_prefetched_sums_equal_the_full_table_sums(self, case):
         graph, data, window, times = case
         cone = SeriesSolution(graph, data)
         cone.prefetch(window, times)
         full = SeriesSolution(graph, data)
         assert len(cone.table) == 1
-        dtypes = {p.weights.dtype for p in map(cone._plan, times) if p.k}
-        assert set(cone._columns) == {(x, d) for x in window for d in dtypes}
-        for (x, dtype), column in cone._columns.items():
-            assert _typed(column) == _typed(full._column(x, len(column) - 1, dtype))
         for x in window:
             for t in times:
-                assert series_eval(cone, x, t) == series_eval(full, x, t)
+                got, want = series_eval(cone, x, t), series_eval(full, x, t)
+                assert (type(got.value), repr(got.value)) == (type(want.value), repr(want.value))
+                assert got[1:] == want[1:]
+        assert len(cone.table) == 1
 
     @given(grid_cases())
     @settings(max_examples=40, deadline=None, derandomize=True)

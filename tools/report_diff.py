@@ -81,6 +81,8 @@ EDGE_FILES = {
     "tiny-measure.json": _k2_text("1e-400", "1"),
     "heavy-deg.json": _k2_text("1e-300", "1e300"),
     "big.initial.json": json.dumps([[0, 1e300]]),
+    # under --exact: a value beyond binary64, refused in short form
+    "beyond.initial.json": "[[0, 1], [1, 1e400]]",
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -136,6 +138,7 @@ EDGE_CASES = (
     ["verify", "--exact"],
     ["verify", "--exact", "--format", "csv"],
     ["solve", "--family", "z", "--initial", "duplicate.initial.json"],
+    ["solve", "--family", "z", "--exact", "--initial", "beyond.initial.json"],
     ["solve", "--family", "z", "--t", "1/2"],
     ["solve", "--family", "z", "--exact", "--t", "abc"],
     ["solve", "--family", "lattice:1.5"],
