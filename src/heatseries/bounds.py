@@ -230,7 +230,9 @@ def fit_growth_profile(graph, f, rmax):
     The amplitude is pinned by the two innermost spheres (where the envelope
     is flat), then the smallest grid rate whose envelope dominates every
     sampled sphere is selected; the fit is re-certified by exhaustive check.
-    Raises GrowthFitError when no grid rate certifies.
+    When no grid rate certifies, a finite graph gets the flat envelope at
+    the largest sampled |f| (rounded up into binary64), which dominates the
+    ball by construction; on an infinite graph this raises GrowthFitError.
     """
     if rmax < 2:
         raise ValueError("rmax must be >= 2")
@@ -246,6 +248,12 @@ def fit_growth_profile(graph, f, rmax):
         profile = GrowthProfile(amplitude, rate)
         if all(abs(values(x)) <= profile.envelope(d) for x, d in dist.items()):
             return profile
+    if graph.is_finite:
+        top = max(abs(values(x)) for x in dist)
+        amplitude = float(top)
+        if amplitude < top:
+            amplitude = math.nextafter(amplitude, math.inf)
+        return GrowthProfile(amplitude, 0.0)
     raise GrowthFitError(
         f"no grid rate up to {EXPONENT_GRID[-1]} certifies the sampled data "
         f"with amplitude {amplitude}"

@@ -10,10 +10,14 @@ rational times the common flat factor; numerics go through rational
 polynomial evaluation and an arbitrary-precision exponential, which
 sidesteps the catastrophic cancellation a plain float path would hit.
 
-A polynomial is evaluated at s = p/q by Horner's rule in Python ints,
-sum c_e p^e q^(d-e), and becomes one Fraction at the end, so each value
-costs one gcd.  The flat factor e^{-s^beta} is computed once per time,
-beta and working precision in a process and then reused.
+Values are exact at a time t = 1/s with s = p/q.  For each beta and s a
+DerivativeValueTable holds the integers N_j = R_j(p/q) q^(j(beta+1)), each
+found once by Horner's rule in Python ints and shared by every x and
+derivative order asked for at that time.  A value sums C(x+k, 2k)
+N_(k+order) over k <= x by Horner's rule in q^(beta+1) and becomes one
+Fraction over q^((beta+1)(x+order)), so it costs one gcd.  The flat factor
+e^{-s^beta} is computed once per time, beta and working precision in a
+process and then reused.
 """
 
 from __future__ import annotations
@@ -120,17 +124,14 @@ def _table(beta):
     return DerivativePolynomialTable(beta)
 
 
-def _poly_eval(poly, s):
-    """Exact value of a sparse integer polynomial at rational s.
+def _poly_eval(poly, p, q):
+    """The integer poly(p/q) q^d, d = deg poly, of a sparse integer polynomial.
 
-    With s = p/q and d = deg, Horner's rule over the exponents from the top
-    builds sum c_e p^e q^(d-e) in Python ints; the one Fraction at the end
-    reduces it, so the result is the same rational as a term-by-term sum.
+    Horner's rule over the exponents from the top builds sum c_e p^e q^(d-e)
+    in Python ints; the empty polynomial gives 0.
     """
-    s = Fraction(s)
     if not poly:
-        return Fraction(0)
-    p, q = s.numerator, s.denominator
+        return 0
     exponents = sorted(poly, reverse=True)
     acc, q_power, last = 0, 1, exponents[0]
     for e in exponents:
@@ -138,7 +139,33 @@ def _poly_eval(poly, s):
         q_power *= q ** (last - e)
         acc += poly[e] * q_power
         last = e
-    return Fraction(acc * p**last, q_power * q**last)
+    return acc * p**last
+
+
+class DerivativeValueTable:
+    """Append-only list of N_j = R_j(p/q) q^(j(beta+1)) for one beta and s = p/q.
+
+    deg R_j = j(beta+1), so each N_j is an integer.
+    """
+
+    def __init__(self, beta, s):
+        self.beta = beta
+        self.p, self.q = s.numerator, s.denominator
+        self.step = self.q ** (beta + 1)
+        self._values = []
+
+    def values(self, j):
+        """The list N_0, ..., N_j (at least), extended on demand."""
+        polys = _table(self.beta)
+        while j >= len(self._values):
+            poly = polys.poly(len(self._values))
+            self._values.append(_poly_eval(poly, self.p, self.q))
+        return self._values
+
+
+@lru_cache(maxsize=1024)  # keyed by time, so bounded like _flat_factor_at
+def _value_table(beta, s):
+    return DerivativeValueTable(beta, s)
 
 
 def _poly_add(target, poly, factor):
@@ -151,22 +178,27 @@ def _mirror(x):
     return x if x >= 0 else -x - 1
 
 
-def _term_coefficient(x, k):
-    """Consecutive-integer product (x+k)...(x-k+1) over (2k)!.
+@lru_cache(maxsize=None)
+def _term_coefficients(x):
+    """Consecutive-integer products (x+k)...(x-k+1) over (2k)!, k = 0..x.
 
-    Equals C(x+k, 2k); in particular it vanishes for k > x >= 0, which is
-    what truncates the lattice sum.
+    Each equals C(x+k, 2k); it vanishes for k > x >= 0, which is what
+    truncates the lattice sum.
     """
-    return math.comb(x + k, 2 * k)
+    return tuple(math.comb(x + k, 2 * k) for k in range(x + 1))
 
 
 @lru_cache(maxsize=None)
 def _combined_poly(beta, x, order):
-    """Polynomial P with d^order/dt^order v(x,t) = P(1/t) e^{-t^-beta}."""
+    """Polynomial P with d^order/dt^order v(x,t) = P(1/t) e^{-t^-beta}.
+
+    Values go through _v_exact; the polynomial itself serves the exact
+    residual identity of heat_residual_poly.
+    """
     table = _table(beta)
     out = {}
-    for k in range(x + 1):
-        _poly_add(out, table.poly(k + order), _term_coefficient(x, k))
+    for k, c in enumerate(_term_coefficients(x)):
+        _poly_add(out, table.poly(k + order), c)
     return {e: c for e, c in out.items() if c}
 
 
@@ -190,10 +222,25 @@ def _v_mpf(params, x, t, order=0):
     """Arbitrary-precision d^order/dt^order v(x, t); 0 for t <= 0."""
     if t <= 0:
         return mp.mpf(0)
-    x = _mirror(x)
     s = 1 / Fraction(t)
-    poly = _combined_poly(params.beta, x, order)
-    return _exact_to_mpf(_poly_eval(poly, s)) * _flat_factor(s, params.beta)
+    exact = _v_exact(params.beta, _mirror(x), s, order)
+    return _exact_to_mpf(exact) * _flat_factor(s, params.beta)
+
+
+def _v_exact(beta, x, s, order):
+    """The rational P(s) with d^order/dt^order v(x, 1/s) = P(s) e^{-s^beta}.
+
+    Horner's rule in q^(beta+1) over the shared values N_(k+order) builds
+    sum_k C(x+k, 2k) N_(k+order) q^((beta+1)(x-k)); one Fraction over
+    q^((beta+1)(x+order)) reduces it, so the result is the same rational as
+    the combined polynomial at s.
+    """
+    table = _value_table(beta, s)
+    values = table.values(x + order)
+    acc = 0
+    for k, c in enumerate(_term_coefficients(x)):
+        acc = acc * table.step + c * values[k + order]
+    return Fraction(acc, table.step ** (x + order))
 
 
 def g_eval(params, t):

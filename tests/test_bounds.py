@@ -268,6 +268,18 @@ class TestFits:
         with pytest.raises(GrowthFitError):
             fit_growth_profile(z, f, 6)
 
+    def test_unfittable_on_a_finite_graph_is_flat(self):
+        path = FiniteGraph(dict.fromkeys(range(7), 1), [(i, i + 1, 1) for i in range(6)], 0)
+        f = LocalFunction({0: 1e-9, 5: 1e9})
+        assert fit_growth_profile(path, f, 6) == GrowthProfile(1e9, 0.0)
+
+    def test_flat_envelope_rounds_an_exact_maximum_up(self):
+        path = FiniteGraph(dict.fromkeys(range(4), 1), [(i, i + 1, 1) for i in range(3)], 0)
+        third = Fraction(10**9, 3)
+        prof = fit_growth_profile(path, LocalFunction({0: Fraction(1, 10**9), 3: third}), 3)
+        assert prof.rate == 0.0
+        assert prof.amplitude >= third and prof.amplitude == math.nextafter(float(third), math.inf)
+
     def test_degree_line(self):
         growth = fit_degree_growth(IntegerLine(), 6)
         assert (growth.cap, growth.power) == (2.0, 0.0)

@@ -249,6 +249,30 @@ class TestBackwardCommand:
         )
 
 
+# a seeded 30-vertex graph document (the audits workload's, seed 35) whose
+# data peaks at distance 2, beyond every grid rate from the inner spheres
+SEED35_MU = (1.481, 0.63, 0.869, 1.799, 0.89, 1.51, 1.951, 0.598, 0.555, 1.119, 1.245,
+             1.574, 1.785, 1.23, 0.999, 1.304, 1.579, 1.303, 1.091, 1.348, 1.723, 0.713,
+             0.981, 1.794, 0.83, 1.06, 0.697, 1.019, 1.5, 1.466)
+SEED35_EDGES = (
+    (0, 4, 0.804), (0, 5, 0.908), (0, 10, 1.964), (0, 19, 0.831), (0, 21, 1.234),
+    (0, 22, 0.671), (0, 24, 0.951), (0, 27, 0.592), (1, 12, 1.915), (2, 12, 1.991),
+    (2, 14, 1.409), (2, 20, 0.987), (3, 4, 0.89), (3, 24, 1.13), (4, 9, 1.146),
+    (5, 7, 1.635), (5, 26, 1.502), (6, 12, 1.764), (6, 14, 1.367), (6, 29, 1.369),
+    (7, 12, 1.191), (7, 15, 0.642), (7, 23, 0.926), (7, 24, 1.57), (7, 25, 1.912),
+    (8, 28, 1.633), (9, 19, 1.404), (10, 26, 1.32), (10, 27, 1.159), (11, 20, 1.591),
+    (11, 23, 1.226), (12, 16, 0.912), (12, 17, 1.333), (12, 19, 1.844), (12, 25, 1.472),
+    (13, 21, 1.39), (15, 18, 1.379), (16, 27, 1.953), (17, 20, 0.929), (17, 21, 1.48),
+    (17, 29, 1.048), (18, 26, 1.8), (25, 28, 1.555), (28, 29, 1.264),
+)
+SEED35_DOC = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": mu} for i, mu in enumerate(SEED35_MU)],
+    "edges": [{"u": u, "v": v, "w": w} for u, v, w in SEED35_EDGES],
+}
+SEED35_DATA = [[17, 1.0], [26, -0.230256], [22, -0.047312]]
+
+
 class TestRadiusCommand:
     def test_explicit_constants(self, capsys):
         code, out = run(
@@ -360,6 +384,20 @@ class TestRadiusCommand:
         assert list(config)[-7:] == ["rmax", "kmax", "amplitude", "rate", "deg_cap",
                                      "deg_power", "delta"]
         assert (config["rate"], config["deg_power"]) == (0.0, 0.0)
+
+    def test_unfittable_finite_data_gets_the_flat_envelope(self, tmp_path, capsys):
+        initial = tmp_path / "graph.initial.json"
+        initial.write_text(json.dumps(SEED35_DATA))
+        argv = ["radius", "--graph", write_graph(tmp_path, SEED35_DOC), "--initial",
+                str(initial), "--rmax", "3"]
+        code, out = run(argv, capsys)
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert (results["profile"]["amplitude"], results["profile"]["rate"]) == (1.0, 0.0)
+        assert results["profile"]["source"] == "fitted"
+        # the fitted degree power (1.2) alone puts it out of hypothesis
+        assert results["degree_growth"]["power"] == 1.2
+        assert results["certificate"]["kind"] == "out-of-hypothesis"
 
     def test_profile_fit_window_is_at_least_two(self, capsys):
         profiles = []

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -7,12 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+import heatseries.counterexample as cx_mod
 from heatseries.counterexample import (
+    GROWTH_T_GRID,
     DerivativePolynomialTable,
     FlatBumpParams,
     _combined_poly,
     _flat_factor,
     _poly_eval,
+    _v_exact,
     _v_mpf,
     default_theta,
     g_derivative,
@@ -88,14 +92,19 @@ def _reference_poly_eval(poly, s):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_exact(beta, x, s, order):
+    """The combined polynomial at s, summed term by term in Fractions."""
+    return _reference_poly_eval(_combined_poly(beta, x, order), s)
+
+
 def _reference_v(params, x, t, order=0):
     """d^order/dt^order v(x, t) from the reference sum and an uncached exp."""
     if t <= 0:
         return 0.0
     with mp.workdps(40):
         s = 1 / Fraction(t)
-        poly = _combined_poly(params.beta, x if x >= 0 else -x - 1, order)
-        value = _reference_poly_eval(poly, s)
+        value = _reference_exact(params.beta, x if x >= 0 else -x - 1, s, order)
         flat = mp.exp(-(mp.mpf(s.numerator) / mp.mpf(s.denominator)) ** params.beta)
         return float(mp.mpf(value.numerator) / mp.mpf(value.denominator) * flat)
 
@@ -111,6 +120,13 @@ RATIONALS = st.one_of(
 )
 
 
+def _poly_value(poly, s):
+    """poly(s) from the integer core: its poly(p/q) q^deg over q^deg."""
+    got = _poly_eval(poly, s.numerator, s.denominator)
+    assert type(got) is int
+    return Fraction(got, s.denominator ** max(poly, default=0))
+
+
 class TestPolyEval:
     @given(SPARSE_POLYS, RATIONALS)
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -119,17 +135,73 @@ class TestPolyEval:
     @example({0: 7, 3: -2}, Fraction(0))
     @example({400: 1, 0: -1}, Fraction(-1, 2**30))
     def test_equals_fraction_sum(self, poly, s):
-        got = _poly_eval(poly, s)
-        assert got == _reference_poly_eval(poly, s)
-        assert type(got) is Fraction
+        assert _poly_value(poly, s) == _reference_poly_eval(poly, s)
 
     @pytest.mark.parametrize("beta, x, order", [(5, 60, 0), (3, 40, 3), (4, 7, 2)])
     def test_combined_polynomials(self, beta, x, order):
         poly = _combined_poly(beta, x, order)
         for s in [Fraction(8, i) for i in range(1, 9)] + [Fraction(2**30), Fraction(-2, 3)]:
-            got = _poly_eval(poly, s)
-            assert got == _reference_poly_eval(poly, s)
-            assert type(got) is Fraction
+            assert _poly_value(poly, s) == _reference_poly_eval(poly, s)
+
+
+class TestValueTable:
+    """Values read off the shared per-time table equal the combined polynomial's."""
+
+    PROBES = tuple(Fraction(1, 2**m) for m in (10, 15, 20, 25, 30))
+
+    @pytest.mark.parametrize("beta", [2, 3, 4, 5])
+    def test_growth_window(self, beta):
+        params = FlatBumpParams(beta=beta)
+        for t in GROWTH_T_GRID:
+            for x in range(-61, 61):
+                mirrored = x if x >= 0 else -x - 1
+                assert _v_exact(beta, mirrored, 1 / t, 0) == _reference_exact(beta, mirrored, 1 / t, 0)
+                assert v_eval(params, x, t) == _reference_v(params, x, t)
+
+    @pytest.mark.parametrize("beta", [2, 3, 4, 5])
+    def test_orders_at_the_dyadic_probes(self, beta):
+        params = FlatBumpParams(beta=beta)
+        for t in self.PROBES:
+            for x in range(4):
+                for order in range(13):
+                    assert _v_exact(beta, x, 1 / t, order) == _reference_exact(beta, x, 1 / t, order)
+                    assert v_time_derivative(params, x, t, order) == _reference_v(params, x, t, order)
+
+    @given(
+        st.integers(2, 5),
+        st.integers(-20, 20),
+        st.fractions(min_value=Fraction(1, 64), max_value=4, max_denominator=10**6),
+        st.integers(0, 4),
+    )
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @example(3, 7, Fraction(999983, 1000003), 2)
+    def test_drawn_rational_times(self, beta, x, t, order):
+        params = FlatBumpParams(beta=beta)
+        mirrored = x if x >= 0 else -x - 1
+        assert _v_exact(beta, mirrored, 1 / t, order) == _reference_exact(beta, mirrored, 1 / t, order)
+        assert v_time_derivative(params, x, t, order) == _reference_v(params, x, t, order)
+
+    def test_each_value_is_evaluated_once(self, monkeypatch):
+        seen = []
+        poly_eval = cx_mod._poly_eval
+
+        def counted(poly, p, q):
+            seen.append((id(poly), p, q))  # the table keeps every R_j alive
+            return poly_eval(poly, p, q)
+
+        monkeypatch.setattr(cx_mod, "_poly_eval", counted)
+        cx_mod._value_table.cache_clear()
+        params = FlatBumpParams(beta=6)
+        for _ in range(2):  # the second pass reads every value off the tables
+            growth_audit(params, xmax=20)
+            for x in range(4):
+                non_analyticity_witness(params, x, 5)
+            for k in range(1, 8):
+                huang_bound_audit(params, k, (Fraction(1, 4), Fraction(1, 2), Fraction(1)))
+            for x in range(-3, 4):
+                heat_residual_1d(params, x, Fraction(1, 2))
+        assert seen
+        assert len(seen) == len(set(seen))
 
 
 class TestBitIdentical:
@@ -250,14 +322,18 @@ class TestLatticeSolution:
         assert v_eval(beta2, 5, -1.0) == 0.0
 
     def test_term_product_vanishes_beyond_x(self):
-        # the consecutive-integer product contains 0 once k exceeds x
-        from heatseries.counterexample import _term_coefficient
+        # the consecutive-integer product contains 0 once k exceeds x, so
+        # the coefficients stop at k = x
+        from heatseries.counterexample import _term_coefficients
+
+        def product(x, k):
+            return math.prod(range(x - k + 1, x + k + 1)) // math.factorial(2 * k)
 
         for x in range(0, 6):
             for k in range(x + 1, x + 5):
-                assert _term_coefficient(x, k) == 0
-            for k in range(0, x + 1):
-                assert _term_coefficient(x, k) > 0
+                assert product(x, k) == 0
+            assert _term_coefficients(x) == tuple(product(x, k) for k in range(x + 1))
+            assert all(c > 0 for c in _term_coefficients(x))
 
 
 class TestResidual:

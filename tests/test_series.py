@@ -741,20 +741,32 @@ class TestLightCone:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @example((IntegerLine(), LocalFunction({-2: 0.25 * HUGE, 3: -0.75 * HUGE}), HUGE * 1e-11,
               ([0, 3, -2], [2, -1.5, 2.0, -0.0]), ([1, 3], [Fraction(-3, 2), 2, 0, 1.25])))
+    # huge data whose tail bound overflows before it reaches tol at |t| = 7/8
+    @example((random_weighted_graph(20, seed=9), LocalFunction({4: 1.25 * HUGE, 11: 0.25 * HUGE}),
+              HUGE * 1e-11, ([15, 18, 10], [Fraction(-7, 8), 0.5]), ([12, 4], [-0.25, 0])))
     def test_prefetched_sums_equal_fresh_per_point_sums(self, case):
         graph, data, tol, *grids = case
         solution = SeriesSolution(graph, data, tol=tol)
         fresh = SeriesSolution(graph, data, tol=tol)
         seen = ([], [])
         for window, times in grids:
-            solution.prefetch(window, times)
+            # prefetch refuses exactly when a point of its grid does
+            refused = outcome(lambda: solution.prefetch(window, times))
+            assert isinstance(refused, TruncationFailureError) == any(
+                isinstance(outcome(lambda: series_eval(fresh, x, t)), TruncationFailureError)
+                for x in window for t in times
+            )
             seen[0].extend(window)
             seen[1].extend(times)
             for x in seen[0]:
                 for t in seen[1]:
-                    got, want = series_eval(solution, x, t), series_eval(fresh, x, t)
-                    assert (type(got.value), repr(got.value)) == (type(want.value), repr(want.value))
-                    assert got[1:] == want[1:]
+                    got = outcome(lambda: series_eval(solution, x, t))
+                    want = outcome(lambda: series_eval(fresh, x, t))
+                    if isinstance(want, EvalResult):
+                        assert (type(got.value), repr(got.value)) == (type(want.value), repr(want.value))
+                        assert got[1:] == want[1:]
+                    else:
+                        assert repr(got) == repr(want)
 
     def test_a_prefetched_pair_is_read_not_summed(self, monkeypatch):
         solution = SeriesSolution(IntegerLine(), LocalFunction({0: 1.0, 2: -0.5}))

@@ -65,7 +65,8 @@ _WEIGHED = {
               for u, v, w in ((0, 1, 0.75), (1, 2, 1.25), (2, 3, 2), (3, 4, 0.5), (1, 3, 1.5))],
 }
 
-#: Input files of the edge cases, written to their batch directory.
+#: Input files of the edge cases, written to their batch directory, beside
+#: the audits workload's graph files at seed 35 (see `batches`).
 EDGE_FILES = {
     "disconnected.json": json.dumps(_DISCONNECTED),
     "disconnected.initial.json": json.dumps([[5, 1.0]]),
@@ -134,6 +135,14 @@ EDGE_CASES = (
     ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=nan"],
     # x = 3 samples 0, 0 and a negative value
     ["counterexample", "--beta", "10", "--xmax", "12", "--kmax", "3"],
+    # large beta: a wide growth window, and one that fails the audit (exit 1)
+    ["counterexample", "--beta", "40", "--epsilon", "0.5"],
+    ["counterexample", "--beta", "100"],
+    # a given theta and time shift
+    ["counterexample", "--beta", "6", "--theta", "0.3", "--T", "2.5", "--xmax", "30",
+     "--kmax", "4"],
+    # data that no grid rate fits from the inner spheres, on a finite graph
+    ["radius", "--graph", "seed35.json", "--initial", "seed35.initial.json", "--rmax", "3"],
     # integer data summed at float times
     ["verify", "--exact"],
     ["verify", "--exact", "--format", "csv"],
@@ -188,8 +197,19 @@ def batches(seeds, size):
             for inv in invocations:
                 files.update(inv["files"])
             out.append({"files": files, "argvs": [inv["argv"] for inv in invocations]})
-    out.append({"files": EDGE_FILES, "argvs": [list(a) for a in EDGE_CASES]})
+    files = dict(EDGE_FILES, **_audits_graph_files(plan, 35))
+    out.append({"files": files, "argvs": [list(a) for a in EDGE_CASES]})
     return out
+
+
+def _audits_graph_files(plan, seed):
+    """The audits workload's graph document and its data at `seed`, as
+    seed<N>.json and seed<N>.initial.json."""
+    files = {}
+    for inv in plan.build("audits", seed):
+        files.update(inv["files"])
+    return {f"seed{seed}.json": files["graph.json"],
+            f"seed{seed}.initial.json": files["graph.initial.json"]}
 
 
 def source_dir(tree):
