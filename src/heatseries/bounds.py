@@ -224,47 +224,54 @@ def root_distances(graph, rmax):
     return {x: r for r, sphere in enumerate(spheres) for x in sphere}
 
 
+def _fit_on_grid(graph, sizes, dist, make, constant, refusal):
+    """The smallest envelope `make(constant, e)`, e in EXPONENT_GRID, that
+    dominates `sizes` (vertex -> number) at every vertex of `dist`.
+
+    When no grid exponent certifies, a finite graph gets the flat envelope
+    at the largest size, rounded up into binary64, which dominates the ball
+    by construction; on an infinite graph this raises GrowthFitError with
+    the text `refusal`.
+    """
+    for exponent in EXPONENT_GRID:
+        envelope = make(constant, exponent)
+        if all(sizes[x] <= envelope.envelope(d) for x, d in dist.items()):
+            return envelope
+    if graph.is_finite:
+        top = max(sizes.values())
+        flat = float(top)
+        if flat < top:
+            flat = math.nextafter(flat, math.inf)
+        return make(flat, 0.0)
+    raise GrowthFitError(refusal)
+
+
 def fit_growth_profile(graph, f, rmax):
     """Fit the smallest envelope certifying `f` on the radius-rmax root ball.
 
     The amplitude is pinned by the two innermost spheres (where the envelope
     is flat), then the smallest grid rate whose envelope dominates every
-    sampled sphere is selected; the fit is re-certified by exhaustive check.
-    When no grid rate certifies, a finite graph gets the flat envelope at
-    the largest sampled |f| (rounded up into binary64), which dominates the
-    ball by construction; on an infinite graph this raises GrowthFitError.
+    sampled sphere is selected, or on a finite graph the flat envelope of
+    `_fit_on_grid`.
     """
     if rmax < 2:
         raise ValueError("rmax must be >= 2")
     values = f if isinstance(f, LocalFunction) else LocalFunction(f)
     dist = root_distances(graph, rmax)
-    amplitude = max(
-        (abs(values(x)) for x, d in dist.items() if d <= 1), default=0
-    )
-    if amplitude == 0:
-        amplitude = 1.0
-    amplitude = float(amplitude)
-    for rate in EXPONENT_GRID:
-        profile = GrowthProfile(amplitude, rate)
-        if all(abs(values(x)) <= profile.envelope(d) for x, d in dist.items()):
-            return profile
-    if graph.is_finite:
-        top = max(abs(values(x)) for x in dist)
-        amplitude = float(top)
-        if amplitude < top:
-            amplitude = math.nextafter(amplitude, math.inf)
-        return GrowthProfile(amplitude, 0.0)
-    raise GrowthFitError(
-        f"no grid rate up to {EXPONENT_GRID[-1]} certifies the sampled data "
-        f"with amplitude {amplitude}"
-    )
+    sizes = {x: abs(values(x)) for x in dist}
+    amplitude = max((sizes[x] for x, d in dist.items() if d <= 1), default=0)
+    amplitude = float(amplitude) if amplitude else 1.0
+    return _fit_on_grid(graph, sizes, dist, GrowthProfile, amplitude,
+                        f"no grid rate up to {EXPONENT_GRID[-1]} certifies the sampled data "
+                        f"with amplitude {amplitude}")
 
 
 def fit_degree_growth(graph, rmax):
     """Fit the smallest degree envelope holding on the radius-rmax root ball.
 
     The cap is pinned by the innermost spheres, mirroring the growth-profile
-    fit; the smallest certifying grid power is selected.
+    fit; the smallest certifying grid power is selected, or on a finite
+    graph the flat envelope of `_fit_on_grid`.
     """
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
@@ -274,11 +281,6 @@ def fit_degree_growth(graph, rmax):
     if cap == 0:
         raise GrowthFitError(f"fitted degree cap {cap!r} is not positive and finite: "
                              f"the root {graph.root!r} has no edges")
-    for power in EXPONENT_GRID:
-        growth = DegreeGrowth(cap, power)
-        if all(degs[x] <= growth.envelope(d) for x, d in dist.items()):
-            return growth
-    raise GrowthFitError(
-        f"no grid power up to {EXPONENT_GRID[-1]} certifies the degrees "
-        f"with cap {cap}"
-    )
+    return _fit_on_grid(graph, degs, dist, DegreeGrowth, cap,
+                        f"no grid power up to {EXPONENT_GRID[-1]} certifies the degrees "
+                        f"with cap {cap}")

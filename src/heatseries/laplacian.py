@@ -22,6 +22,10 @@ the weights and measures.  Otherwise (int, Fraction or mixed data) they are
 stored as Python objects and the step runs on the original weights with
 Python's own arithmetic, dividing each total by `Fraction(m)` for a rational
 measure m and by m itself for a float, which is `exact_div`'s result.
+A step keeps its arithmetic: its result is stored as its input was, even
+when every value of an object step came out a float.  The bits agree either
+way, since a Python float times or over an int or Fraction rounds as it
+does against the float64 copy of that number.
 numpy's floating-point warnings are off inside the step: an overflow gives
 inf or nan silently, as Python floats do.
 """
@@ -40,8 +44,8 @@ from .graphs import NUMBER_TYPES, LocalFunction, exact_div
 class IndexedFunction(LocalFunction):
     """A LocalFunction held as arrays over a graph's neighbor index.
 
-    `pos` holds index positions and `vals` their values, in `items()` order:
-    float64 when every value is a Python float, objects otherwise.  The dict
+    `pos` holds index positions and `vals` their values, in `items()` order,
+    float64 or objects as the step's arithmetic (see the module).  The dict
     the LocalFunction methods read is built on first use.
     """
 
@@ -71,12 +75,14 @@ class IndexedFunction(LocalFunction):
         return IndexedFunction(self.index, self.pos[keep], self.vals[keep])
 
 
-def _stored(values, items=()):
-    """The numbers `values` as float64 if all are Python floats, else as objects.
+def _stored(items):
+    """The values of the (vertex, value) `items` as float64 if all are Python
+    floats, else as objects.
 
     A value of another type than int, float and Fraction is refused with a
-    TypeError naming its vertex, found among the (vertex, value) `items`.
+    TypeError naming its vertex.
     """
+    values = [v for _, v in items]
     kinds = set(map(type, values))
     if not kinds <= NUMBER_TYPES:
         x, v = next((x, v) for x, v in items if type(v) not in NUMBER_TYPES)
@@ -262,14 +268,11 @@ def apply_laplacian(graph, f):
                 i = index.expand(graph, x)
             pos.append(i)
         pos = np.array(pos, dtype=np.intp)
-        vals = _stored([v for _, v in items], items)
+        vals = _stored(items)
     if not len(pos):
         return IndexedFunction(index, pos, vals)
     rows.fill(graph, pos)
-    targets, values = _step(rows, pos, vals)
-    if values.dtype == object:
-        values = _stored(values)
-    return IndexedFunction(index, targets, values)
+    return IndexedFunction(index, *_step(rows, pos, vals))
 
 
 class IteratedLaplacianTable:

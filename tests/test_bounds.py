@@ -296,6 +296,22 @@ class TestFits:
         assert growth.envelope(0) >= 9
         assert growth.envelope(1) >= 1
 
+    def test_degree_beyond_the_grid_on_a_finite_graph_is_flat(self):
+        # Deg = 1e6 + 1 at distance 2 outgrows 2 d^2, the largest grid envelope
+        path = FiniteGraph(dict.fromkeys(range(5), 1),
+                           [(i, i + 1, w) for i, w in enumerate((1, 1, 1e6, 1))], 0)
+        assert fit_degree_growth(path, 4) == DegreeGrowth(1000001.0, 0.0)
+
+    def test_flat_degree_envelope_rounds_an_exact_maximum_up(self):
+        # Deg(2) = 2 / (3e-9) is no binary64 number; float() rounds it down
+        measures = {0: 1, 1: 1, 2: Fraction(3, 10**9), 3: 1}
+        path = FiniteGraph(measures, [(i, i + 1, 1) for i in range(3)], 0)
+        deg = path.deg(2)
+        assert deg == Fraction(2 * 10**9, 3) and float(deg) < deg
+        growth = fit_degree_growth(path, 3)
+        assert growth.power == 0.0
+        assert growth.cap >= deg and growth.cap == math.nextafter(float(deg), math.inf)
+
     @pytest.mark.parametrize("measure, weight, error, message", [
         (1, None, GrowthFitError,
          "fitted degree cap .* is not positive and finite: the root 0 has no edges"),

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from heatseries import cli
-from heatseries import counterexample as cx_mod
-from heatseries import laplacian as laplacian_mod
+import heatseries.cli as cli
+import heatseries.counterexample as cx_mod
+import heatseries.laplacian as laplacian_mod
 from heatseries.cli import canonical_json, main
 from heatseries.laplacian import IteratedLaplacianTable
 from heatseries.oracle import brute_iterate, dense_laplacian
@@ -354,17 +354,19 @@ class TestRadiusCommand:
         assert err.startswith(f"error: derived window delta = 0.9 / (2 e cap) = {delta} ")
         assert "degree cap" in err and "--delta" in err
 
-    def test_degree_growth_beyond_the_grid_exit2(self, tmp_path):
-        # Deg = 1e6 + 1 at distance 2 outgrows cap * d^power for every grid power
+    def test_degree_growth_beyond_the_grid_gets_the_flat_envelope(self, tmp_path, capsys):
+        # Deg = 1e6 + 1 at distance 2 outgrows cap * d^power for every grid
+        # power, so the finite graph gets the flat envelope at its largest Deg
         weights = (1, 1, 1e6, 1)
         doc = {
             "root": 0,
             "vertices": [{"id": i, "mu": 1} for i in range(5)],
             "edges": [{"u": i, "v": i + 1, "w": w} for i, w in enumerate(weights)],
         }
-        code, err = _exit_and_stderr(["radius", "--graph", write_graph(tmp_path, doc)])
-        assert code == 2
-        assert err == "error: no grid power up to 2.0 certifies the degrees with cap 2.0\n"
+        code, out = run(["radius", "--graph", write_graph(tmp_path, doc)], capsys)
+        assert code == 0
+        growth = json.loads(out)["results"]["degree_growth"]
+        assert (growth["cap"], growth["power"], growth["source"]) == (1000001.0, 0.0, "fitted")
 
     @pytest.mark.parametrize("option, partner", [
         ("--rate=0.5", "--amplitude"), ("--deg-power=0.5", "--deg-cap"),

@@ -66,7 +66,7 @@ _WEIGHED = {
 }
 
 #: Input files of the edge cases, written to their batch directory, beside
-#: the audits workload's graph files at seed 35 (see `batches`).
+#: the audits workload's graph files at seeds 35 and 55 (see `batches`).
 EDGE_FILES = {
     "disconnected.json": json.dumps(_DISCONNECTED),
     "disconnected.initial.json": json.dumps([[5, 1.0]]),
@@ -143,6 +143,8 @@ EDGE_CASES = (
      "--kmax", "4"],
     # data that no grid rate fits from the inner spheres, on a finite graph
     ["radius", "--graph", "seed35.json", "--initial", "seed35.initial.json", "--rmax", "3"],
+    # degrees that no grid power fits from the inner spheres, on a finite graph
+    ["radius", "--graph", "seed55.json", "--initial", "seed55.initial.json", "--rmax", "3"],
     # integer data summed at float times
     ["verify", "--exact"],
     ["verify", "--exact", "--format", "csv"],
@@ -197,7 +199,7 @@ def batches(seeds, size):
             for inv in invocations:
                 files.update(inv["files"])
             out.append({"files": files, "argvs": [inv["argv"] for inv in invocations]})
-    files = dict(EDGE_FILES, **_audits_graph_files(plan, 35))
+    files = dict(EDGE_FILES, **_audits_graph_files(plan, 35), **_audits_graph_files(plan, 55))
     out.append({"files": files, "argvs": [list(a) for a in EDGE_CASES]})
     return out
 
