@@ -57,59 +57,60 @@ def _fmt_float(x):
     return _NON_FINITE.get(text, text)
 
 
-def _canonical(obj, write, keys):
-    """Write the canonical JSON of `obj`; `keys` caches encoded str keys.
+class _FloatTexts(dict):
+    """Each nonzero float's text; 0.0 and -0.0 are equal keys that print apart."""
 
-    The exact types that reports are made of are dispatched first; the
-    isinstance chain serves subclasses (bool, np.float64), Fraction, tuples
-    and everything else.
+    def __missing__(self, x):
+        text = _fmt_float(x)
+        if x:
+            self[x] = text
+        return text
+
+
+def _canonical(obj, keys, floats):
+    """Return the canonical JSON of `obj`; `keys` and `floats` cache texts.
+
+    Exact report types first; the isinstance chain serves subclasses (bool,
+    np.float64), Fraction, tuples and everything else.
     """
     kind = type(obj)
     if kind is float:
-        write(_fmt_float(obj))
-    elif kind is dict:
-        _canonical_dict(obj, write, keys)
-    elif kind is list:
-        _canonical_list(obj, write, keys)
-    elif kind is int:
-        write(str(obj))
-    elif kind is str:
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(str(obj))
-    elif isinstance(obj, float):
-        write(_fmt_float(obj))
-    elif isinstance(obj, Fraction):
-        write(json.dumps(str(obj)))
-    elif isinstance(obj, str):
-        write(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        _canonical_list(obj, write, keys)
-    elif isinstance(obj, dict):
-        _canonical_dict(obj, write, keys)
-    else:
-        write(json.dumps(str(obj)))
+        return floats[obj]
+    if kind is dict:
+        return _canonical_dict(obj, keys, floats)
+    if kind is list:
+        return _canonical_list(obj, keys, floats)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _fmt_float(obj)
+    if isinstance(obj, Fraction):
+        return json.dumps(str(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return _canonical_list(obj, keys, floats)
+    if isinstance(obj, dict):
+        return _canonical_dict(obj, keys, floats)
+    return json.dumps(str(obj))
 
 
-def _canonical_list(obj, write, keys):
-    write("[")
-    sep = ""
-    for item in obj:
-        write(sep)
-        _canonical(item, write, keys)
-        sep = ", "
-    write("]")
+def _canonical_list(obj, keys, floats):
+    return "[" + ", ".join([_canonical(item, keys, floats) for item in obj]) + "]"
 
 
-def _canonical_dict(obj, write, keys):
-    write("{")
-    sep = ""
+def _canonical_dict(obj, keys, floats):
+    parts = []
     for key, val in obj.items():
         # only str keys are cached: 1 and True are equal keys that print apart
         if type(key) is str:
@@ -118,17 +119,17 @@ def _canonical_dict(obj, write, keys):
                 prefix = keys[key] = encode_basestring_ascii(key) + ": "
         else:
             prefix = json.dumps(str(key)) + ": "
-        write(sep + prefix)
-        _canonical(val, write, keys)
-        sep = ", "
-    write("}")
+        if type(val) is float:
+            parts.append(prefix + floats[val])
+        elif type(val) is int:
+            parts.append(prefix + str(val))
+        else:
+            parts.append(prefix + _canonical(val, keys, floats))
+    return "{" + ", ".join(parts) + "}"
 
 
 def canonical_json(obj):
-    parts = []
-    _canonical(obj, parts.append, {})
-    parts.append("\n")
-    return "".join(parts)
+    return _canonical(obj, {}, _FloatTexts()) + "\n"
 
 
 def _csv_cell(v):

@@ -903,28 +903,99 @@ REPORTS = st.recursive(
 )
 
 
+def _captured_report(argv):
+    """Run `argv` and return (exit code, stdout, the report handed to canonical_json)."""
+    captured = []
+    original = cli.canonical_json
+
+    def recording(report):
+        captured.append(report)
+        return original(report)
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out):
+        mp.setattr(cli, "canonical_json", recording)
+        code = main(argv)
+    (report,) = captured
+    return code, out.getvalue(), report
+
+
+def _plain_floats(obj):
+    """Every exact float in `obj`, keys excluded, in document order."""
+    if type(obj) is float:
+        return [obj]
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, (list, tuple)) else ()
+    return [x for item in items for x in _plain_floats(item)]
+
+
+# the times of a heatmap grid: 0.5 apart across [-3, 3]
+HEATMAP_ARGV = ["solve", "--family", "z", "--t=" + ",".join(str(t / 2) for t in range(-6, 7)),
+                "--rmax", "10"]
+
+
 class TestCanonicalJson:
     @given(REPORTS)
     @settings(max_examples=300, deadline=None)
     # equal keys of different types print apart, so str keys alone are cached
     @example([{1: 0}, {True: 0}, {1.0: 0}, {Fraction(1): 0}, {"1": 0}, {"True": 0}])
     @example({"a": [math.inf, -math.inf, math.nan, -0.0, np.float64(math.nan)], "b": {"a": ("a",)}})
+    # the float memo: 0.0 and -0.0 are equal keys that print apart, nan equals
+    # nothing, and 1, True and np.float64 equal floats but take other paths
+    @example([0.0, -0.0, 0.0, -0.0])
+    @example({"a": -0.0, "b": 0.0, "c": -0.0})
+    @example([{"t": 0.0, "v": 0.1}, {"t": -0.0, "v": 0.1}])
+    @example([math.nan, math.nan, {"a": math.nan, "b": math.nan}])
+    @example([math.nan, float("nan"), {"a": float("nan"), "b": -math.nan}])
+    @example([math.inf, -math.inf, math.inf, {"a": -math.inf, "b": math.inf}])
+    @example([0.1, np.float64(0.1), 0.1])
+    @example([1.0, 1, True, 1.0])
+    @example({"x": 1.0, "y": 1, "z": True})
     def test_byte_identical_to_the_isinstance_chain(self, report):
         assert canonical_json(report) == old_canonical_json(report)
 
-    def test_a_real_report(self, capsys):
-        captured = []
-        original = cli.canonical_json
-
-        def recording(report):
-            captured.append(report)
-            return original(report)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "canonical_json", recording)
-            code = main(["backward", "--family", "z", "--t=0.1,0.5", "--kmax", "6"])
+    def test_a_real_report(self):
+        code, out, report = _captured_report(
+            ["backward", "--family", "z", "--t=0.1,0.5", "--kmax", "6"]
+        )
         assert code == 0
-        assert capsys.readouterr().out == old_canonical_json(captured[0])
+        assert out == old_canonical_json(report)
+
+    def test_a_heatmap_shaped_report(self):
+        code, out, report = _captured_report(HEATMAP_ARGV)
+        assert code == 0
+        rows = report["results"]["evaluations"]
+        assert len(rows) == 21 * 13
+        # the memo's hits: u(x, t) = u(-x, t), and t and tail_bound repeat down a time
+        by_point = {(row["vertex"], row["t"]): row for row in rows}
+        assert all(by_point[(-x, t)]["value"] == row["value"] for (x, t), row in by_point.items())
+        assert len({row["tail_bound"] for row in rows}) <= 13
+        floats = _plain_floats(report)
+        assert len(set(floats)) < len(floats) / 2
+        assert out == old_canonical_json(report)
+
+    def test_each_distinct_float_is_formatted_once(self, monkeypatch):
+        report = {
+            "grid": _captured_report(HEATMAP_ARGV)[2],
+            "zeros": [0.0, -0.0, {"a": 0.0, "b": -0.0}, (0.0, 2.5)],
+            "repeats": [2.5, {"a": 2.5, "b": [2.5, -2.5]}, (-2.5, 1e300)],
+        }
+        calls = []
+        original = cli._fmt_float
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(cli, "_fmt_float", counting)
+        text = canonical_json(report)
+        monkeypatch.undo()
+        assert text == old_canonical_json(report)
+        floats = _plain_floats(report)
+        nonzero = [x for x in floats if x]
+        assert sorted(x for x in calls if x) == sorted(set(nonzero))
+        zeros = [math.copysign(1.0, x) for x in calls if not x]
+        assert sorted(zeros) == sorted(math.copysign(1.0, x) for x in floats if not x)
+        assert len(calls) < len(floats) / 2
 
 
 LATTICE3_DATA = [[[0, 0, 0], -1.0], [[1, 0, 0], 0.25], [[0, 0, -1], 0.5]]
