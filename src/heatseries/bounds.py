@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import GrowthFitError
-from .graphs import LocalFunction, number_problem
+from .graphs import LocalFunction, require_finite
 
 #: Exponent grid shared by the profile fitters, declared so fits reproduce.
 EXPONENT_GRID = tuple(i / 20 for i in range(41))
@@ -39,14 +39,6 @@ def exp_or_inf(log_value):
         return math.inf
 
 
-def _require_finite(**values):
-    """Refuse, by name, any value that is not a number finite in binary64."""
-    for name, value in values.items():
-        problem = number_problem(value)
-        if problem:
-            raise ValueError(f"{problem} {name} {value!r}")
-
-
 @dataclass(frozen=True)
 class GrowthProfile:
     """Envelope |f(x)| <= amplitude * e^{rate * d ln d} with d = d(x, root).
@@ -64,7 +56,8 @@ class GrowthProfile:
             raise ValueError("amplitude must be positive")
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
-        _require_finite(amplitude=self.amplitude, rate=self.rate)
+        require_finite("amplitude", self.amplitude)
+        require_finite("rate", self.rate)
 
     def envelope(self, d):
         if d <= 1:
@@ -87,7 +80,8 @@ class DegreeGrowth:
             raise ValueError("cap must be positive")
         if self.power < 0:
             raise ValueError("power must be nonnegative")
-        _require_finite(cap=self.cap, power=self.power)
+        require_finite("cap", self.cap)
+        require_finite("power", self.power)
 
     def envelope(self, d):
         if d == 0:
@@ -135,11 +129,11 @@ def radius_estimate(profile, degree_growth):
     return RadiusCertificate(OUT_OF_HYPOTHESIS, None, slack)
 
 
-def _check_delta(delta):
+def check_delta(delta):
     """Refuse a remainder window half-width that is not positive and finite."""
     if not delta > 0:
         raise ValueError("delta must be positive")
-    _require_finite(delta=delta)
+    require_finite("delta", delta)
 
 
 def remainder_bound(k, delta, degree_growth, profile, big_r):
@@ -154,7 +148,7 @@ def remainder_bound(k, delta, degree_growth, profile, big_r):
         raise ValueError("k must be >= 1")
     if big_r < 1:
         raise ValueError("window radius must be >= 1")
-    _check_delta(delta)
+    check_delta(delta)
     rate = float(profile.rate) + float(degree_growth.power)
     log_q = (
         k * math.log(2.0 * delta * degree_growth.cap)
@@ -284,3 +278,58 @@ def fit_degree_growth(graph, rmax):
     return _fit_on_grid(graph, degs, dist, DegreeGrowth, cap,
                         f"no grid power up to {EXPONENT_GRID[-1]} certifies the degrees "
                         f"with cap {cap}")
+
+
+def radius_report(graph, f, rmax, kmax, profile=None, growth=None, delta=None):
+    """The `radius` report of data `f` on `graph`, and its window half-width.
+
+    An envelope not given is fitted on the root ball of radius rmax (at
+    least 2 for the profile, 1 for the degrees).  The default window is
+    radius / 2 for a finite lower bound, else 0.9 / (2 e cap), and must be
+    positive and finite.  The table holds Q for k = 1..kmax over the radius
+    max(1, rmax) window, and nothing out of hypothesis.
+    """
+    if delta is not None:
+        check_delta(delta)
+    profile_src = growth_src = "explicit"
+    if profile is None:
+        profile, profile_src = fit_growth_profile(graph, f, max(2, rmax)), "fitted"
+    if growth is None:
+        growth, growth_src = fit_degree_growth(graph, max(1, rmax)), "fitted"
+    cert = radius_estimate(profile, growth)
+    if delta is None:
+        if cert.kind == FINITE_LOWER_BOUND:
+            delta, rule = cert.radius / 2.0, "radius / 2"
+        else:
+            delta, rule = 0.9 / (2.0 * math.e * float(growth.cap)), "0.9 / (2 e cap)"
+        # an extreme cap under- or overflows the window; name what set it
+        if not 0 < delta < math.inf:
+            raise ValueError(
+                f"derived window delta = {rule} = {delta!r} is not positive and "
+                f"finite for degree cap {float(growth.cap)!r}; give --delta"
+            )
+    table = []
+    if cert.kind != OUT_OF_HYPOTHESIS:
+        big_r = max(1, rmax)
+        table = [{"k": k, "Q": remainder_bound(k, delta, growth, profile, big_r)}
+                 for k in range(1, kmax + 1)]
+    report = {
+        "profile": {
+            "amplitude": float(profile.amplitude),
+            "rate": float(profile.rate),
+            "source": profile_src,
+            "grid": list(EXPONENT_GRID),
+        },
+        "degree_growth": {
+            "cap": float(growth.cap),
+            "power": float(growth.power),
+            "source": growth_src,
+        },
+        "certificate": {
+            "kind": cert.kind,
+            "radius": float(cert.radius) if cert.radius is not None else None,
+            "slack": float(cert.slack),
+        },
+        "remainder_table": table,
+    }
+    return report, delta

@@ -6,6 +6,11 @@ an optional lossy CSV projection for plotting; every report embeds the
 resolved configuration and arithmetic mode.  Exit status: 0 when all
 invoked audits pass, 1 on audit failure, 2 on usage errors, 3 on an
 internal error (a one-line message, no traceback).
+
+The CLI keeps parsing, refusals by option name, each report's `config` (its
+key order is part of the bytes), dispatch and serialization; the owning
+modules build the counterexample and radius reports.  solve, backward and
+verify stay here while heatbench's tracer wraps their calls in this module.
 """
 
 from __future__ import annotations
@@ -15,13 +20,12 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import bounds as bounds_mod
+from . import bounds
 from . import counterexample as cx
 from .errors import HeatSeriesError
 from .graphs import (
@@ -36,6 +40,7 @@ from .graphs import (
     number_problem,
     path_graph,
     random_weighted_graph,
+    require_finite,
     vertex_key,
 )
 from .laplacian import IteratedLaplacianTable, apply_laplacian
@@ -378,9 +383,8 @@ def _cmd_backward(args, config):
     # series cannot reach (planning needs no iterate), then, in the audit, a
     # cap below the audited Deg; without --degree-bound the audit takes that Deg
     cap = args.degree_bound
-    problem = None if cap is None else number_problem(cap)
-    if problem:
-        raise HeatSeriesError(f"{problem} degree cap {cap!r}")
+    if cap is not None:
+        require_finite("degree cap", cap)
     for t in times:
         solution._plan(-t)
     audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)
@@ -417,68 +421,21 @@ def _cmd_radius(args, config):
         raise HeatSeriesError("--deg-power needs --deg-cap")
     # a given window is checked whatever kind the certificate turns out to be
     if args.delta is not None:
-        bounds_mod._check_delta(args.delta)
+        bounds.check_delta(args.delta)
     graph, initial = _resolve_source(args, config)
     config.update({"rmax": args.rmax, "kmax": args.kmax})
+    profile = growth = None
     if args.amplitude is not None:
         rate = 0.0 if args.rate is None else args.rate
         config.update({"amplitude": args.amplitude, "rate": rate})
-        profile = bounds_mod.GrowthProfile(args.amplitude, rate)
-        profile_src = "explicit"
-    else:
-        profile = bounds_mod.fit_growth_profile(graph, initial, max(2, args.rmax))
-        profile_src = "fitted"
+        profile = bounds.GrowthProfile(args.amplitude, rate)
     if args.deg_cap is not None:
         power = 0.0 if args.deg_power is None else args.deg_power
         config.update({"deg_cap": args.deg_cap, "deg_power": power})
-        growth = bounds_mod.DegreeGrowth(args.deg_cap, power)
-        growth_src = "explicit"
-    else:
-        growth = bounds_mod.fit_degree_growth(graph, max(1, args.rmax))
-        growth_src = "fitted"
-
-    cert = bounds_mod.radius_estimate(profile, growth)
-    delta = args.delta
-    if delta is None:
-        if cert.kind == bounds_mod.FINITE_LOWER_BOUND:
-            delta, rule = cert.radius / 2.0, "radius / 2"
-        else:
-            delta, rule = 0.9 / (2.0 * math.e * float(growth.cap)), "0.9 / (2 e cap)"
-        # an extreme cap under- or overflows the window; name what set it
-        if not 0 < delta < math.inf:
-            raise HeatSeriesError(
-                f"derived window delta = {rule} = {delta!r} is not positive and "
-                f"finite for degree cap {float(growth.cap)!r}; give --delta"
-            )
-    config["delta"] = delta
-
-    table_rows = []
-    if cert.kind != bounds_mod.OUT_OF_HYPOTHESIS:
-        big_r = max(1, args.rmax)
-        for k in range(1, args.kmax + 1):
-            table_rows.append(
-                {"k": k, "Q": bounds_mod.remainder_bound(k, delta, growth, profile, big_r)}
-            )
-    report = {
-        "profile": {
-            "amplitude": float(profile.amplitude),
-            "rate": float(profile.rate),
-            "source": profile_src,
-            "grid": list(bounds_mod.EXPONENT_GRID),
-        },
-        "degree_growth": {
-            "cap": float(growth.cap),
-            "power": float(growth.power),
-            "source": growth_src,
-        },
-        "certificate": {
-            "kind": cert.kind,
-            "radius": float(cert.radius) if cert.radius is not None else None,
-            "slack": float(cert.slack),
-        },
-        "remainder_table": table_rows,
-    }
-    return report, True, table_rows
+        growth = bounds.DegreeGrowth(args.deg_cap, power)
+    report, config["delta"] = bounds.radius_report(
+        graph, initial, args.rmax, args.kmax, profile, growth, args.delta)
+    return report, True, report["remainder_table"]
 
 
 def _cmd_counterexample(args, config):
@@ -499,81 +456,7 @@ def _cmd_counterexample(args, config):
             "tol": args.tol,
         }
     )
-    # the witnesses check tol and kmax on entry, and the growth audit its
-    # window, so bad input is refused before the residual and Huang work
-    witnesses = [
-        cx.non_analyticity_witness(params, x, args.kmax, tol=args.tol)
-        for x in (0, 1, 2, 3)
-    ]
-    growth = cx.growth_audit(params, xmax=args.xmax)
-    t_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1))
-    xs = range(-10, 11)
-    residual_rows = []
-    max_residual = 0.0
-    max_value = 0.0
-    for x in xs:
-        for t in t_grid:
-            r = abs(cx.heat_residual_1d(params, x, t))
-            v = abs(cx.v_eval(params, x, t))
-            max_residual = max(max_residual, r)
-            max_value = max(max_value, v)
-            residual_rows.append({"x": x, "t": float(t), "residual": r})
-    zero_poly = all(cx.heat_residual_poly(params, x) == {} for x in xs)
-    huang = [cx.huang_bound_audit(params, k, t_grid) for k in range(1, 21)]
-
-    flatness_table = [
-        {
-            "x": w.x,
-            "smallest_s": w.smallest_s,
-            "values": {str(j): v for j, v in w.flat_values.items()},
-            "flat": w.flat,
-        }
-        for w in witnesses
-    ]
-    residual_ok = max_residual <= 1e-9 * max(max_value, 1e-300)
-    conclusion = (
-        zero_poly
-        and residual_ok
-        and growth.passed
-        and all(w.not_analytic for w in witnesses)
-    )
-    report = {
-        "params": {
-            "beta": params.beta,
-            "theta": params.theta,
-            "epsilon": params.epsilon,
-            "T": params.time_shift,
-        },
-        "grid": {"x": [min(xs), max(xs)], "t": [float(t) for t in t_grid]},
-        "max_residual": max_residual,
-        "max_value": max_value,
-        "residual_poly_zero": zero_poly,
-        "growth_pass": growth.passed,
-        "growth": {
-            "r0": growth.r0,
-            "window": list(growth.window),
-            "worst_margin": growth.worst_margin,
-            "violations": growth.violations,
-        },
-        "huang_findings": [
-            {"k": h.k, "bound": h.bound, "findings": h.findings}
-            for h in huang
-            if h.findings
-        ],
-        "flatness_table": flatness_table,
-        "positivity": [
-            {"x": w.x, "samples": w.positive_samples} for w in witnesses
-        ],
-        "conclusion": {
-            "not_time_analytic": conclusion,
-            "statement": (
-                "every probed Taylor coefficient at the shifted origin "
-                "vanishes while the solution is positive later, so the "
-                "series cannot represent the solution there"
-            ),
-        },
-    }
-    return report, conclusion, residual_rows
+    return cx.audit_report(params, args.xmax, args.kmax, args.tol)
 
 
 def _verify_fixtures():

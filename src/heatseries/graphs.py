@@ -56,6 +56,13 @@ def number_problem(value):
     return "non-finite"
 
 
+def require_finite(name, value):
+    """Refuse, by name, a `value` that is not a number finite in binary64."""
+    problem = number_problem(value)
+    if problem:
+        raise ValueError(f"{problem} {name} {value!r}")
+
+
 def float_or_inf(value):
     """`float(value)`, or inf with the sign of `value` where it lies beyond binary64."""
     try:

@@ -45,7 +45,7 @@ import numpy as np
 
 from .bounds import exp_or_inf, root_distances, xlnx
 from .errors import DegreeBoundError, RadiusExceededError, TruncationFailureError
-from .graphs import LocalFunction, float_or_inf, number_problem, vertex_key
+from .graphs import LocalFunction, float_or_inf, require_finite, vertex_key
 from .laplacian import (
     IteratedLaplacianTable,
     apply_laplacian,
@@ -109,9 +109,7 @@ class SeriesSolution:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tolerance must be positive")
-        problem = number_problem(self.tol)
-        if problem:
-            raise ValueError(f"{problem} tolerance {self.tol!r}")
+        require_finite("tolerance", self.tol)
         self.table = IteratedLaplacianTable(self.graph, self.initial)
         self._sup = float(self.initial.sup_norm())
         cap = self.graph.uniform_degree_bound()
@@ -154,9 +152,7 @@ class SeriesSolution:
         return plan
 
     def _make_plan(self, t):
-        problem = number_problem(t)
-        if problem:
-            raise ValueError(f"{problem} time {t!r}")
+        require_finite("time", t)
         if t == 0:
             return _Plan(0, 0.0, None)
         rho = 2.0 * abs(float(t)) * self._deg_cap
@@ -370,9 +366,7 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     if kmax < 0 or rmax < 0:
         raise ValueError("kmax and rmax must be nonnegative")
     if degree_cap is not None:
-        problem = number_problem(degree_cap)
-        if problem:
-            raise ValueError(f"{problem} degree cap {degree_cap!r}")
+        require_finite("degree cap", degree_cap)
     region = audit_region(graph, a, kmax, rmax)
     degrees = ((x, graph.deg(x)) for x in region)
     if degree_cap is None:

@@ -18,6 +18,7 @@ from heatseries.bounds import (
     fit_growth_profile,
     lagrange_gap_bound,
     radius_estimate,
+    radius_report,
     remainder_bound,
     stirling_lower_holds,
     xlnx,
@@ -328,3 +329,33 @@ class TestFits:
         assert EXPONENT_GRID[0] == 0.0
         assert EXPONENT_GRID[-1] == 2.0
         assert len(EXPONENT_GRID) == 41
+
+
+class TestRadiusReport:
+    def test_finite_lower_bound_window_is_half_the_radius(self):
+        report, delta = radius_report(IntegerLine(), LocalFunction.delta(0, 1.0), 8, 3,
+                                      GrowthProfile(1.0, 1.0), DegreeGrowth(3.0, 0.0))
+        assert report["certificate"]["kind"] == FINITE_LOWER_BOUND
+        assert delta == pytest.approx(1 / (12 * math.e), rel=1e-15)
+        assert (report["profile"]["source"], report["degree_growth"]["source"]) == (
+            "explicit", "explicit")
+        assert [row["k"] for row in report["remainder_table"]] == [1, 2, 3]
+
+    @pytest.mark.parametrize("profile, kind", [
+        (None, INFINITE), (GrowthProfile(1.0, 2.0), OUT_OF_HYPOTHESIS),
+    ])
+    def test_otherwise_the_window_is_set_by_the_cap(self, profile, kind):
+        report, delta = radius_report(IntegerLine(), LocalFunction.delta(0, 1.0), 4, 3, profile)
+        assert report["certificate"]["kind"] == kind
+        assert report["degree_growth"] == {"cap": 2.0, "power": 0.0, "source": "fitted"}
+        assert delta == 0.9 / (2 * math.e * 2.0)
+        assert len(report["remainder_table"]) == (0 if kind == OUT_OF_HYPOTHESIS else 3)
+
+    def test_a_given_window_is_kept(self):
+        _, delta = radius_report(IntegerLine(), LocalFunction.delta(0, 1.0), 4, 3, delta=0.25)
+        assert delta == 0.25
+
+    def test_a_bad_window_is_refused_out_of_hypothesis(self):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            radius_report(IntegerLine(), LocalFunction.delta(0, 1.0), 4, 3,
+                          GrowthProfile(1.0, 2.0), delta=-1.0)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import heatseries.bounds as bounds_mod
 import heatseries.cli as cli
 import heatseries.counterexample as cx_mod
 import heatseries.laplacian as laplacian_mod
@@ -375,6 +376,14 @@ class TestRadiusCommand:
         code, err = _exit_and_stderr(["radius", "--family", "z", "--kmax", "2", option])
         assert code == 2
         assert option.split("=")[0] in err and partner in err
+
+    def test_bad_explicit_constant_refused_before_fitting(self, monkeypatch):
+        def fit(*args):
+            raise AssertionError("fitted before the explicit constants were checked")
+
+        monkeypatch.setattr(bounds_mod, "fit_growth_profile", fit)
+        code, err = _exit_and_stderr(["radius", "--family", "z", "--deg-cap=-1"])
+        assert (code, err) == (2, "error: cap must be positive\n")
 
     def test_omitted_exponents_recorded_as_zero(self, capsys):
         code, out = run(

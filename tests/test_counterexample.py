@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -18,6 +19,7 @@ from heatseries.counterexample import (
     _poly_eval,
     _v_exact,
     _v_mpf,
+    audit_report,
     default_theta,
     g_derivative,
     g_eval,
@@ -29,6 +31,7 @@ from heatseries.counterexample import (
     v_eval,
     v_time_derivative,
 )
+from heatseries.cli import main
 from heatseries.errors import AuditWindowEmptyError
 
 
@@ -473,3 +476,40 @@ class TestNonAnalyticity:
             fd = (4 * central(x, h / 2) - central(x, h)) / 3
             exact = v_time_derivative(beta2, x, t)
             assert exact == pytest.approx(fd, rel=1e-7)
+
+
+def _nonzero_residual_poly(original, params, x):
+    return {0: 1}
+
+
+def _large_residual(original, params, x, t):
+    return v_eval(params, x, t)  # as large as the solution itself
+
+
+def _failed_growth(original, params, xmax=60):
+    return dataclasses.replace(original(params, xmax=xmax), passed=False)
+
+
+def _one_witness_not_flat(original, params, x, kmax, tol=1e-8):
+    report = original(params, x, kmax, tol=tol)
+    return dataclasses.replace(report, flat=report.flat and x != 2)
+
+
+class TestAuditReport:
+    def test_conclusion_holds(self, beta4):
+        report, concluded, rows = audit_report(beta4, 8, 1, 1e-8)
+        assert concluded is True and report["conclusion"]["not_time_analytic"] is True
+        assert report["residual_poly_zero"] and report["growth_pass"]
+        assert len(rows) == 21 * 3
+
+    @pytest.mark.parametrize("name, broken", [
+        ("heat_residual_poly", _nonzero_residual_poly),
+        ("heat_residual_1d", _large_residual),
+        ("growth_audit", _failed_growth),
+        ("non_analyticity_witness", _one_witness_not_flat),
+    ])
+    def test_one_failed_condition_refutes(self, beta4, monkeypatch, capsys, name, broken):
+        monkeypatch.setattr(cx_mod, name, functools.partial(broken, getattr(cx_mod, name)))
+        report, concluded, _ = audit_report(beta4, 8, 1, 1e-8)
+        assert concluded is False and report["conclusion"]["not_time_analytic"] is False
+        assert main(["counterexample", "--beta", "4", "--xmax", "8", "--kmax", "1"]) == 1

@@ -177,6 +177,15 @@ EDGE_CASES = (
     ["laplacian", "--family", "z", "--exact", "--kmax", "20", "--initial", "big.initial.json"],
     ["backward", "--family", "z", "--exact", "--kmax", "20", "--rmax", "1", "--t=1/1000",
      "--initial", "big.initial.json"],
+    # CSV rows of the residual sweep, the remainder table of each certificate
+    # kind (empty out of hypothesis) and the iterates
+    ["counterexample", "--beta", "4", "--format", "csv"],
+    ["radius", "--family", "z", "--kmax", "3", "--format", "csv"],
+    ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "1",
+     "--deg-cap", "3", "--format", "csv"],
+    ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2",
+     "--format", "csv"],
+    ["laplacian", "--family", "z", "--kmax", "3", "--format", "csv"],
 )
 
 
