@@ -150,8 +150,13 @@ def remainder_bound(k, delta, degree_growth, profile, big_r):
         raise ValueError("window radius must be >= 1")
     check_delta(delta)
     rate = float(profile.rate) + float(degree_growth.power)
+    scale = 2.0 * delta * degree_growth.cap
+    if scale:
+        log_scale = math.log(scale)
+    else:  # the product underflowed, its factors did not
+        log_scale = math.log(2.0) + math.log(delta) + math.log(degree_growth.cap)
     log_q = (
-        k * math.log(2.0 * delta * degree_growth.cap)
+        k * log_scale
         - math.lgamma(k + 1)
         + math.log(profile.amplitude)
         + rate * xlnx(k + big_r)

@@ -261,6 +261,9 @@ def _resolve_initial(args, graph):
     if args.initial:
         parse_float = Fraction if args.exact else float
         doc = json.loads(Path(args.initial).read_text(), parse_float=parse_float)
+        if not isinstance(doc, list):
+            raise HeatSeriesError(f"initial data file {args.initial} must be a JSON array "
+                                  "[[vertex, value], ...]")
         values = {}
         for rec in doc:
             if not isinstance(rec, list) or len(rec) != 2:

@@ -9,9 +9,10 @@ One application is an array step over the graph's neighbor index.  Its
 results are those of the plain loop in which each support vertex x, in
 order, adds -deg_w(x) f(x) to itself and w(x, y) f(x) to each neighbour y,
 after which every total goes through `exact_div` by its measure: the same
-values, the same types and the same order of `items()`.  The step sums each
-target's terms left to right, one term per target at a time, never with a
-pairwise `reduce`, so a float total rounds exactly as the loop rounds it.
+values, the same types and the same order of `items()`.  The step adds the
+terms with `ufunc.at`, which applies them one at a time in the loop's order,
+never with a pairwise `reduce`, so a float total rounds exactly as the loop
+rounds it.
 
 The step has two arithmetics.  The graph's numbers obey the `Graph`
 contract (int, float or Fraction, finite in binary64) and a function's
@@ -188,10 +189,14 @@ class KernelRows:
 def _step(rows, pos, vals):
     """(targets, values) of one application to `vals` at positions `pos`.
 
-    The terms w f(x) are put in the loop's order, stably sorted by target,
-    and summed per target left to right; the targets come out in the order
-    the loop first touches them, zeros dropped.  float64 `vals` are stepped
-    on the rows' float64 copies, object `vals` on the original numbers.
+    The terms w f(x) are put in the loop's order and added by `np.add.at`
+    into a scratch array over the index, 0 at the targets and never read
+    elsewhere.  `ufunc.at` is unbuffered and works through its indices in
+    order, so each target's total is the loop's left to right sum from 0.
+    `np.minimum.at` finds the term at which the loop first touches each
+    target, and the targets come out in the order of those terms, zeros
+    dropped.  float64 `vals` are stepped on the rows' float64 copies, object
+    `vals` on the original numbers.
     """
     coefs, divisors = (rows.coefs, rows.divisors()) if vals.dtype == object else rows.floats()
     lengths = rows.length[pos]
@@ -200,29 +205,15 @@ def _step(rows, pos, vals):
     ramp = np.arange(total)
     flat = ramp + (rows.start[pos] - ends + lengths).repeat(lengths)
     terms = coefs[flat] * vals.repeat(lengths)
-    # a stable sort by target: the keys pack (target, place in the loop),
-    # which fits int64 while positions and terms stay below 2^31
-    shift = total.bit_length()
-    keys = rows.targets[flat] << shift | ramp
-    keys.sort()
-    order = keys & ((1 << shift) - 1)
-    targets = keys >> shift
-    terms = terms[order]
-    edges = np.empty(total + 1, dtype=bool)  # where a target's terms start or end
-    edges[0] = edges[total] = True
-    np.not_equal(targets[1:], targets[:-1], out=edges[1:total])
-    bounds = edges.nonzero()[0]
-    heads = bounds[:-1]
-    fewer = heads - bounds[1:]  # minus each target's term count
-    # most terms first, so that the targets still adding a term form a prefix
-    by_count = fewer.argsort()
-    heads, fewer = heads[by_count], fewer[by_count]
-    acc = np.zeros(len(heads), dtype=terms.dtype)
-    for r, n in enumerate(fewer.searchsorted(-np.arange(-fewer[0])).tolist()):
-        acc[:n] += terms[heads[:n] + r]
-    touch = order[heads].argsort()
-    targets = targets[heads[touch]]
-    values = acc[touch] / divisors[targets]
+    into = rows.targets[flat]
+    acc = np.empty(rows.npos, dtype=terms.dtype)
+    acc[into] = 0
+    np.add.at(acc, into, terms)
+    first = np.empty(rows.npos, dtype=np.intp)
+    first[into] = total
+    np.minimum.at(first, into, ramp)
+    targets = into[first[into] == ramp]
+    values = acc[targets] / divisors[targets]
     keep = values != 0
     return targets[keep], values[keep]
 

@@ -112,6 +112,14 @@ class TestRemainderBound:
         with pytest.raises(ValueError):
             remainder_bound(1, 1.0, growth, profile, 0.5)
 
+    def test_underflowing_window_scale(self):
+        # 2 delta cap underflows to 0 in binary64, yet each factor is positive
+        assert 2.0 * 5e-324 * 0.1 == 0
+        growth = DegreeGrowth(0.1, 0.0)
+        q = remainder_bound(1, 5e-324, growth, GrowthProfile(1e300, 0.0), 1.0)
+        assert q == pytest.approx(2 * 0.1 * 1e300 * 5e-324, rel=1e-12)
+        assert remainder_bound(3, 5e-324, growth, GrowthProfile(1.0, 0.0), 1.0) == 0
+
     @pytest.mark.parametrize("delta", (math.inf, 10 ** 400, Fraction(10 ** 400, 3)))
     def test_non_finite_delta_named(self, delta):
         growth, profile = DegreeGrowth(1.0, 0.0), GrowthProfile(1.0, 0.0)

@@ -303,6 +303,14 @@ class TestRadiusCommand:
         table = report["remainder_table"]
         assert table and table[-1]["Q"] < table[0]["Q"]
 
+    def test_underflowing_window_scale(self, capsys):
+        # 2 delta cap underflows to 0: the envelope is 0, not a domain error
+        code, out = run(["radius", "--family", "z", "--deg-cap", "0.1", "--delta", "5e-324"],
+                        capsys)
+        assert code == 0
+        table = json.loads(out)["results"]["remainder_table"]
+        assert table and all(row["Q"] == 0 for row in table)
+
     @pytest.mark.parametrize("option", ("--kmax=-5", "--rmax=-3"))
     def test_negative_window_named(self, option):
         code, err = _exit_and_stderr(["radius", option])
@@ -715,6 +723,15 @@ class TestSchemaErrors:
         code, err = _exit_and_stderr(["solve", "--family", "z", "--initial", str(init)])
         assert code == 2
         assert err == "error: malformed initial-data record [1]\n"
+
+    @pytest.mark.parametrize("text", ["5", "null", '{"0": 1.0}'])
+    def test_initial_document_not_an_array_exit2(self, tmp_path, text):
+        init = tmp_path / "a.json"
+        init.write_text(text)
+        code, err = _exit_and_stderr(["solve", "--family", "z", "--initial", str(init)])
+        assert code == 2
+        assert err == (f"error: initial data file {init} must be a JSON array "
+                       "[[vertex, value], ...]\n")
 
     @pytest.mark.parametrize("argv", [
         ["solve", "--t=5", "--rmax", "0"], ["backward", "--kmax", "3"], ["verify"],

@@ -81,9 +81,19 @@ class TestApply:
 KERNEL_GRAPHS = ("z", "lattice:2", "lattice:3", "tree:3", "random")
 
 
+#: lattice:2 with its index grown to the radius-30 ball first: a small
+#: support steps over a large index with untouched positions, and position
+#: order is not the order in which the loop first touches the targets
+GROWN = "lattice:2 grown"
+
+
 def kernel_graph(spec):
     if spec == "random":
         return random_weighted_graph(15, seed=3, exact=True)
+    if spec == GROWN:
+        graph = family_from_spec("lattice:2")
+        graph.ball(graph.root, 30)
+        return graph
     return family_from_spec(spec)
 
 
@@ -415,7 +425,7 @@ class TestAgainstTheDictLoop:
         graph, f = case
         assert_cone_matches_the_loop(graph, f, depth, reach)
 
-    @pytest.mark.parametrize("spec", KERNEL_GRAPHS)
+    @pytest.mark.parametrize("spec", KERNEL_GRAPHS + (GROWN,))
     @pytest.mark.parametrize("kind", ("float", "exact", "mixed"))
     def test_families(self, spec, kind):
         graph = kernel_graph(spec)

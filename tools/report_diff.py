@@ -84,6 +84,8 @@ EDGE_FILES = {
     "big.initial.json": json.dumps([[0, 1e300]]),
     # under --exact: a value beyond binary64, refused in short form
     "beyond.initial.json": "[[0, 1], [1, 1e400]]",
+    # a document that is not an array of records
+    "scalar.initial.json": "5",
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -133,6 +135,8 @@ EDGE_CASES = (
     ["radius", "--deg-cap=inf", "--amplitude", "1", "--rate", "1"],
     ["radius", "--family", "z", "--kmax", "0", "--delta=-1"],
     ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2", "--delta=nan"],
+    # a window scale 2 delta cap that underflows to 0
+    ["radius", "--family", "z", "--deg-cap", "0.1", "--delta", "5e-324"],
     # x = 3 samples 0, 0 and a negative value
     ["counterexample", "--beta", "10", "--xmax", "12", "--kmax", "3"],
     # large beta: a wide growth window, and one that fails the audit (exit 1)
@@ -150,6 +154,7 @@ EDGE_CASES = (
     ["verify", "--exact", "--format", "csv"],
     ["solve", "--family", "z", "--initial", "duplicate.initial.json"],
     ["solve", "--family", "z", "--exact", "--initial", "beyond.initial.json"],
+    ["solve", "--family", "z", "--initial", "scalar.initial.json"],
     ["solve", "--family", "z", "--t", "1/2"],
     ["solve", "--family", "z", "--exact", "--t", "abc"],
     ["solve", "--family", "lattice:1.5"],
