@@ -260,7 +260,10 @@ def _parse_vertex(v):
 def _resolve_initial(args, graph):
     if args.initial:
         parse_float = Fraction if args.exact else float
-        doc = json.loads(Path(args.initial).read_text(), parse_float=parse_float)
+        try:
+            doc = json.loads(Path(args.initial).read_text(), parse_float=parse_float)
+        except json.JSONDecodeError as exc:
+            raise HeatSeriesError(f"initial data file {args.initial}: invalid JSON: {exc}") from exc
         if not isinstance(doc, list):
             raise HeatSeriesError(f"initial data file {args.initial} must be a JSON array "
                                   "[[vertex, value], ...]")

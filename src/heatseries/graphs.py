@@ -6,10 +6,12 @@ envelopes.  A finite graph is built one way, from its measures and an edge
 list, and enumerates its vertices; infinite families expose a neighbor
 oracle plus a closed-form metric.
 
-Every derived query reads the graph's neighbor index, which calls the
-family's `neighbors` once per vertex; balls are not memoized but walked
-afresh over the index.  The vertex object the index holds needs no further
-check; an equal value of another type is checked like a new one.
+Every derived query reads the graph's neighbor index.  The index expands a
+whole list of vertices with one call to the family's `neighbor_rows`, once
+per vertex over the graph's lifetime; balls are not memoized but walked
+afresh over the index, a sphere at a time.  The vertex object the index
+holds needs no further check; an equal value of another type is checked
+like a new one.
 
 Graphs are immutable after construction.  The neighbor index is filled on
 demand without locks, so a graph must not be shared between threads.
@@ -20,8 +22,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, compress, count, islice, repeat
 from numbers import Rational, Real
+from operator import add, is_, itemgetter
 from pathlib import Path
 
 from .errors import GraphSchemaError, UnknownVertexError, UnreachableVertexError
@@ -157,13 +160,14 @@ class NeighborIndex:
     `weights[i]` the pair (edge weights in the same order, their sum).
     Pairs of equal weights are stored once, told apart by the types of the
     weights on a graph with `mixed_weights`.  A vertex gets a position when
-    it is expanded or first seen as a neighbor of an expanded vertex, so
-    every vertex in the index is a vertex of the graph and `Graph.neighbors`
-    runs at most once per vertex.  The index holds no reference to its
-    graph: a graph and its index are freed together without waiting for the
-    cycle collector.  `rows` holds the Laplacian kernel's arrays over the
-    index (`laplacian.KernelRows`), made by the first kernel step on the
-    graph.
+    `position` has validated it or when it is first seen as a neighbor of an
+    expanded vertex, so every vertex in the index is a vertex of the graph.
+    `expand_positions` expands a list of held positions with one call to the
+    graph's `neighbor_rows`; `expand` is the entry point for a single
+    vertex, validated first.  The index holds no reference to its graph: a
+    graph and its index are freed together without waiting for the cycle
+    collector.  `rows` holds the Laplacian kernel's arrays over the index
+    (`laplacian.KernelRows`), made by the first kernel step on the graph.
     """
 
     __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared", "rows")
@@ -177,54 +181,77 @@ class NeighborIndex:
         self._shared = {}
         self.rows = None
 
-    def _add(self, graph, x):
-        # x is a vertex: expand validated it, or `neighbors` produced it
-        i = self.positions[x] = len(self.vertices)
-        self.vertices.append(x)
-        self.measures.append(graph._measure(x))
-        self.neighbors.append(None)
-        self.weights.append(None)
+    def _add(self, graph, fresh):
+        """Hold the vertices `fresh` maps to their positions, the next ones in
+        order; none of them is held yet."""
+        xs = list(fresh)
+        self.positions.update(fresh)  # the hashes come with `fresh`
+        self.vertices += xs
+        self.measures += map(graph._measure, xs)
+        self.neighbors += repeat(None, len(xs))
+        self.weights += repeat(None, len(xs))
+
+    def position(self, graph, x):
+        """Position of `x`, added if need be; UnknownVertexError unless `x`
+        is a vertex.  The very object the index holds is not checked again."""
+        try:
+            i = self.positions.get(x)
+        except TypeError:  # unhashable, so not a vertex
+            raise UnknownVertexError(f"unknown vertex {x!r}") from None
+        if i is None or self.vertices[i] is not x:
+            graph.check_vertex(x)  # an equal value (1.0 for 1) may be no vertex
+            if i is None:
+                i = len(self.vertices)
+                self._add(graph, {x: i})
         return i
 
     def expand(self, graph, x):
-        """Position of `x`, with its neighbors and weights filled in."""
-        positions = self.positions
-        try:
-            i = positions.get(x)
-        except TypeError:  # unhashable, so not a vertex
-            raise UnknownVertexError(f"unknown vertex {x!r}") from None
-        if i is None:
-            pairs = graph.neighbors(x)  # rejects x if it is not a vertex
-            i = self._add(graph, x)
-        else:
-            if self.vertices[i] is not x:
-                graph.check_vertex(x)  # an equal value (1.0 for 1) may be no vertex
-            if self.neighbors[i] is not None:
-                return i
-            # the stored vertex, so that an equal x never enters the index
-            pairs = graph.neighbors(self.vertices[i])
-        nbrs = []
-        for y, _ in pairs:
-            j = positions.get(y)
-            nbrs.append(self._add(graph, y) if j is None else j)
-        ws = tuple(w for _, w in pairs)
+        """Position of `x`, checked as by `position`, with its neighbors and
+        weights filled in."""
+        i = self.position(graph, x)
+        if self.neighbors[i] is None:
+            self.expand_positions(graph, (i,))
+        return i
+
+    def expand_positions(self, graph, pos):
+        """Fill in the neighbors and weights of every held position in `pos`
+        that has none, with one call to `graph.neighbor_rows`."""
+        neighbors = self.neighbors
+        pos = [i for i in pos if neighbors[i] is None]
+        rows, weight_rows = graph.neighbor_rows(list(map(self.vertices.__getitem__, pos)))
+        # one hash per neighbor, one more per new one: a long word's is not cached
+        flat = list(chain.from_iterable(rows))
+        at = list(map(self.positions.get, flat))
+        if None in at:
+            fresh = {}
+            lo = len(self.vertices)
+            for k in compress(count(), map(is_, at, repeat(None))):
+                at[k] = fresh.setdefault(flat[k], lo + len(fresh))
+            self._add(graph, fresh)
+        at = iter(at)
+        rows = [tuple(islice(at, len(row))) for row in rows]
         # (1, 1) == (1.0, 1.0), but they compute apart; one flat key, since
         # a tuple of types made and dropped per vertex piles up on CPython's
         # tuple free list (0.1 MB of peak RSS)
-        key = (ws, *map(type, ws)) if graph.mixed_weights else ws
-        shared = self._shared.get(key)
-        if shared is None:
-            shared = self._shared[key] = (ws, sum(ws))
-        self.neighbors[i] = tuple(nbrs)
-        self.weights[i] = shared
-        return i
+        mixed, shared = graph.mixed_weights, self._shared
+        keys = [(ws, *map(type, ws)) for ws in weight_rows] if mixed else weight_rows
+        for key in dict.fromkeys(keys):
+            if key not in shared:
+                ws = key[0] if mixed else key
+                shared[key] = (ws, sum(ws))
+        weights = self.weights
+        for i, row, pair in zip(pos, rows, map(shared.__getitem__, keys)):
+            neighbors[i] = row
+            weights[i] = pair
 
 
 class Graph:
     """Base class: locally finite weighted graph with a root vertex.
 
     Subclasses provide `neighbors`, membership and, for a non-unit measure,
-    `_measure`; the derived queries read the neighbor index.
+    `_measure`; the derived queries read the neighbor index, which reads the
+    graph through `neighbor_rows`.  A family with a closed form may override
+    `neighbor_rows` and `distances_from_root`, which work a list at a time.
 
     The number contract, which `FiniteGraph` checks when it is built and
     the lazy families meet with int 1 throughout: every measure and weight
@@ -251,6 +278,22 @@ class Graph:
     def neighbors(self, x):
         """Tuple of (neighbor, edge weight) pairs, deterministic order."""
         raise NotImplementedError
+
+    def neighbor_rows(self, xs):
+        """(neighbor tuples, weight tuples) of the vertices `xs`, in the order
+        `neighbors` gives.
+
+        The index calls it on vertices it holds, so a family that overrides
+        it need not check them.  This default calls `neighbors` per vertex.
+        """
+        pairs = list(map(self.neighbors, xs))
+        return ([tuple(y for y, _ in row) for row in pairs],
+                [tuple(w for _, w in row) for row in pairs])
+
+    def distances_from_root(self, xs):
+        """The distance from the root of each vertex in `xs`, inf for one not
+        connected to the root.  This default asks `distance` per vertex."""
+        return [self.distance(x, self.root) for x in xs]
 
     def _measure(self, x):
         """Measure of a vertex already known to be in the graph."""
@@ -287,23 +330,15 @@ class Graph:
         A sphere is expanded only when the next one is requested; the walk
         ends after the last nonempty sphere.
         """
-        sphere = set()
-        for x in sources:
-            self.check_vertex(x)
-            sphere.add(x)
-        seen = set(sphere)
         index = self.index
-        expand, neighbors, vertices = index.expand, index.neighbors, index.vertices
+        sphere = {index.position(self, x) for x in sources}
+        seen = set(sphere)
+        neighbors, vertices = index.neighbors, index.vertices
         while sphere:
-            yield frozenset(sphere)
-            nxt = set()
-            for x in sphere:
-                for j in neighbors[expand(self, x)]:
-                    y = vertices[j]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.add(y)
-            sphere = nxt
+            yield frozenset(map(vertices.__getitem__, sphere))
+            index.expand_positions(self, sphere)
+            sphere = set(chain.from_iterable(map(neighbors.__getitem__, sphere))) - seen
+            seen |= sphere
 
     def weight(self, x, y):
         """Edge weight, 0 for non-neighbors (and on the diagonal)."""
@@ -394,6 +429,7 @@ class FiniteGraph(Graph):
         if root not in mu:
             raise UnknownVertexError(f"root {root!r} is not a vertex")
         self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
+        self._depth = None  # vertex -> root distance, walked on first use
         self.mixed_weights = len(kinds) > 1
         degs = []
         for x, pairs in self._nbrs.items():
@@ -425,6 +461,12 @@ class FiniteGraph(Graph):
     def _measure(self, x):
         return self._mu[x]
 
+    def distances_from_root(self, xs):
+        if self._depth is None:  # one walk from the root rather than one per vertex
+            self._depth = {x: r for r, sphere in enumerate(self.layers((self.root,)))
+                           for x in sphere}
+        return list(map(self._depth.get, xs, repeat(math.inf)))
+
     def uniform_degree_bound(self):
         return self._max_deg
 
@@ -443,6 +485,12 @@ class IntegerLine(Graph):
     def neighbors(self, x):
         self.check_vertex(x)
         return ((x - 1, 1), (x + 1, 1))
+
+    def neighbor_rows(self, xs):
+        return [(x - 1, x + 1) for x in xs], [(1, 1)] * len(xs)
+
+    def distances_from_root(self, xs):
+        return list(map(abs, xs))
 
     def distance(self, x, y):
         self.check_vertex(x)
@@ -479,6 +527,16 @@ class IntegerLattice(Graph):
                 y = x[:i] + (x[i] + step,) + x[i + 1:]
                 out.append((y, 1))
         return tuple(out)
+
+    def neighbor_rows(self, xs):
+        # column by column: the neighbors one step along each axis, both ways
+        columns = list(zip(*xs))
+        moves = [zip(*columns[:i], map(add, column, repeat(step)), *columns[i + 1:])
+                 for i, column in enumerate(columns) for step in (-1, 1)]
+        return list(zip(*moves)), [(1,) * (2 * self.dim)] * len(xs)
+
+    def distances_from_root(self, xs):
+        return list(map(sum, map(map, repeat(abs), xs)))
 
     def distance(self, x, y):
         self.check_vertex(x)
@@ -523,6 +581,16 @@ class RegularTree(Graph):
             return tuple(((i,), 1) for i in range(self.degree))
         children = tuple((x + (i,), 1) for i in range(self.degree - 1))
         return ((x[:-1], 1),) + children
+
+    def neighbor_rows(self, xs):
+        children = [map(add, xs, repeat((i,))) for i in range(self.degree - 1)]
+        rows = list(zip(map(itemgetter(slice(-1)), xs), *children))
+        if () in xs:  # the base vertex has no parent but one more child
+            rows[xs.index(())] = tuple((i,) for i in range(self.degree))
+        return rows, [(1,) * self.degree] * len(xs)
+
+    def distances_from_root(self, xs):
+        return list(map(len, xs))
 
     def distance(self, x, y):
         self.check_vertex(x)

@@ -92,11 +92,12 @@ def _stored(items):
     return np.array(values, dtype=np.float64 if kinds <= {float} else object)
 
 
-def _grown(a, n, fill):
-    """`a`, or a copy with room for at least `n` entries, new ones `fill`."""
+def _grown(a, n):
+    """`a`, or a copy with room for at least `n` entries, the new ones unset:
+    memory that is never written takes no room."""
     if len(a) >= n:
         return a
-    out = np.full(max(n, 2 * len(a), 64), fill, dtype=a.dtype)
+    out = np.empty(max(n, 2 * len(a), 64), dtype=a.dtype)
     out[: len(a)] = a
     return out
 
@@ -115,6 +116,10 @@ class KernelRows:
     __slots__ = ("npos", "used", "start", "length", "measures", "targets", "coefs",
                  "_floats", "_divisors")
 
+    #: Positions given rows, and expanded, per pass of `fill`: the neighbor
+    #: words a pass makes and drops leave a peak of memory that grows with it.
+    CHUNK = 128
+
     def __init__(self):
         self.npos = self.used = 0
         self.start = np.empty(0, dtype=np.intp)
@@ -131,30 +136,36 @@ class KernelRows:
         lo, hi = self.npos, len(index.vertices)
         if lo == hi:
             return
-        self.start = _grown(self.start, hi, -1)
-        self.length = _grown(self.length, hi, 0)
-        self.measures = _grown(self.measures, hi, None)
+        self.start = _grown(self.start, hi)
+        self.start[lo:hi] = -1  # no row yet
+        self.length = _grown(self.length, hi)
+        self.measures = _grown(self.measures, hi)
         self.measures[lo:hi] = index.measures[lo:hi]
         self.npos = hi
 
     def fill(self, graph, pos):
-        """Give every position in `pos` its row, expanding it if need be."""
+        """Give every position in `pos` its row, expanding it if need be.
+
+        The rows are made `CHUNK` positions at a time, so that their Python
+        temporaries stay small.
+        """
         index = graph.index
         self._sync(index)
-        new = pos[self.start[pos] < 0].tolist()
-        if not new:
-            return
-        neighbors, weights, vertices = index.neighbors, index.weights, index.vertices
-        for i in new:
-            if neighbors[i] is None:
-                index.expand(graph, vertices[i])
+        new = pos[self.start[pos] < 0]
+        for lo in range(0, len(new), self.CHUNK):
+            self._fill(graph, new[lo:lo + self.CHUNK].tolist())
+
+    def _fill(self, graph, new):
+        index = graph.index
+        index.expand_positions(graph, new)
         self._sync(index)
+        neighbors, weights = index.neighbors, index.weights
         lengths = [len(neighbors[i]) + 1 for i in new]
         targets = list(chain.from_iterable((i,) + neighbors[i] for i in new))
         coefs = list(chain.from_iterable((-wdeg,) + ws for ws, wdeg in map(weights.__getitem__, new)))
         lo, hi = self.used, self.used + len(targets)
-        self.targets = _grown(self.targets, hi, 0)
-        self.coefs = _grown(self.coefs, hi, None)
+        self.targets = _grown(self.targets, hi)
+        self.coefs = _grown(self.coefs, hi)
         self.targets[lo:hi] = targets
         self.coefs[lo:hi] = coefs
         self.start[new] = list(accumulate(lengths[:-1], initial=lo))
@@ -165,9 +176,9 @@ class KernelRows:
         """(coefficients, measures) as float64."""
         used, npos, coefs, measures = self._floats
         if (used, npos) != (self.used, self.npos):
-            coefs = _grown(coefs, self.used, 0.0)
+            coefs = _grown(coefs, self.used)
             coefs[used:self.used] = self.coefs[used:self.used]
-            measures = _grown(measures, self.npos, 0.0)
+            measures = _grown(measures, self.npos)
             measures[npos:self.npos] = self.measures[npos:self.npos]
             self._floats = (self.used, self.npos, coefs, measures)
         return coefs, measures
@@ -178,7 +189,7 @@ class KernelRows:
         Fraction total v, v / divisor is `exact_div(v, m)`, type and bits."""
         npos, divisors = self._divisors
         if npos != self.npos:
-            divisors = _grown(divisors, self.npos, None)
+            divisors = _grown(divisors, self.npos)
             divisors[npos:self.npos] = [m if type(m) is float else Fraction(m)
                                         for m in self.measures[npos:self.npos]]
             self._divisors = (self.npos, divisors)
@@ -206,9 +217,11 @@ def _step(rows, pos, vals):
     flat = ramp + (rows.start[pos] - ends + lengths).repeat(lengths)
     terms = coefs[flat] * vals.repeat(lengths)
     into = rows.targets[flat]
+    del flat  # each temporary is dropped once read, for a lower peak
     acc = np.empty(rows.npos, dtype=terms.dtype)
     acc[into] = 0
     np.add.at(acc, into, terms)
+    del terms
     first = np.empty(rows.npos, dtype=np.intp)
     first[into] = total
     np.minimum.at(first, into, ramp)
@@ -238,8 +251,9 @@ def apply_laplacian(graph, f):
     Each support vertex x sends w(x, y) f(x) to every neighbor y and
     -deg_w(x) f(x) to itself, where deg_w(x) is the sum of its weights; each
     total is then divided by the measure of its vertex.  The neighbors come
-    from the graph's neighbor index, so `graph.neighbors` runs once per
-    support vertex over the graph's lifetime and never on the outer ring.
+    from the graph's neighbor index, which expands the support vertices it
+    has not expanded yet in one call to `graph.neighbor_rows`, so each vertex
+    is expanded once over the graph's lifetime and the outer ring never.
     The result is an `IndexedFunction` over that index.  A value of `f` that
     is not an int, float or Fraction is refused with a TypeError.
     """
@@ -250,13 +264,13 @@ def apply_laplacian(graph, f):
     if isinstance(f, IndexedFunction) and f.index is index:
         pos, vals = f.pos, f.vals
     else:
-        positions, vertices, neighbors = index.positions, index.vertices, index.neighbors
+        positions, vertices = index.positions, index.vertices
         items = list(f.items())
         pos = []
         for x, _ in items:
             i = positions.get(x)
-            if i is None or neighbors[i] is None or vertices[i] is not x:
-                i = index.expand(graph, x)
+            if i is None or vertices[i] is not x:
+                i = index.position(graph, x)
             pos.append(i)
         pos = np.array(pos, dtype=np.intp)
         vals = _stored(items)
@@ -285,22 +299,22 @@ class IteratedLaplacianTable:
         return self._entries[k]
 
 
-def light_cone_iterates(graph, base, depth, distance, reach):
+def light_cone_iterates(graph, base, depth, reach):
     """[base, L base, ..., L^depth base], each cut to its light cone.
 
-    The window is the set of vertices x with distance(x) <= reach, where
-    `distance` is the distance from a fixed centre (inf off its component).
-    Since L f(x) reads f on the unit ball of x only, L^depth base on the
-    window needs L^k base only where distance <= reach + depth - k, and
-    each iterate is kept there alone.  On the kept set the values are the
-    full table's bit for bit: every term a kept vertex receives comes from
-    a kept vertex, in the same order.  An iterate is not filtered while the
+    The window is the set of vertices within `reach` of the root.  Since
+    L f(x) reads f on the unit ball of x only, L^depth base on the window
+    needs L^k base only within reach + depth - k of the root, and each
+    iterate is kept there alone.  On the kept set the values are the full
+    table's bit for bit: every term a kept vertex receives comes from a kept
+    vertex, in the same order.  An iterate is not filtered while the
     support, spreading one ring a step, still fits in its cone.  The cut
-    reads an array of distances by index position, each computed once.
+    reads an array of root distances by index position, filled by one call
+    to `graph.distances_from_root` per step for the positions added since.
     """
     vertices = graph.index.vertices
     dist = np.empty(0)
-    near = max(map(distance, base.support), default=-math.inf)
+    near = max(graph.distances_from_root(base.support), default=-math.inf)
     f = base
     out = [f]
     for k in range(1, depth + 1):
@@ -308,7 +322,8 @@ def light_cone_iterates(graph, base, depth, distance, reach):
         bound = reach + depth - k
         if near + k > bound:
             if len(dist) < len(vertices):
-                more = [distance(x) for x in vertices[len(dist):]]
+                # exact ints past binary64 make an object array, compared exactly
+                more = graph.distances_from_root(vertices[len(dist):])
                 dist = np.concatenate((dist, more))
             f = f.restrict(dist[f.pos] <= bound)
         out.append(f)

@@ -204,9 +204,8 @@ class SeriesSolution:
         if not plans:
             return
         big_k = max(plan.k for plan in plans)
-        distance = _root_distance(graph)
-        reach = max(map(distance, vertices))
-        iterates = light_cone_iterates(graph, self.initial, big_k, distance, reach)
+        reach = max(graph.distances_from_root(vertices))
+        iterates = light_cone_iterates(graph, self.initial, big_k, reach)
         tables = {dtype: window_values(iterates, vertices, dtype).T
                   for dtype in {plan.weights.dtype for plan in plans}}
         del iterates  # freed first, so that making the sums adds no peak memory
@@ -214,19 +213,6 @@ class SeriesSolution:
         for plan in plans:
             plan.slots = slots
             plan.sums = _sum_terms(tables[plan.weights.dtype][:, : plan.k + 1], plan.weights)
-
-
-def _root_distance(graph):
-    """x -> d(root, x), inf for a vertex not connected to the root.
-
-    The lazy families have a closed-form metric; a finite graph gets one
-    walk from the root rather than one walk per vertex.
-    """
-    root = graph.root
-    if not graph.is_finite:
-        return lambda x: graph.distance(x, root)
-    dist = root_distances(graph, len(graph))
-    return lambda x: dist.get(x, math.inf)
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
@@ -392,8 +378,7 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
 
 def _fit_envelope(graph, a, base, kmax, region):
     """(verdict, scale, rate, witnesses, note) of the backward audit."""
-    distance = _root_distance(graph)
-    dist = {x: distance(x) for x in region}
+    dist = dict(zip(region, graph.distances_from_root(region)))
     for x in region:
         if dist[x] == math.inf:
             note = (

@@ -724,6 +724,15 @@ class TestSchemaErrors:
         assert code == 2
         assert err == "error: malformed initial-data record [1]\n"
 
+    @pytest.mark.parametrize("exact", [[], ["--exact"]])
+    def test_invalid_json_initial_named_exit2(self, tmp_path, exact):
+        init = tmp_path / "a.json"
+        init.write_text("not json")
+        code, err = _exit_and_stderr(["solve", "--family", "z", "--initial", str(init)] + exact)
+        assert code == 2
+        assert err == (f"error: initial data file {init}: invalid JSON: "
+                       "Expecting value: line 1 column 1 (char 0)\n")
+
     @pytest.mark.parametrize("text", ["5", "null", '{"0": 1.0}'])
     def test_initial_document_not_an_array_exit2(self, tmp_path, text):
         init = tmp_path / "a.json"

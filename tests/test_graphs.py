@@ -25,9 +25,10 @@ from heatseries.graphs import (
     load_graph,
     path_graph,
     random_weighted_graph,
+    vertex_key,
 )
 from heatseries.laplacian import IteratedLaplacianTable, apply_laplacian
-from heatseries.series import audit_region
+from heatseries.series import SeriesSolution, audit_region
 
 
 def bfs_ball(graph, x, radius):
@@ -162,7 +163,8 @@ class TestOneNeighborhood:
 
 
 def counting(family):
-    """`family` with a per-vertex tally of membership tests and expansions."""
+    """`family` with a per-vertex tally of membership tests and expansions,
+    made one at a time or a list at a time."""
 
     class Counting(family):
         def __init__(self, arg):
@@ -177,6 +179,10 @@ def counting(family):
         def neighbors(self, x):
             self.expanded[x] += 1
             return super().neighbors(x)
+
+        def neighbor_rows(self, xs):
+            self.expanded.update(xs)
+            return super().neighbor_rows(xs)
 
     return Counting(3)
 
@@ -289,6 +295,124 @@ class TestNeighborIndexWalk:
         for call in (graph.check_vertex, graph.deg, lambda x: graph.ball(x, 1)):
             with pytest.raises(UnknownVertexError):
                 call([0])
+
+
+LAZY_SPECS = ("z", "lattice:1", "lattice:2", "lattice:3", "lattice:4",
+              "tree:2", "tree:3", "tree:4")
+
+
+def off_root(spec):
+    """A vertex two steps from the root, chosen on a graph of its own."""
+    graph = family_from_spec(spec)
+    return min(graph.sphere(graph.root, 2), key=vertex_key)
+
+
+def assert_index_matches_the_family(graph):
+    """Every held position against `neighbors` and `measure`, and the bulk
+    root distances of the held vertices against `distance`, types included."""
+    index = graph.index
+    assert len(index.vertices) == len(index.measures)
+    distances = graph.distances_from_root(index.vertices)
+    for i, x in enumerate(index.vertices):
+        assert index.positions[x] == i
+        assert repr(index.measures[i]) == repr(graph.measure(x))
+        try:
+            assert repr(distances[i]) == repr(graph.distance(x, graph.root))
+        except UnreachableVertexError:
+            assert distances[i] == math.inf
+        if index.neighbors[i] is not None:
+            pairs = graph.neighbors(x)
+            held = [index.vertices[j] for j in index.neighbors[i]]
+            assert repr(held) == repr([y for y, _ in pairs])
+            ws = tuple(w for _, w in pairs)
+            assert repr(index.weights[i]) == repr((ws, sum(ws)))
+
+
+class TestBulkExpansion:
+    """The index's list-at-a-time rows and distances are the per-vertex ones."""
+
+    @pytest.mark.parametrize("spec", LAZY_SPECS)
+    def test_rows_and_distances_match_the_per_vertex_oracle(self, spec):
+        graph = family_from_spec(spec)
+        xs = sorted(family_from_spec(spec).ball(graph.root, 3), key=vertex_key)
+        rows, weight_rows = graph.neighbor_rows(xs)
+        for x, row, ws in zip(xs, rows, weight_rows, strict=True):
+            pairs = graph.neighbors(x)
+            assert repr(row) == repr(tuple(y for y, _ in pairs))
+            assert repr(ws) == repr(tuple(w for _, w in pairs))
+        assert graph.distances_from_root(xs) == [graph.distance(x, graph.root) for x in xs]
+        assert graph.neighbor_rows([]) == ([], [])
+
+    @pytest.mark.parametrize("spec", LAZY_SPECS)
+    @pytest.mark.parametrize("ball_first", (True, False), ids=("ball-first", "steps-first"))
+    @pytest.mark.parametrize("at_root", (True, False), ids=("at-root", "off-root"))
+    def test_index_matches_in_either_order(self, spec, ball_first, at_root):
+        graph = family_from_spec(spec)
+        centre = graph.root if at_root else off_root(spec)
+        table = IteratedLaplacianTable(graph, LocalFunction.delta(centre, 1.0))
+
+        def ball():
+            return graph.ball(centre, 3)
+
+        def steps():
+            return table.entry(3)
+
+        first, second = (ball, steps) if ball_first else (steps, ball)
+        first()
+        second()
+        assert_index_matches_the_family(graph)
+        assert ball() == bfs_ball(family_from_spec(spec), centre, 3)
+        fresh = IteratedLaplacianTable(family_from_spec(spec), table.base).entry(3)
+        assert repr(list(table.entry(3).items())) == repr(list(fresh.items()))
+
+    @pytest.mark.parametrize("graph", (
+        random_weighted_graph(30, seed=4, exact=True),
+        # int and float weights, and a component without the root
+        FiniteGraph({0: 1, 1: 2, 2: 0.5, 5: 1, 6: 1},
+                    [(0, 1, 1), (1, 2, 1.0), (5, 6, Fraction(1, 2))], root=0),
+    ))
+    def test_finite_graph_rows_and_distances(self, graph):
+        for x in graph.vertices():
+            IteratedLaplacianTable(graph, LocalFunction.delta(x, 1.0)).entry(2)
+        assert len(graph.index.vertices) == len(graph)
+        assert_index_matches_the_family(graph)
+
+    @pytest.mark.parametrize("spec, far", (
+        ("z", 10 ** 400), ("z", -10 ** 400), ("lattice:2", (3, -10 ** 400)),
+    ), ids=("z", "z-negative", "lattice:2"))
+    def test_vertices_beyond_binary64(self, spec, far):
+        # their root distances are exact ints no double holds
+        graph = family_from_spec(spec)
+        pairs = graph.neighbors(far)
+        assert graph.deg(far) == len(pairs)
+        assert graph.ball(far, 2) == bfs_ball(family_from_spec(spec), far, 2)
+        assert graph.distances_from_root([far]) == [graph.distance(far, graph.root)]
+        got = apply_laplacian(graph, LocalFunction.delta(far, 1.0))
+        assert dict(got.items()) == {far: -float(len(pairs)), **{y: 1.0 for y, _ in pairs}}
+        assert_index_matches_the_family(graph)
+
+    @pytest.mark.parametrize("spec, impostor", (
+        ("z", 1.0), ("z", True), ("lattice:2", (1.0, 0)), ("tree:3", (0.0,)),
+    ))
+    def test_equal_values_of_another_type_are_refused(self, spec, impostor):
+        graph = family_from_spec(spec)
+        queries = (
+            lambda: graph.check_vertex(impostor),
+            lambda: graph.deg(impostor),
+            lambda: graph.ball(impostor, 1),
+            lambda: graph.one_neighborhood([graph.root, impostor]),
+            lambda: graph.weight(graph.root, impostor),
+            lambda: apply_laplacian(graph, LocalFunction({impostor: 1.0})),
+            lambda: SeriesSolution(graph, LocalFunction.delta(graph.root, 1.0))
+            .prefetch([impostor], [0.5]),
+        )
+        for _ in range(2):  # on a fresh graph, then with the equal vertex expanded
+            for query in queries:
+                with pytest.raises(UnknownVertexError):
+                    query()
+            IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 1.0)).entry(2)
+            assert graph.index.neighbors[graph.index.positions[impostor]] is not None
+        assert_index_matches_the_family(graph)
 
 
 class TestWeightsSymmetry:

@@ -1,5 +1,6 @@
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from heatseries.graphs import (
     LocalFunction,
     RegularTree,
     cycle_graph,
+    family_from_spec,
     path_graph,
     random_weighted_graph,
     vertex_key,
@@ -786,6 +788,44 @@ class TestLightCone:
         series_eval(solution, 2, 0.5)  # a vertex off the window
         series_eval(solution, 1, -0.5)  # a time off the grid
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("spec", ("lattice:2", "tree:3"))
+    def test_lazy_family_expands_and_measures_in_bulk(self, spec, monkeypatch):
+        graph = family_from_spec(spec)
+        window = sorted(family_from_spec(spec).ball(graph.root, 2), key=vertex_key)
+        calls = Counter()
+
+        def counted(name):
+            method = getattr(graph, name)
+
+            def call(*args):
+                calls[name] += 1
+                return method(*args)
+            return call
+
+        for name in ("neighbors", "distance"):
+            monkeypatch.setattr(graph, name, counted(name))
+        cone = SeriesSolution(graph, LocalFunction.delta(graph.root, 1.0))
+        cone.prefetch(window, [0.05, -0.02])
+        # neither the per-vertex neighbor oracle nor the metric ran
+        assert calls == Counter()
+        monkeypatch.undo()
+        full = SeriesSolution(family_from_spec(spec), cone.initial)
+        for x in window:
+            for t in (0.05, -0.02):
+                assert series_eval(cone, x, t) == series_eval(full, x, t)
+
+    @pytest.mark.parametrize("window", ([10 ** 400 - 1, 10 ** 400, 10 ** 400 + 2], [0, 1]),
+                             ids=("near-the-data", "at-the-root"))
+    def test_data_beyond_binary64(self, window):
+        # root distances no double holds are cut exactly
+        data = LocalFunction({10 ** 400: 1.0, 10 ** 400 + 3: -0.5, 1: 0.25})
+        cone = SeriesSolution(IntegerLine(), data)
+        cone.prefetch(window, [0.5, -0.2])
+        full = SeriesSolution(IntegerLine(), data)
+        for x in window:
+            for t in (0.5, -0.2):
+                assert series_eval(cone, x, t) == series_eval(full, x, t)
 
     def test_finite_graph_walks_from_the_root_once(self, monkeypatch):
         graph = path_graph(2000, root=1000)

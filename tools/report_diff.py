@@ -86,6 +86,12 @@ EDGE_FILES = {
     "beyond.initial.json": "[[0, 1], [1, 1e400]]",
     # a document that is not an array of records
     "scalar.initial.json": "5",
+    # a document that is not JSON at all
+    "bad.initial.json": "not json",
+    # z data at vertices whose root distance no double holds, and one at the root
+    "far.initial.json": json.dumps([[10 ** 400, 1.0], [-10 ** 400 - 1, -0.5], [0, 0.25]]),
+    # lattice:3 data whose support lies off the root
+    "off-root.initial.json": json.dumps([[[2, -1, 0], 1.0], [[0, 1, -3], -0.5]]),
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -191,6 +197,17 @@ EDGE_CASES = (
     ["radius", "--family", "z", "--kmax", "3", "--amplitude", "1", "--rate", "2",
      "--format", "csv"],
     ["laplacian", "--family", "z", "--kmax", "3", "--format", "csv"],
+    # lazy-family shapes the plans never run: a wide lattice, a path-like and
+    # a bushy tree, and data away from the root
+    ["solve", "--family", "lattice:4", "--t=0.1", "--rmax", "1"],
+    ["solve", "--family", "tree:2", "--t=0.5", "--rmax", "3"],
+    ["backward", "--family", "tree:4", "--t", "0.05", "--kmax", "4", "--rmax", "2"],
+    ["solve", "--family", "lattice:3", "--initial", "off-root.initial.json", "--t=0.2",
+     "--rmax", "1"],
+    ["solve", "--family", "z", "--initial", "far.initial.json", "--t=0.3", "--rmax", "2"],
+    # a file that is not JSON, refused by name; its stderr differs from a tree
+    # that passes the parser's bare message through
+    ["solve", "--family", "z", "--initial", "bad.initial.json"],
 )
 
 
