@@ -40,12 +40,16 @@ from .graphs import (
     number_problem,
     path_graph,
     random_weighted_graph,
-    require_finite,
     vertex_key,
 )
 from .laplacian import IteratedLaplacianTable, apply_laplacian
 from .oracle import brute_iterate, dense_laplacian, expm_apply
-from .series import SeriesSolution, check_backward_solvability, series_eval
+from .series import (
+    SeriesSolution,
+    check_backward_solvability,
+    require_degree_cap,
+    series_eval,
+)
 
 AUDIT_FAILURE = 1
 USAGE_ERROR = 2
@@ -385,12 +389,13 @@ def _cmd_backward(args, config):
         }
     )
     solution = SeriesSolution(graph, initial, tol=args.tol)
-    # refuse before any kernel call: a non-finite cap first, then a time the
-    # series cannot reach (planning needs no iterate), then, in the audit, a
-    # cap below the audited Deg; without --degree-bound the audit takes that Deg
+    # refuse before any kernel call: a non-finite or negative cap first, then a
+    # time the series cannot reach (planning needs no iterate), then, in the
+    # audit, a cap below the audited Deg; without --degree-bound the audit
+    # takes that Deg
     cap = args.degree_bound
     if cap is not None:
-        require_finite("degree cap", cap)
+        require_degree_cap(cap)
     for t in times:
         solution._plan(-t)
     audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)

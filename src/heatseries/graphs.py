@@ -157,9 +157,9 @@ class NeighborIndex:
 
     Position i holds vertex `vertices[i]` and its measure.  Once the vertex
     is expanded, `neighbors[i]` holds the positions of its neighbors and
-    `weights[i]` the pair (edge weights in the same order, their sum).
-    Pairs of equal weights are stored once, told apart by the types of the
-    weights on a graph with `mixed_weights`.  A vertex gets a position when
+    `weights[i]` the tuple of edge weights in the same order, the very one
+    `neighbor_rows` gave: nothing is copied or shared between rows beyond
+    what the family shares itself.  A vertex gets a position when
     `position` has validated it or when it is first seen as a neighbor of an
     expanded vertex, so every vertex in the index is a vertex of the graph.
     `expand_positions` expands a list of held positions with one call to the
@@ -170,7 +170,7 @@ class NeighborIndex:
     (`laplacian.KernelRows`), made by the first kernel step on the graph.
     """
 
-    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "_shared", "rows")
+    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "rows")
 
     def __init__(self):
         self.positions = {}
@@ -178,7 +178,6 @@ class NeighborIndex:
         self.measures = []
         self.neighbors = []
         self.weights = []
-        self._shared = {}
         self.rows = None
 
     def _add(self, graph, fresh):
@@ -230,28 +229,21 @@ class NeighborIndex:
             self._add(graph, fresh)
         at = iter(at)
         rows = [tuple(islice(at, len(row))) for row in rows]
-        # (1, 1) == (1.0, 1.0), but they compute apart; one flat key, since
-        # a tuple of types made and dropped per vertex piles up on CPython's
-        # tuple free list (0.1 MB of peak RSS)
-        mixed, shared = graph.mixed_weights, self._shared
-        keys = [(ws, *map(type, ws)) for ws in weight_rows] if mixed else weight_rows
-        for key in dict.fromkeys(keys):
-            if key not in shared:
-                ws = key[0] if mixed else key
-                shared[key] = (ws, sum(ws))
         weights = self.weights
-        for i, row, pair in zip(pos, rows, map(shared.__getitem__, keys)):
+        for i, row, ws in zip(pos, rows, weight_rows):
             neighbors[i] = row
-            weights[i] = pair
+            weights[i] = ws
 
 
 class Graph:
     """Base class: locally finite weighted graph with a root vertex.
 
     Subclasses provide `neighbors`, membership and, for a non-unit measure,
-    `_measure`; the derived queries read the neighbor index, which reads the
-    graph through `neighbor_rows`.  A family with a closed form may override
-    `neighbor_rows` and `distances_from_root`, which work a list at a time.
+    `_measure`; for certified truncation, `uniform_degree_bound` too.  The
+    derived queries read the neighbor index, which reads the graph through
+    `neighbor_rows` and holds each weight tuple as that returns it.  A family
+    with a closed form may override `neighbor_rows` and
+    `distances_from_root`, which work a list at a time.
 
     The number contract, which `FiniteGraph` checks when it is built and
     the lazy families meet with int 1 throughout: every measure and weight
@@ -260,14 +252,9 @@ class Graph:
     and each vertex's weight sum and Deg = weight sum / measure are finite
     in binary64.  The Laplacian kernel computes in binary64 or exactly on
     these numbers alone.
-
-    `mixed_weights` says whether the weights may be of more than one type:
-    true unless a subclass knows better, as the lazy families, whose weights
-    are all int 1, and `FiniteGraph`, which looks, do.
     """
 
     is_finite = False
-    mixed_weights = True
 
     def __init__(self, root):
         self.root = root
@@ -345,7 +332,7 @@ class Graph:
         self.check_vertex(y)
         index = self.index
         i = index.expand(self, x)
-        nbrs, (ws, _) = index.neighbors[i], index.weights[i]
+        nbrs, ws = index.neighbors[i], index.weights[i]
         j = index.positions.get(y)
         return ws[nbrs.index(j)] if j in nbrs else 0
 
@@ -353,7 +340,7 @@ class Graph:
         """Weighted degree: sum of incident weights over the vertex measure."""
         index = self.index
         i = index.expand(self, x)
-        return exact_div(index.weights[i][1], index.measures[i])
+        return exact_div(sum(index.weights[i]), index.measures[i])
 
     def distance(self, x, y):
         """Combinatorial (shortest-path) distance.
@@ -398,8 +385,9 @@ class FiniteGraph(Graph):
     declared; self-loops and duplicates fail.  Construction is where the
     numbers are checked against the `Graph` contract: a GraphSchemaError
     names the vertex or edge whose measure, weight, weight sum or Deg breaks
-    it.  Each weight sum is taken in neighbor order, as the neighbor index
-    takes it, and the largest Deg is kept as the uniform degree bound.
+    it.  Each weight sum is taken in neighbor order, as `deg` and the
+    Laplacian kernel take it, and the largest Deg is kept as the uniform
+    degree bound.
     """
 
     is_finite = True
@@ -412,7 +400,6 @@ class FiniteGraph(Graph):
             if why:
                 raise GraphSchemaError(f"measure {_brief(m)} at vertex {x!r} {why}")
         adj = {x: {} for x in mu}
-        kinds = set()
         for u, v, w in edges:
             if u == v:
                 raise GraphSchemaError(f"self-loop at vertex {u!r}")
@@ -425,12 +412,10 @@ class FiniteGraph(Graph):
                 raise GraphSchemaError(f"duplicate edge ({u!r}, {v!r})")
             adj[u][v] = w
             adj[v][u] = w
-            kinds.add(type(w))
         if root not in mu:
             raise UnknownVertexError(f"root {root!r} is not a vertex")
         self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
         self._depth = None  # vertex -> root distance, walked on first use
-        self.mixed_weights = len(kinds) > 1
         degs = []
         for x, pairs in self._nbrs.items():
             total = sum(w for _, w in pairs)
@@ -474,8 +459,6 @@ class FiniteGraph(Graph):
 class IntegerLine(Graph):
     """The integers with unit nearest-neighbor weights and unit measure."""
 
-    mixed_weights = False
-
     def __init__(self):
         super().__init__(0)
 
@@ -503,8 +486,6 @@ class IntegerLine(Graph):
 
 class IntegerLattice(Graph):
     """Z^d with unit weights; vertices are integer d-tuples, metric is l1."""
-
-    mixed_weights = False
 
     def __init__(self, dim):
         if int(dim) != dim or dim < 1:
@@ -555,8 +536,6 @@ class RegularTree(Graph):
     branching is labelled 0..k-2 (one edge of each non-base vertex points
     back toward the base).  The metric is the word metric.
     """
-
-    mixed_weights = False
 
     def __init__(self, degree):
         if int(degree) != degree or degree < 2:

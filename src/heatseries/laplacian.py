@@ -9,10 +9,12 @@ One application is an array step over the graph's neighbor index.  Its
 results are those of the plain loop in which each support vertex x, in
 order, adds -deg_w(x) f(x) to itself and w(x, y) f(x) to each neighbour y,
 after which every total goes through `exact_div` by its measure: the same
-values, the same types and the same order of `items()`.  The step adds the
-terms with `ufunc.at`, which applies them one at a time in the loop's order,
-never with a pairwise `reduce`, so a float total rounds exactly as the loop
-rounds it.
+values, the same types and the same order of `items()`.  The step reads
+the weights and measures as the index holds them, each vertex's weights as
+the one tuple its family gave, and deg_w(x) is the `sum` of that tuple, as
+`Graph.deg` takes it.  The step adds the terms with `ufunc.at`, which
+applies them one at a time in the loop's order, never with a pairwise
+`reduce`, so a float total rounds exactly as the loop rounds it.
 
 The step has two arithmetics.  The graph's numbers obey the `Graph`
 contract (int, float or Fraction, finite in binary64) and a function's
@@ -108,13 +110,13 @@ class KernelRows:
     Position i gets a row when it is first a source of a step: its targets
     [i, neighbours...] and coefficients [-deg_w, w...] lie back to back in
     `targets` and `coefs` from `start[i]`, `length[i]` long, so a vertex of
-    high degree pads no other row.  Coefficients and measures are the
-    original objects; `floats` and `divisors` give the copies the float64
-    and the exact step read, converted on first use.
+    high degree pads no other row.  The coefficients are the original
+    objects; `floats` and `divisors` give the copies of them and of the
+    index's measures that the float64 and the exact step read, converting
+    the entries added since their last call.
     """
 
-    __slots__ = ("npos", "used", "start", "length", "measures", "targets", "coefs",
-                 "_floats", "_divisors")
+    __slots__ = ("npos", "used", "start", "length", "targets", "coefs", "_floats", "_divisors")
 
     #: Positions given rows, and expanded, per pass of `fill`: the neighbor
     #: words a pass makes and drops leave a peak of memory that grows with it.
@@ -124,7 +126,6 @@ class KernelRows:
         self.npos = self.used = 0
         self.start = np.empty(0, dtype=np.intp)
         self.length = np.empty(0, dtype=np.intp)
-        self.measures = np.empty(0, dtype=object)
         self.targets = np.empty(0, dtype=np.intp)
         self.coefs = np.empty(0, dtype=object)
         # converted entries and positions, float coefficients and measures
@@ -132,15 +133,13 @@ class KernelRows:
         self._divisors = (0, np.empty(0, dtype=object))
 
     def _sync(self, index):
-        """Measures, and room for a row, for every position of `index`."""
+        """Room for a row for every position of `index`."""
         lo, hi = self.npos, len(index.vertices)
         if lo == hi:
             return
         self.start = _grown(self.start, hi)
         self.start[lo:hi] = -1  # no row yet
         self.length = _grown(self.length, hi)
-        self.measures = _grown(self.measures, hi)
-        self.measures[lo:hi] = index.measures[lo:hi]
         self.npos = hi
 
     def fill(self, graph, pos):
@@ -162,7 +161,7 @@ class KernelRows:
         neighbors, weights = index.neighbors, index.weights
         lengths = [len(neighbors[i]) + 1 for i in new]
         targets = list(chain.from_iterable((i,) + neighbors[i] for i in new))
-        coefs = list(chain.from_iterable((-wdeg,) + ws for ws, wdeg in map(weights.__getitem__, new)))
+        coefs = list(chain.from_iterable((-sum(ws),) + ws for ws in map(weights.__getitem__, new)))
         lo, hi = self.used, self.used + len(targets)
         self.targets = _grown(self.targets, hi)
         self.coefs = _grown(self.coefs, hi)
@@ -172,33 +171,34 @@ class KernelRows:
         self.length[new] = lengths
         self.used = hi
 
-    def floats(self):
-        """(coefficients, measures) as float64."""
-        used, npos, coefs, measures = self._floats
+    def floats(self, measures):
+        """(coefficients, `measures`) as float64; `measures` is the index's."""
+        used, npos, coefs, floats = self._floats
         if (used, npos) != (self.used, self.npos):
             coefs = _grown(coefs, self.used)
             coefs[used:self.used] = self.coefs[used:self.used]
-            measures = _grown(measures, self.npos)
-            measures[npos:self.npos] = self.measures[npos:self.npos]
-            self._floats = (self.used, self.npos, coefs, measures)
-        return coefs, measures
+            floats = _grown(floats, self.npos)
+            floats[npos:self.npos] = measures[npos:self.npos]
+            self._floats = (self.used, self.npos, coefs, floats)
+        return coefs, floats
 
-    def divisors(self):
-        """The measures as the exact step divides by them: a float m as it
-        is, an int or Fraction m as `Fraction(m)`.  For an int, float or
-        Fraction total v, v / divisor is `exact_div(v, m)`, type and bits."""
+    def divisors(self, measures):
+        """The index's `measures` as the exact step divides by them: a float
+        m as it is, an int or Fraction m as `Fraction(m)`.  For an int, float
+        or Fraction total v, v / divisor is `exact_div(v, m)`, type and bits."""
         npos, divisors = self._divisors
         if npos != self.npos:
             divisors = _grown(divisors, self.npos)
             divisors[npos:self.npos] = [m if type(m) is float else Fraction(m)
-                                        for m in self.measures[npos:self.npos]]
+                                        for m in measures[npos:self.npos]]
             self._divisors = (self.npos, divisors)
         return divisors
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
-def _step(rows, pos, vals):
-    """(targets, values) of one application to `vals` at positions `pos`.
+def _step(index, pos, vals):
+    """(targets, values) of one application to `vals` at positions `pos` of
+    `index`, whose `rows` cover them.
 
     The terms w f(x) are put in the loop's order and added by `np.add.at`
     into a scratch array over the index, 0 at the targets and never read
@@ -209,7 +209,11 @@ def _step(rows, pos, vals):
     dropped.  float64 `vals` are stepped on the rows' float64 copies, object
     `vals` on the original numbers.
     """
-    coefs, divisors = (rows.coefs, rows.divisors()) if vals.dtype == object else rows.floats()
+    rows = index.rows
+    if vals.dtype == object:
+        coefs, divisors = rows.coefs, rows.divisors(index.measures)
+    else:
+        coefs, divisors = rows.floats(index.measures)
     lengths = rows.length[pos]
     ends = lengths.cumsum()
     total = int(ends[-1])
@@ -260,24 +264,16 @@ def apply_laplacian(graph, f):
     index = graph.index
     if index.rows is None:
         index.rows = KernelRows()
-    rows = index.rows
     if isinstance(f, IndexedFunction) and f.index is index:
         pos, vals = f.pos, f.vals
     else:
-        positions, vertices = index.positions, index.vertices
         items = list(f.items())
-        pos = []
-        for x, _ in items:
-            i = positions.get(x)
-            if i is None or vertices[i] is not x:
-                i = index.position(graph, x)
-            pos.append(i)
-        pos = np.array(pos, dtype=np.intp)
+        pos = np.array([index.position(graph, x) for x, _ in items], dtype=np.intp)
         vals = _stored(items)
     if not len(pos):
         return IndexedFunction(index, pos, vals)
-    rows.fill(graph, pos)
-    return IndexedFunction(index, *_step(rows, pos, vals))
+    index.rows.fill(graph, pos)
+    return IndexedFunction(index, *_step(index, pos, vals))
 
 
 class IteratedLaplacianTable:

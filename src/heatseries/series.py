@@ -339,20 +339,31 @@ class BackwardSolvabilityReport:
         return self.verdict == CERTIFIED
 
 
+def require_degree_cap(cap):
+    """Refuse, by name, a degree cap that is not a finite number >= 0.
+
+    No Deg is negative, so no graph meets a negative cap; 0 is met by an
+    edgeless region.
+    """
+    require_finite("degree cap", cap)
+    if cap < 0:
+        raise ValueError(f"negative degree cap {cap!r}")
+
+
 def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     """Audit |L^k a| against scale * (2 D)^k e^{rate (k+d) ln(k+d)}.
 
     Checks every k <= kmax and every vertex of the audited region (the
     radius-rmax root ball united with the kmax-neighborhood of the support).
     A `degree_cap` of None audits with the largest Deg over that region,
-    taken exactly; any other cap must be a finite number and is first
+    taken exactly; any other cap must be a finite number >= 0 and is first
     verified against Deg there.  Constants are fitted on the declared
     grids, smallest rate first.
     """
     if kmax < 0 or rmax < 0:
         raise ValueError("kmax and rmax must be nonnegative")
     if degree_cap is not None:
-        require_finite("degree cap", degree_cap)
+        require_degree_cap(degree_cap)
     region = audit_region(graph, a, kmax, rmax)
     degrees = ((x, graph.deg(x)) for x in region)
     if degree_cap is None:

@@ -199,6 +199,34 @@ class TestBackwardCommand:
         assert err.startswith("error: tail bound inf did not reach tolerance")
         assert calls == []
 
+    @pytest.mark.parametrize("cap", ("-1", "-1e-300"))
+    def test_negative_degree_bound_named_before_any_kernel_call(self, cap, monkeypatch):
+        calls = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            calls.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        # the cap is refused before the unreachable time and any iterate
+        code, err = _exit_and_stderr(
+            ["backward", "--family", "lattice:3", "--t=1e9", "--rmax", "4",
+             f"--degree-bound={cap}", "--kmax", "3"]
+        )
+        assert code == 2
+        assert err == f"error: negative degree cap {float(cap)!r}\n"
+        assert calls == []
+
+    def test_zero_degree_bound_is_met_by_an_edgeless_graph(self, tmp_path, capsys):
+        doc = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
+        code, out = run(["backward", "--graph", write_graph(tmp_path, doc),
+                         "--degree-bound", "0", "--kmax", "2", "--rmax", "1"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["config"]["degree_bound"] == 0
+        assert report["results"]["solvability"]["verdict"] == "certified"
+
     def test_degree_cap_refusal_wins_over_a_time_refusal(self):
         code, err = _exit_and_stderr(
             ["backward", "--family", "z", "--t=1e9", "--degree-bound=nan", "--kmax", "3"]

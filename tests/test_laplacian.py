@@ -12,6 +12,7 @@ from heatseries.bounds import root_distances
 from heatseries.errors import UnknownVertexError
 from heatseries.graphs import (
     FiniteGraph,
+    Graph,
     IntegerLattice,
     IntegerLine,
     LocalFunction,
@@ -396,6 +397,28 @@ def kernel_cases(draw):
     return graph, LocalFunction({x: draw(values) for x in support})
 
 
+class BareGraph(Graph):
+    """A graph with only `neighbors`, membership and a degree bound, so the
+    index reads it through the default `neighbor_rows`."""
+
+    def __init__(self, edges):
+        super().__init__(0)
+        self.adj = {}
+        for u, v, w in edges:
+            self.adj.setdefault(u, []).append((v, w))
+            self.adj.setdefault(v, []).append((u, w))
+
+    def neighbors(self, x):
+        self.check_vertex(x)
+        return tuple(self.adj[x])
+
+    def __contains__(self, x):
+        return type(x) is int and x in self.adj
+
+    def uniform_degree_bound(self):
+        return 2
+
+
 def assert_kernel_matches_the_loop(graph, f, steps=6):
     want, got = f, f
     for _ in range(steps):
@@ -468,12 +491,15 @@ class TestAgainstTheDictLoop:
         if f.sup_norm() < 10 ** 400:
             assert_cone_matches_the_loop(graph, f, 4, 0)
 
+    @pytest.mark.parametrize("kind", ("finite", "bare"))
     @pytest.mark.parametrize("first", (1, 4))
-    def test_equal_weights_of_other_types_are_not_shared(self, first):
+    def test_equal_weights_of_other_types_are_not_shared(self, first, kind):
         # (1, 1) == (1.0, 1.0), yet vertex 1 computes with ints and 4 with floats
-        graph = FiniteGraph({x: 1 for x in range(6)},
-                            [(0, 1, 1), (1, 2, 1), (3, 4, 1.0), (4, 5, 1.0)], root=0)
-        assert graph.mixed_weights and not path_graph(6).mixed_weights
+        edges = [(0, 1, 1), (1, 2, 1), (3, 4, 1.0), (4, 5, 1.0)]
+        if kind == "finite":
+            graph = FiniteGraph({x: 1 for x in range(6)}, edges, root=0)
+        else:
+            graph = BareGraph(edges)
         graph.deg(first)
         assert repr(graph.deg(1)) == repr(Fraction(2))
         assert repr(graph.deg(4)) == repr(2.0)

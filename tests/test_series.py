@@ -316,6 +316,26 @@ class TestBackwardSolvability:
         with pytest.raises(ValueError, match="degree cap"):
             check_backward_solvability(z, a, cap, 3, 1)
 
+    @pytest.mark.parametrize("cap", (-1, -1e-300, Fraction(-1, 3)))
+    def test_negative_degree_cap_named_before_any_graph_query(self, cap, monkeypatch):
+        def no_query(*args):
+            raise AssertionError("graph queried")
+
+        monkeypatch.setattr(Graph, "layers", no_query)
+        monkeypatch.setattr(Graph, "deg", no_query)
+        z, a = IntegerLine(), LocalFunction.delta(0)
+        with pytest.raises(ValueError) as refusal:
+            check_backward_solvability(z, a, cap, 3, 1)
+        assert str(refusal.value) == f"negative degree cap {cap!r}"
+
+    @pytest.mark.parametrize("cap", (0, 0.0, Fraction(0)))
+    def test_zero_degree_cap_is_met_by_an_edgeless_region(self, cap):
+        g = FiniteGraph({"a": 1}, [], "a")
+        report = check_backward_solvability(g, LocalFunction.delta("a"), cap, 2, 1)
+        assert report.verdict == CERTIFIED and report.degree_cap == 0.0
+        with pytest.raises(DegreeBoundError):
+            check_backward_solvability(path_graph(2), LocalFunction.delta(0), cap, 2, 1)
+
     @pytest.mark.parametrize("kmax", (-1, -2, -5))
     def test_negative_kmax_named(self, kmax):
         z, a = IntegerLine(), LocalFunction.delta(0)

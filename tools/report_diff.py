@@ -208,6 +208,12 @@ EDGE_CASES = (
     # a file that is not JSON, refused by name; its stderr differs from a tree
     # that passes the parser's bare message through
     ["solve", "--family", "z", "--initial", "bad.initial.json"],
+    # a negative degree cap, refused by name; its stderr differs from a tree
+    # that reports it as a Deg above the cap
+    ["backward", "--family", "z", "--degree-bound=-1", "--kmax", "3", "--rmax", "1"],
+    # a cap of 0, met by an edgeless root region
+    ["backward", "--graph", "isolated-root.json", "--degree-bound", "0", "--kmax", "2",
+     "--rmax", "1"],
 )
 
 
