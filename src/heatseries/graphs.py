@@ -376,6 +376,16 @@ class Graph:
         """A constant dominating Deg on the whole graph, or None if unknown."""
         return None
 
+    def measure_floor(self):
+        """A positive constant below every vertex measure, or None if unknown.
+
+        The forward Chebyshev tail reads a vertex value off an l^2(mu) norm,
+        which needs it.  This default knows only its own unit measure, so a
+        subclass that overrides `_measure` reports None unless it overrides
+        this too.
+        """
+        return 1 if type(self)._measure is Graph._measure else None
+
 
 class FiniteGraph(Graph):
     """Weighted graph from a vertex -> measure map and (u, v, weight) edges.
@@ -454,6 +464,9 @@ class FiniteGraph(Graph):
 
     def uniform_degree_bound(self):
         return self._max_deg
+
+    def measure_floor(self):
+        return min(self._mu.values())
 
 
 class IntegerLine(Graph):

@@ -31,6 +31,12 @@ way, since a Python float times or over an int or Fraction rounds as it
 does against the float64 copy of that number.
 numpy's floating-point warnings are off inside the step: an overflow gives
 inf or nan silently, as Python floats do.
+
+A table of iterates is driven by a step from the last two entries to the
+next.  The Taylor table's step is L itself.  The Chebyshev table of
+S = I + L/d takes T_{k+1} = 2 S T_k - T_{k-1} (and T_1 = S T_0): one
+Laplacian step on the float64 values plus one array combination over index
+positions, in binary64 whatever the data's type.
 """
 
 from __future__ import annotations
@@ -264,24 +270,83 @@ def apply_laplacian(graph, f):
     index = graph.index
     if index.rows is None:
         index.rows = KernelRows()
-    if isinstance(f, IndexedFunction) and f.index is index:
-        pos, vals = f.pos, f.vals
-    else:
-        items = list(f.items())
-        pos = np.array([index.position(graph, x) for x, _ in items], dtype=np.intp)
-        vals = _stored(items)
+    pos, vals = _indexed(graph, f)
     if not len(pos):
         return IndexedFunction(index, pos, vals)
     index.rows.fill(graph, pos)
     return IndexedFunction(index, *_step(index, pos, vals))
 
 
-class IteratedLaplacianTable:
-    """Memoized sequence base, L(base), L^2(base), ... for one graph."""
+def _indexed(graph, f):
+    """(positions, values) of `f` over the graph's neighbor index, stored as
+    `_stored` stores them; an `IndexedFunction` over the index as it is."""
+    index = graph.index
+    if isinstance(f, IndexedFunction) and f.index is index:
+        return f.pos, f.vals
+    items = list(f.items())
+    return np.array([index.position(graph, x) for x, _ in items], dtype=np.intp), _stored(items)
 
-    def __init__(self, graph, base):
+
+def _float_indexed(graph, f):
+    """`f` as an `IndexedFunction` of float64 values over the graph's index."""
+    pos, vals = _indexed(graph, f)
+    return IndexedFunction(graph.index, pos, vals.astype(np.float64, copy=False))
+
+
+def laplacian_step(graph, prev, f):
+    """The Taylor table's step: L f, whatever came before."""
+    return apply_laplacian(graph, f)
+
+
+class ChebyshevStep:
+    """The Chebyshev table's step for S = I + L/d, `d` a positive float.
+
+    With `prev` None it gives T_1 = S T_0, otherwise T_{k+1} = 2 S T_k -
+    T_{k-1}.  Each value is 2 (f(x) + Lf(x) / d) - prev(x) in binary64, taken
+    at each index position in that order, a missing value read as 0; the
+    positions come out sorted and zeros are dropped.  So a value depends on
+    the entries at its own position only, and the light cone keeps it bit
+    for bit.
+    """
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        self.d = d
+
+    @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
+    def __call__(self, graph, prev, f):
+        f = _float_indexed(graph, f)
+        lf = apply_laplacian(graph, f)
+        n = len(graph.index.vertices)
+        acc = np.zeros(n)
+        acc[f.pos] = f.vals
+        acc[lf.pos] += lf.vals / self.d
+        hit = np.zeros(n, dtype=bool)
+        hit[f.pos] = hit[lf.pos] = True
+        if prev is not None:
+            prev = _float_indexed(graph, prev)
+            acc *= 2
+            acc[prev.pos] -= prev.vals
+            hit[prev.pos] = True
+        pos = np.flatnonzero(hit)
+        vals = acc[pos]
+        keep = vals != 0
+        return IndexedFunction(graph.index, pos[keep], vals[keep])
+
+
+class IteratedLaplacianTable:
+    """Memoized sequence base, step(base), ... for one graph.
+
+    `step(graph, prev, f)` makes the next entry from the last one, `f`, and
+    the one before it, `prev` (None at the first step); by default it is
+    `laplacian_step`, which gives base, L base, L^2 base, ...
+    """
+
+    def __init__(self, graph, base, step=laplacian_step):
         self.graph = graph
         self.base = base
+        self.step = step
         self._entries = [base]
 
     def __len__(self):
@@ -290,20 +355,24 @@ class IteratedLaplacianTable:
     def entry(self, k):
         if k < 0:
             raise ValueError("iteration order must be nonnegative")
-        while k >= len(self._entries):
-            self._entries.append(apply_laplacian(self.graph, self._entries[-1]))
-        return self._entries[k]
+        entries = self._entries
+        while k >= len(entries):
+            prev = entries[-2] if len(entries) > 1 else None
+            entries.append(self.step(self.graph, prev, entries[-1]))
+        return entries[k]
 
 
-def light_cone_iterates(graph, base, depth, reach):
-    """[base, L base, ..., L^depth base], each cut to its light cone.
+def light_cone_iterates(graph, base, depth, reach, step=laplacian_step):
+    """The first depth + 1 entries of the table of `step` from `base`, each
+    cut to its light cone.
 
-    The window is the set of vertices within `reach` of the root.  Since
-    L f(x) reads f on the unit ball of x only, L^depth base on the window
-    needs L^k base only within reach + depth - k of the root, and each
-    iterate is kept there alone.  On the kept set the values are the full
-    table's bit for bit: every term a kept vertex receives comes from a kept
-    vertex, in the same order.  An iterate is not filtered while the
+    The window is the set of vertices within `reach` of the root.  An entry
+    k of either table is a polynomial of degree k in L applied to base, and
+    L f(x) reads f on the unit ball of x only; so entry `depth` on the
+    window needs entry k only within reach + depth - k of the root, and
+    each entry is kept there alone.  On the kept set the values are the
+    full table's bit for bit: every term a kept vertex receives comes from
+    a kept vertex, in the same order.  An entry is not filtered while the
     support, spreading one ring a step, still fits in its cone.  The cut
     reads an array of root distances by index position, filled by one call
     to `graph.distances_from_root` per step for the positions added since.
@@ -314,7 +383,7 @@ def light_cone_iterates(graph, base, depth, reach):
     f = base
     out = [f]
     for k in range(1, depth + 1):
-        f = apply_laplacian(graph, f)
+        f = step(graph, out[-2] if k > 1 else None, f)
         bound = reach + depth - k
         if near + k > bound:
             if len(dist) < len(vertices):

@@ -1,30 +1,29 @@
-"""Time power series u(x,t) = sum_k L^k a(x) t^k / k! with certified tails.
+"""The heat semigroup u(x,t) = (e^{tL} a)(x) as a series, with certified tails.
 
-The coefficient sequence is the iterated-Laplacian table of the initial
-data; every evaluation reports a rigorous tail bound derived from the
-chained one-ring estimate, so a returned value is always accompanied by the
-radius of trust around it.  The backward Cauchy problem is the same series
-at negated time.
+The time alone picks the series; there is no option.
 
-Besides its iterate table, a solution caches one plan per distinct time:
-the truncation order K and its tail bound, which depend on t alone, the
-weights t^k / k! for k <= K, and the values of the last grid `prefetch`
-summed at that time, which `series_eval` reads.  Any other evaluation is
-one sequential sum of the coefficients L^k a(x), k <= K, read off the full
-iterate table, times the weights, in the arithmetic of its time: Python
-objects when t is a `Fraction`, binary64 otherwise.  An int time is summed
-in binary64 too, since t^k / k! is a float for k >= 1 when t is an int.  At such a time
-every term but the first is a float whatever the data, since Python rounds
-an int or Fraction coefficient to the nearest double when it multiplies it
-by a float weight, so the binary64 sum gives the bits the term-by-term loop
-gives.  A Fraction time keeps exact data exact.  `prefetch` evaluates a
-whole grid of vertices and times in one pass that computes L^k a only where
-it can still reach those vertices by step K, with the values the full
-table gives, and sums it with one array accumulate per time that adds each
-vertex's terms left to right as the sequential sum does, so the values are
-the same too.  The plans grow with the distinct times asked for and live as
-long as the solution.  Like its graph, a solution is filled on demand
-without locks and must not be shared between threads.
+* `float-chebyshev`, a float or int t > 0: sum_k c_k T_k(S) a in binary64,
+  with S = I + L/D, D the uniform degree bound, z = Dt and the Bessel
+  weights c_0 = e^{-z} I_0(z), c_k = 2 e^{-z} I_k(z).  |T_k(S)| <= 1 on
+  l^2(mu), and K is the least order whose Chernoff tail
+  2 exp(-K asinh(K/z) + sqrt(z^2 + K^2) - z) ||a||_{2,mu} / sqrt(min mu),
+  rounded up, is at most `tol`: about sqrt(2 z ln(1/tol)) terms.
+* `float-taylor`, a float or int t < 0: sum_k L^k a t^k / k!, whose terms
+  have one sign at each vertex.  K is the least order whose tail
+  T(K+1)/(1-q), with T(k) = (2|t| D)^k / k! sup|a| and
+  q = T(K+2)/T(K+1) < 1/2, is at most `tol`; a tail not finite in binary64
+  is refused at once.  The weights are floats from k = 1 on, so an int
+  time and int or Fraction data sum as their doubles.
+* `exact`, a `Fraction` t: the Taylor series in Python objects.
+
+At t = 0 the value is the data.  A solution caches one plan per distinct
+time, keyed on its type too: K, the tail bound, the weights, the table they
+read and the sums of the last `prefetch` grid, which `series_eval` reads.
+Any other evaluation is one sequential sum of the table's entries at x
+times the weights; `prefetch` computes each table on the light cone of a
+whole grid and sums it with one accumulate per time in the same order, so
+to the same bits.  Like its graph, a solution must not be shared between
+threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -38,7 +37,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,7 @@ from .bounds import exp_or_inf, root_distances, xlnx
 from .errors import DegreeBoundError, RadiusExceededError, TruncationFailureError
 from .graphs import LocalFunction, float_or_inf, require_finite, vertex_key
 from .laplacian import (
+    ChebyshevStep,
     IteratedLaplacianTable,
     apply_laplacian,
     laplacian_at,
@@ -56,6 +57,12 @@ from .laplacian import (
 
 #: Hard cap on the number of series terms per evaluation.
 TERM_CAP = 400
+
+UNIT_ROUNDOFF = 2.0 ** -53
+LN2 = math.log(2.0)
+#: Miller's recurrence starts at an order whose Chernoff tail is below
+#: 2^-MILLER_BITS, so the start moves the weights by far less than an ulp.
+MILLER_BITS = 70
 
 #: Grids over which the backward-solvability audit fits its two constants.
 SOLVABILITY_RATE_GRID = tuple(i / 20 for i in range(20))
@@ -73,16 +80,17 @@ class EvalResult(NamedTuple):
 
 
 class _Plan:
-    """The summation at one time: its order `k` = K, tail `bound` and
-    `weights` t^j / j! for j <= K, plus the sums the last `prefetch` of
-    this time made, the value at x being `sums[slots[x]]`."""
+    """The summation at one time: its order `k` = K, tail `bound`, `weights`
+    for j <= K and the `table` whose entries they weigh, plus the sums the
+    last `prefetch` of this time made, the value at x being `sums[slots[x]]`."""
 
-    __slots__ = ("k", "bound", "weights", "slots", "sums")
+    __slots__ = ("k", "bound", "weights", "table", "slots", "sums")
 
-    def __init__(self, k, bound, weights):
+    def __init__(self, k, bound, weights, table):
         self.k = k
         self.bound = bound
         self.weights = weights
+        self.table = table
         self.slots = {}
         self.sums = None
 
@@ -92,12 +100,13 @@ class SeriesSolution:
     """A series propagator for one graph and one finitely supported datum.
 
     Evaluations at distinct (vertex, time) pairs are independent; they share
-    one coefficient table that extends on demand and the per-time plans,
-    with the sums `prefetch` keeps on them.  The graph must report a uniform
-    degree bound (all built-in graphs do), since that constant drives the
-    certified truncation.  `tol` must be positive and finite in binary64.
-    The type of the time alone picks the arithmetic of a sum: Python objects
-    when t is a `Fraction`, binary64 otherwise.
+    the iterate tables, which extend on demand, and the per-time plans,
+    with the sums `prefetch` keeps on them.  `table` holds L^k a for the
+    Taylor series, `chebyshev_table` T_k(S) a.  The graph must report a
+    uniform degree bound (all built-in graphs do), since that constant
+    drives the certified truncation, and for a forward time a measure
+    floor.  `tol` must be positive and finite in binary64.  The time alone
+    picks the series and the arithmetic of a sum (see the module).
     """
 
     graph: object
@@ -119,6 +128,10 @@ class SeriesSolution:
                 "uniform_degree_bound() to enable certified truncation"
             )
         self._deg_cap = float(cap)
+        # S = I + L/d needs d >= Deg everywhere: a rational cap rounds up
+        self._d = self._deg_cap if self._deg_cap >= cap else math.nextafter(self._deg_cap, math.inf)
+        self._chebyshev = None
+        self._norm = None
         self._derivative = None
         self._plans = {}
 
@@ -131,6 +144,14 @@ class SeriesSolution:
                 tol=self.tol,
             )
         return self._derivative
+
+    @property
+    def chebyshev_table(self):
+        """The table of T_k(S) a, made on first use; None on a graph without
+        edges, where u = a."""
+        if self._chebyshev is None and self._d:
+            self._chebyshev = IteratedLaplacianTable(self.graph, self.initial, ChebyshevStep(self._d))
+        return self._chebyshev
 
     def _plan(self, t):
         """The `_Plan` of the time `t`.
@@ -154,13 +175,22 @@ class SeriesSolution:
     def _make_plan(self, t):
         require_finite("time", t)
         if t == 0:
-            return _Plan(0, 0.0, None)
+            return _Plan(0, 0.0, None, self.table)
+        if t > 0 and not isinstance(t, Fraction):
+            return self._chebyshev_plan(float(t))
         rho = 2.0 * abs(float(t)) * self._deg_cap
         weights = [1]  # t^k / k!, in the arithmetic of t
         tail_next = self._sup * rho  # T(k+1) for the current k = 0
         k = 0
         best = math.inf
         while True:
+            if not math.isfinite(tail_next):
+                raise TruncationFailureError(
+                    f"tail bound is not finite in binary64: sup|a| = {self._sup:g}, "
+                    f"2|t|D = {rho:g}",
+                    best_bound=math.inf,
+                    terms_used=k,
+                )
             q = rho / (k + 2)
             if q < 0.5:
                 bound = tail_next / (1.0 - q)
@@ -178,18 +208,70 @@ class SeriesSolution:
             weights.append(weights[-1] * t / k)
             tail_next = tail_next * rho / (k + 1)
         dtype = object if isinstance(t, Fraction) else np.float64
-        return _Plan(k, bound, np.array(weights, dtype=dtype))
+        return _Plan(k, bound, np.array(weights, dtype=dtype), self.table)
+
+    def l2_norm(self):
+        """||a||_{2,mu} = sqrt(sum_x mu(x) a(x)^2) in binary64, by `math.hypot`,
+        so no square overflows; inf only when the norm itself is beyond
+        binary64."""
+        if self._norm is None:
+            graph = self.graph
+            self._norm = math.hypot(*(math.sqrt(graph.measure(x)) * abs(float(v))
+                                      for x, v in self.initial.items()))
+        return self._norm
+
+    def _chebyshev_plan(self, t):
+        """The plan of a float time t > 0 (see the module)."""
+        table = self.chebyshev_table
+        if table is None:  # no edge, so L = 0 and u = a
+            return _Plan(0, 0.0, None, self.table)
+        floor = self.graph.measure_floor()
+        if floor is None:
+            raise ValueError("graph reports no measure floor; implement "
+                             "measure_floor() to sum forward in time")
+        norm = self.l2_norm()
+        if norm == 0:
+            return _Plan(0, 0.0, None, table)
+        d = table.step.d
+        # a product below the least subnormal is raised to it, which only
+        # widens the tail
+        z = d * t or math.ulp(0.0)
+        where = f"||a||_2 = {norm:g}, z = Dt = {z:g}"
+        if not math.isfinite(z) or not math.isfinite(norm):
+            raise TruncationFailureError(
+                f"tail bound cannot reach tolerance {self.tol}: {where} is not finite "
+                "in binary64", best_bound=math.inf, terms_used=0)
+        # |T_k| <= ||a||_2 / sqrt(min mu) at a vertex, |L T_k| <= 2D times
+        # that and a step's other parts <= 7 times that
+        if not max(2 * d, 7.0) * norm / math.sqrt(floor) < math.inf:
+            raise TruncationFailureError(
+                f"the Chebyshev table can overflow binary64: {where}, D = {d:g}",
+                best_bound=math.inf, terms_used=0)
+        log_scale = math.log(norm) - 0.5 * math.log(floor)
+        log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)))
+
+        def bound(k):
+            return math.nextafter(exp_or_inf(_chernoff_log_tail(k, z) + log_scale), math.inf)
+
+        last = bound(TERM_CAP)
+        if not last <= self.tol:
+            raise TruncationFailureError(
+                f"tail bound {last} did not reach tolerance {self.tol} within {TERM_CAP} "
+                f"terms: {where}", best_bound=last, terms_used=TERM_CAP)
+        k = _least(lambda j: bound(j) <= self.tol, 0, TERM_CAP)
+        weights = np.array(bessel_weights(z, k)) if k else None
+        return _Plan(k, bound(k), weights, table)
 
     def prefetch(self, vertices, times):
         """Evaluate the grid `vertices` x `times` ahead of `series_eval`.
 
         Checks every vertex, then plans every time in order, refusing as
-        `series_eval` would.  With K the largest truncation order among the
-        plans, it computes L^k a only on the light cone of the vertices (see
-        `light_cone_iterates`) and reads the window's coefficients for k <= K
-        off the iterates' arrays, with the values the full table gives.
-        `table` is not extended and no coefficient is kept.  Then it sums
-        each distinct time's coefficients in one accumulate and keeps the
+        `series_eval` would.  For each table the plans read, with K the
+        largest order among them, it computes the entries only on the light
+        cone of the vertices (see `light_cone_iterates`) and reads the
+        window's entries for k <= K off their arrays, with the values the
+        full table gives.  No table is extended and no entry is kept.  Then
+        it sums each distinct time's terms in one accumulate and keeps the
         values on the time's plan, replacing those of an earlier call: the
         same operations in the same order as `series_eval`'s single sum, so
         the same bits, or the same Python objects at a `Fraction` time.
@@ -203,16 +285,97 @@ class SeriesSolution:
         plans = [plan for plan in dict.fromkeys(map(self._plan, times)) if plan.k]
         if not plans:
             return
-        big_k = max(plan.k for plan in plans)
         reach = max(graph.distances_from_root(vertices))
-        iterates = light_cone_iterates(graph, self.initial, big_k, reach)
-        tables = {dtype: window_values(iterates, vertices, dtype).T
-                  for dtype in {plan.weights.dtype for plan in plans}}
-        del iterates  # freed first, so that making the sums adds no peak memory
         slots = {x: i for i, x in enumerate(vertices)}
-        for plan in plans:
-            plan.slots = slots
-            plan.sums = _sum_terms(tables[plan.weights.dtype][:, : plan.k + 1], plan.weights)
+        for table in dict.fromkeys(plan.table for plan in plans):
+            group = [plan for plan in plans if plan.table is table]
+            big_k = max(plan.k for plan in group)
+            iterates = light_cone_iterates(graph, table.base, big_k, reach, table.step)
+            columns = {dtype: window_values(iterates, vertices, dtype).T
+                       for dtype in {plan.weights.dtype for plan in group}}
+            del iterates  # freed first, so that making the sums adds no peak memory
+            for plan in group:
+                plan.slots = slots
+                plan.sums = _sum_terms(columns[plan.weights.dtype][:, : plan.k + 1], plan.weights)
+
+
+def _least(holds, lo, hi):
+    """The least k in [lo, hi] for which `holds(k)`, given that it holds at
+    `hi` and, once it holds, holds for every larger k."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _chernoff_log_tail(k, z):
+    """ln of 2 exp(-k asinh(k/z) + sqrt(z^2 + k^2) - z) >= sum_{j>k} c_j.
+
+    asinh(k/z) is taken as ln(k + h) - ln z and sqrt(z^2 + k^2) - z as
+    k^2 / (h + z), h = hypot(z, k), so nothing overflows or cancels for any
+    z > 0.  The result is raised by 2^-40 times the size of its parts,
+    which covers the rounding of every operation here and of `exp` after.
+    """
+    h = math.hypot(z, k)
+    top, bottom = math.log(k + h), math.log(z)
+    rest = k * k / (h + z)
+    slack = 2.0 ** -40 * (1 + k * (abs(top) + abs(bottom)) + rest)
+    return LN2 - k * (top - bottom) + rest + slack
+
+
+def _miller_start(z, k):
+    """An order n > k whose Chernoff tail is at most 2^-MILLER_BITS.
+
+    The exponent is concave in k with slope -asinh(k/z), so one step of
+    that slope from k >= 1 overshoots the target; the least order up to
+    there is found by bisection.
+    """
+    excess = _chernoff_log_tail(k, z) + MILLER_BITS * LN2
+    far = k + 1 + max(0, math.ceil(excess / math.asinh(k / z)))
+    return _least(lambda n: _chernoff_log_tail(n, z) <= -MILLER_BITS * LN2, k + 1, far)
+
+
+def bessel_weights(z, k):
+    """[c_0, ..., c_k] for c_0 = e^{-z} I_0(z) and c_j = 2 e^{-z} I_j(z), k >= 1.
+
+    Miller's backward recurrence in ratio form: r_j = I_j / I_{j-1} =
+    1 / (2j/z + r_{j+1}) from r_{n+1} = 0 at n = `_miller_start(z, k)`;
+    then I_j / I_0 = r_1 ... r_j, and I_0 + 2 sum_j I_j = e^z gives c_0.
+    Every ratio lies in [0, 1], so nothing overflows, and for a tiny z a
+    ratio 2j/z = inf gives r_j = 0.
+    """
+    r = 0.0
+    ratios = []
+    for j in range(_miller_start(z, k), 0, -1):
+        r = 1.0 / (2 * j / z + r)
+        ratios.append(r)
+    rel = list(accumulate(reversed(ratios), mul))  # I_j / I_0 for j = 1, 2, ...
+    c0 = 1.0 / (1.0 + 2.0 * math.fsum(rel))
+    return [c0] + [2.0 * c0 * q for q in rel[:k]]
+
+
+def chebyshev_rounding_bound(z, k, row):
+    """A factor B: a forward float sum of order k >= 1 at z = Dt, whose
+    kernel rows hold at most `row` entries (a vertex and its neighbours),
+    differs from the exact sum_{j<=k} c_j T_j(S) a by at most
+    B ||a||_{2,mu} / sqrt(mu(x)) at x, the rounding of the data and of z
+    included.  The README derives it ("Rounding budget"); it assumes
+    7 gamma_{2 row + 4} k (k + 1) / 2 < 1.
+    """
+    u = UNIT_ROUNDOFF
+
+    def gamma(m):
+        return m * u / (1 - m * u)
+
+    n = _miller_start(z, k)
+    g = 7 * gamma(2 * row + 4)
+    eta = g * k * (k + 1) / 2
+    e_c = gamma(12 * n + 4) + (2 * n + 4) * 2.0 ** -MILLER_BITS
+    table = g * ((z + math.sqrt(z)) / 2 + e_c * k * (k + 1) / 2)
+    return u + 2 * z * u + e_c + (table + gamma(k + 1) * (1 + e_c)) / (1 - eta)
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
@@ -228,12 +391,10 @@ def _sum_terms(columns, weights):
 def series_eval(solution, x, t):
     """Evaluate the series at (x, t) with a certified truncation error.
 
-    Terms are added until the dominating tail T(K+1)/(1-q), with
-    T(k) = (2|t| D)^k/k! * sup|a| and ratio q = T(K+2)/T(K+1) < 1/2, drops
-    to the solution's tolerance.  Outside a finite certified radius the
-    evaluation refuses rather than extrapolate; a time that is not finite
-    in binary64 raises ValueError.  A value `prefetch` made is read, not
-    summed again.
+    The plan of t (see the module) fixes the order K and its tail bound.
+    Outside a finite certified radius the evaluation refuses rather than
+    extrapolate; a time that is not finite in binary64 raises ValueError.
+    A value `prefetch` made is read, not summed again.
     """
     solution.graph.check_vertex(x)
     plan = solution._plan(t)
@@ -243,7 +404,7 @@ def series_eval(solution, x, t):
     slot = plan.slots.get(x)
     if slot is not None:
         return EvalResult(plan.sums[slot], plan.bound, big_k)
-    entry = solution.table.entry
+    entry = plan.table.entry
     column = np.array([entry(k)(x) for k in range(big_k + 1)], dtype=plan.weights.dtype)
     return EvalResult(_sum_terms(column, plan.weights), plan.bound, big_k)
 

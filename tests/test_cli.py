@@ -15,6 +15,7 @@ import heatseries.cli as cli
 import heatseries.counterexample as cx_mod
 import heatseries.laplacian as laplacian_mod
 from heatseries.cli import canonical_json, main
+from heatseries.graphs import family_from_spec
 from heatseries.laplacian import IteratedLaplacianTable
 from heatseries.oracle import brute_iterate, dense_laplacian
 from heatseries.series import SeriesSolution
@@ -95,6 +96,80 @@ class TestSolveCommand:
     def test_unknown_family_exit2(self, capsys):
         code, _ = run(["solve", "--family", "hyperbolic:7", "--t=0"], capsys)
         assert code == 2
+
+    def test_forward_light_cone_stays_small(self, monkeypatch, capsys):
+        graphs = []
+
+        def recording(spec):
+            graphs.append(family_from_spec(spec))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "family_from_spec", recording)
+        code, out = run(["solve", "--family", "tree:3", "--t=1", "--rmax", "2"], capsys)
+        assert code == 0
+        assert {row["K_used"] for row in json.loads(out)["results"]["evaluations"]} == {17}
+        # K = 17 cuts the cone at ball(10), 3,070 vertices; the Taylor
+        # series' K = 32 filled ball(18), 786,430 vertices
+        assert len(graphs[0].index.vertices) <= 6000
+
+    def test_z_answered_at_large_forward_times(self, capsys):
+        code, out = run(["solve", "--family", "z", "--t=20,50", "--rmax", "1"], capsys)
+        assert code == 0
+        rows = json.loads(out)["results"]["evaluations"]
+        assert {row["t"]: row["K_used"] for row in rows} == {20.0: 48, 50.0: 74}
+        # e^{-2t} I_0(2t) ~ (4 pi t)^{-1/2} (1 + 1 / (16 t))
+        for row in rows:
+            if row["vertex"] == 0:
+                t = row["t"]
+                assert row["value"] == pytest.approx((1 + 1 / (16 * t)) / math.sqrt(4 * math.pi * t),
+                                                     rel=1e-3)
+
+    def test_edgeless_graph_forward_returns_the_data(self, tmp_path, capsys):
+        doc = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[0, 2.5]]))
+        code, out = run(["solve", "--graph", write_graph(tmp_path, doc), "--initial", str(init),
+                         "--t=1", "--rmax", "1"], capsys)
+        assert code == 0
+        assert json.loads(out)["results"]["evaluations"] == [
+            {"vertex": 0, "t": 1.0, "value": 2.5, "tail_bound": 0.0, "K_used": 0}]
+
+    @pytest.mark.parametrize("t, value, terms", [("1", 0.0, 0), ("5e-324", 1.0, 1)])
+    def test_degenerate_forward_times_and_data(self, t, value, terms, tmp_path, capsys):
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[[0, 0], value]]))
+        code, out = run(["solve", "--family", "lattice:2", f"--t={t}", "--rmax", "0",
+                         "--initial", str(init)], capsys)
+        assert code == 0
+        (row,) = json.loads(out)["results"]["evaluations"]
+        assert (row["value"], row["K_used"]) == (value, terms)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t=1e308"], "error: tail bound cannot reach tolerance 1e-11: ||a||_2 = 1, "
+                        "z = Dt = inf is not finite in binary64\n"),
+        (["--t=1e6"], "error: tail bound 1.9215788988491294 did not reach tolerance 1e-11 "
+                      "within 400 terms: ||a||_2 = 1, z = Dt = 2e+06\n"),
+        # sup|a| 2|t|D overflows, and so does ||a||_2 of four values 1e308
+        (["--t=-1", "--initial", "BIG"],
+         "error: tail bound is not finite in binary64: sup|a| = 1e+308, 2|t|D = 4\n"),
+        (["--t=1", "--initial", "BIG"], "error: tail bound cannot reach tolerance 1e-11: "
+                                        "||a||_2 = inf, z = Dt = 2 is not finite in binary64\n"),
+    ])
+    def test_unreachable_tail_refused_before_any_kernel_call(self, argv, message, tmp_path,
+                                                             monkeypatch):
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps([[x, 1e308] for x in range(4)]))
+        calls = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            calls.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        argv = [str(big) if a == "BIG" else a for a in argv]
+        assert _exit_and_stderr(["solve", "--family", "z"] + argv) == (2, message)
+        assert calls == []
 
 
 class TestBackwardCommand:
@@ -196,7 +271,7 @@ class TestBackwardCommand:
         )
         assert code == 2
         # a time refusal wins over a finite cap below the audited Deg
-        assert err.startswith("error: tail bound inf did not reach tolerance")
+        assert err == "error: tail bound is not finite in binary64: sup|a| = 1, 2|t|D = 4e+09\n"
         assert calls == []
 
     @pytest.mark.parametrize("cap", ("-1", "-1e-300"))
@@ -1124,8 +1199,9 @@ class TestLightConeReports:
         monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
         code, _ = run(["solve", "--family", "tree:3", "--t=0.15", "--rmax", "4"], capsys)
         assert code == 0
-        # the full table to K = 13 takes 24,547 support vertices through the kernel
-        assert sum(sizes) <= 3000
+        # the cone takes 758 support vertices through the kernel, the full
+        # Chebyshev table to K = 10 takes 2,102
+        assert sum(sizes) <= 1000
 
 
 class TestInternalError:

@@ -1,12 +1,15 @@
 import functools
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import tree_radial_reduction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 import heatseries.series
 from heatseries.bounds import (
@@ -44,9 +47,12 @@ from heatseries.series import (
     CoefficientAuditReport,
     EvalResult,
     SeriesSolution,
+    _chernoff_log_tail,
     _power_or_inf,
     audit_region,
     backward_solve,
+    bessel_weights,
+    chebyshev_rounding_bound,
     check_backward_solvability,
     coefficient_bound_audit,
     residual_check,
@@ -506,15 +512,21 @@ def naive_series_eval(solution, x, t):
     """EvalResult, or the exception series_eval must raise.
 
     The stopping rule and then the sum as plain loops, one term at a time
-    and in order; the reference for the cached, array-based summation.
+    and in order; the reference for the cached, array-based summation.  A
+    float or int time t > 0 sums the Chebyshev series, any other the Taylor
+    series.
     """
     a = solution.initial
     if t == 0:
         return EvalResult(a(x), 0.0, 0)
+    if t > 0 and not isinstance(t, Fraction):
+        return naive_chebyshev_eval(solution, x, float(t))
     rho = 2.0 * abs(float(t)) * float(solution.graph.uniform_degree_bound())
     tail_next = float(a.sup_norm()) * rho
     k, best = 0, math.inf
     while True:
+        if not math.isfinite(tail_next):
+            return TruncationFailureError("", best_bound=math.inf, terms_used=k)
         q = rho / (k + 2)
         if q < 0.5:
             bound = tail_next / (1.0 - q)
@@ -532,6 +544,40 @@ def naive_series_eval(solution, x, t):
             value = value + solution.table.entry(j)(x) * weight
     except OverflowError as exc:  # a huge Fraction times a float weight
         return exc
+    return EvalResult(value, bound, k)
+
+
+def naive_chebyshev_eval(solution, x, t):
+    """The forward plan and sum as plain loops: the order by a linear scan of
+    the tail bound, then c_0 T_0(x) + c_1 T_1(x) + ... term by term in
+    binary64, the entries read off the solution's Chebyshev table."""
+    graph, a, tol = solution.graph, solution.initial, solution.tol
+    cap = graph.uniform_degree_bound()
+    d = float(cap)
+    if d < cap:
+        d = math.nextafter(d, math.inf)
+    norm = math.hypot(*(math.sqrt(graph.measure(y)) * abs(float(v)) for y, v in a.items()))
+    if d == 0 or norm == 0:
+        return EvalResult(a(x), 0.0, 0)
+    z = d * t or 5e-324
+    if not (math.isfinite(z) and math.isfinite(norm)):
+        return TruncationFailureError("", best_bound=math.inf, terms_used=0)
+    floor = graph.measure_floor()
+    log_scale = math.log(norm) - 0.5 * math.log(floor)
+    log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)))
+    for k in range(TERM_CAP + 1):
+        bound = math.nextafter(exp_or_inf(_chernoff_log_tail(k, z) + log_scale), math.inf)
+        if bound <= tol:
+            break
+    else:
+        return TruncationFailureError("", best_bound=bound, terms_used=TERM_CAP)
+    if k == 0:
+        return EvalResult(a(x), bound, 0)
+    weights = bessel_weights(z, k)
+    entry = solution.chebyshev_table.entry
+    value = float(entry(0)(x)) * weights[0]
+    for j in range(1, k + 1):
+        value = value + float(entry(j)(x)) * weights[j]
     return EvalResult(value, bound, k)
 
 
@@ -657,11 +703,13 @@ class TestCachedSummation:
 
     def test_table_grows_only_to_the_largest_order_used(self):
         sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
-        big_k = series_eval(sol, 3, 2.0).terms_used
+        forward = series_eval(sol, 3, 2.0).terms_used
+        backward = series_eval(sol, 3, -2.0).terms_used
         for x in range(-3, 4):
-            series_eval(sol, x, 1.0)
-            series_eval(sol, x, -2.0)
-        assert len(sol.table) == big_k + 1
+            for t in (1.0, -1.0, 2.0, -2.0):
+                series_eval(sol, x, t)
+        assert len(sol.chebyshev_table) == forward + 1
+        assert len(sol.table) == backward + 1
 
 
 # name: (graph builder, data support off the root, largest |t|); the limits
@@ -884,3 +932,238 @@ class TestLightCone:
         with pytest.raises(RadiusExceededError):
             sol.prefetch([0], [1.0])
         sol.prefetch([], [1.0])  # no vertex, no evaluation, nothing to refuse
+
+
+def max_row(graph):
+    """The longest kernel row of a finite graph: a vertex and its neighbours."""
+    return 1 + max(len(graph.neighbors(x)) for x in graph.vertices())
+
+
+def rounding_allowance(solution, x, t, terms, row):
+    """`chebyshev_rounding_bound` at (x, t), in the units of a value."""
+    z = solution.chebyshev_table.step.d * t
+    scale = solution.l2_norm() / math.sqrt(solution.graph.measure(x))
+    return chebyshev_rounding_bound(z, terms, row) * scale
+
+
+def assert_within_certificate(solution, window, times, reference, row, slack=0.0):
+    """Every prefetched forward value within its tail bound plus the rounding
+    budget (plus `slack` for the reference's own error) of `reference(x, t)`."""
+    solution.prefetch(window, times)
+    for t in times:
+        for x in window:
+            res = series_eval(solution, x, t)
+            allowed = res.tail_bound + rounding_allowance(solution, x, t, res.terms_used, row)
+            assert abs(res.value - reference(x, t)) <= allowed + slack, (x, t)
+
+
+def lattice_reference(data):
+    """u(x, t) = sum_y a(y) prod_i e^{-2t} I_{x_i - y_i}(2t) on Z^d, from
+    mpmath; on Z a vertex is an int, elsewhere a tuple."""
+    @functools.cache
+    def kernel(n, t):
+        return mp.exp(-2 * t) * mp.besseli(abs(n), 2 * t)
+
+    def value(x, t):
+        with mp.workdps(40):
+            total = mp.mpf(0)
+            for y, a in data.items():
+                term = mp.mpf(a)
+                for xi, yi in zip(*((v,) if type(v) is int else v for v in (x, y))):
+                    term *= kernel(xi - yi, mp.mpf(t))
+                total += term
+            return float(total)
+    return value
+
+
+def radial_tree_reference(degree, profile, t_max):
+    """u on the k-regular tree for radial data `profile` (value by distance),
+    summed as the exact Taylor series of the radial chain in
+    `tree_radial_reduction` with mpmath at 40 digits.  The chain reaches past
+    every order summed, so it is the tree's own radial part."""
+    rho = 2 * degree * t_max
+    order = 1
+    while rho ** order / math.factorial(order) > 1e-30 or order < 2 * rho:
+        order += 1
+    op = dense_laplacian(tree_radial_reduction(degree, order + len(profile) + 1))
+    n = op.n
+    rows = [[(j, mp.mpf(op.matrix[i, j].numerator) / op.matrix[i, j].denominator)
+             for j in range(max(0, i - 1), min(n, i + 2)) if op.matrix[i, j]] for i in range(n)]
+
+    @functools.cache
+    def at(t):
+        with mp.workdps(40):
+            term = [mp.mpf(profile[d]) if d < len(profile) else mp.mpf(0) for d in range(n)]
+            total = list(term)
+            for k in range(1, order + 1):
+                term = [sum(c * term[j] for j, c in row) * t / k for row in rows]
+                total = [s + v for s, v in zip(total, term)]
+            return [float(v) for v in total]
+
+    return lambda x, t: at(t)[len(x)]
+
+
+def seeded_data(support, seed):
+    rng = random.Random(seed)
+    return LocalFunction({x: rng.uniform(-1.0, 1.0) for x in support})
+
+
+class TestChebyshevForward:
+    """Forward float rows within `tail_bound` plus the rounding budget of the
+    closed forms, and the forward path's degenerate cases."""
+
+    @pytest.mark.parametrize("data", ["delta", "float"])
+    def test_lattice2_closed_form(self, data):
+        graph = IntegerLattice(2)
+        a = (LocalFunction.delta((0, 0), 1.0) if data == "delta"
+             else seeded_data(sorted(graph.ball((0, 0), 1)), 11))
+        window = sorted(graph.ball((0, 0), 2), key=vertex_key)
+        times = [0.01, 0.7, 3.0, 12.5, 50.0]
+        assert_within_certificate(SeriesSolution(graph, a), window, times,
+                                  lattice_reference(dict(a.items())), row=5)
+
+    def test_z_term_counts(self):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        assert [series_eval(sol, 0, t).terms_used for t in (2.0, 20.0, 50.0)] == [19, 48, 74]
+        assert_within_certificate(sol, list(range(-3, 4)), [0.5, 20.0, 50.0],
+                                  lattice_reference({0: 1.0}), row=3)
+
+    @pytest.mark.parametrize("profile", [(1.0,), (0.75, -0.5, 0.25)])
+    def test_tree3_radial_chain(self, profile):
+        graph = RegularTree(3)
+        a = LocalFunction({w: profile[len(w)] for w in graph.ball((), len(profile) - 1)})
+        window = sorted(graph.ball((), 2), key=vertex_key)
+        times = [0.05, 0.5, 1.0, 2.0]
+        reference = radial_tree_reference(3, profile, max(times))
+        assert_within_certificate(SeriesSolution(graph, a), window, times, reference, row=4)
+
+    @pytest.mark.parametrize("graph", [random_weighted_graph(20, seed=5), cycle_graph(12),
+                                       path_graph(9)], ids=["random", "cycle", "path"])
+    def test_finite_graphs_against_the_oracle(self, graph):
+        a = seeded_data(graph.vertices()[::3], 7)
+        op = dense_laplacian(graph)
+        vec = op.vector_of(a)
+        times = [0.05, 1.0, 5.0, 20.0, 50.0]
+        refs = {t: expm_apply(op, vec, t) for t in times}
+        # the oracle's own error, far below 1e-13 of the data's size by its docstring
+        assert_within_certificate(SeriesSolution(graph, a), graph.vertices(), times,
+                                  lambda x, t: refs[t][op.index[x]], row=max_row(graph),
+                                  slack=1e-13)
+
+    @pytest.mark.parametrize("case", ["lattice:2", "random"])
+    def test_budget_bounds_the_measured_rounding(self, case):
+        """Against the exact partial sum sum_{j<=K} c_j T_j(S) a of the same
+        data, mpmath at 60 digits, the error is the rounding alone."""
+        if case == "lattice:2":
+            graph, t, row = IntegerLattice(2), 1.0, 5
+            a = seeded_data(sorted(graph.ball((0, 0), 1)), 3)
+            window = sorted(graph.ball((0, 0), 2), key=vertex_key)
+        else:
+            graph, t = random_weighted_graph(16, seed=21), 3.0
+            row = max_row(graph)
+            a = seeded_data(graph.vertices()[::2], 4)
+            window = list(graph.vertices())
+        sol = SeriesSolution(graph, a)
+        sol.prefetch(window, [t])
+        terms = series_eval(sol, window[0], t).terms_used
+        d = sol.chebyshev_table.step.d
+        with mp.workdps(60):
+            z = mp.mpf(d) * t
+            coefs = [mp.exp(-z) * mp.besseli(j, z) * (2 if j else 1) for j in range(terms + 1)]
+            d = mp.mpf(d)
+
+            def s_of(f):
+                out = dict(f)
+                for x, v in f.items():
+                    for y, w in graph.neighbors(x):
+                        out[y] = out.get(y, 0) + mp.mpf(w) * v / (mp.mpf(graph.measure(y)) * d)
+                    out[x] -= sum(mp.mpf(w) for _, w in graph.neighbors(x)) * v / (
+                        mp.mpf(graph.measure(x)) * d)
+                return out
+
+            prev, cur = None, {x: mp.mpf(v) for x, v in a.items()}
+            exact = {x: coefs[0] * cur.get(x, 0) for x in window}
+            for j in range(1, terms + 1):
+                nxt = s_of(cur)
+                if prev is not None:
+                    nxt = {x: 2 * nxt.get(x, 0) - prev.get(x, 0) for x in nxt.keys() | prev.keys()}
+                prev, cur = cur, nxt
+                for x in window:
+                    exact[x] += coefs[j] * cur.get(x, 0)
+            worst = 0.0
+            for x in window:
+                err = abs(mp.mpf(series_eval(sol, x, t).value) - exact[x])
+                allowed = rounding_allowance(sol, x, t, terms, row)
+                assert err <= allowed, (x, float(err), allowed)
+                worst = max(worst, float(err / allowed))
+        assert worst > 0  # the check has something to bound
+
+    @pytest.mark.parametrize("z", [1e-300, 1e-5, 0.3, 4.0, 40.0, 600.0])
+    def test_bessel_weights_and_chernoff_tail(self, z):
+        k = 5 if z < 1 else int(2 * math.sqrt(z)) + 10
+        weights = bessel_weights(z, k)
+        with mp.workdps(40):
+            true = [mp.exp(-z) * mp.besseli(j, z) * (2 if j else 1) for j in range(k + 1)]
+            assert sum(abs(w - c) for w, c in zip(weights, true)) <= 1e-13
+            for j in (0, 1, k // 2, k):
+                tail = 1 - sum(true[: j + 1])
+                if tail > 0:  # else below the working precision
+                    assert mp.log(tail) <= _chernoff_log_tail(j, z)
+
+    def test_edgeless_graph_returns_the_data(self):
+        graph = FiniteGraph({0: 1, 1: 2.5}, [], 0)
+        sol = SeriesSolution(graph, LocalFunction({0: 3, 1: -0.5}))
+        assert series_eval(sol, 0, 1e300) == (3, 0.0, 0)
+        assert series_eval(sol, 1, 2) == (-0.5, 0.0, 0)
+        assert sol.chebyshev_table is None
+
+    @pytest.mark.parametrize("data", [{}, {0: 0.0}, {0: 0, 3: Fraction(0)}])
+    def test_zero_data_returns_the_data(self, data):
+        sol = SeriesSolution(IntegerLine(), LocalFunction(data))
+        for t in (0.5, 1e300, 5e-324):
+            res = series_eval(sol, 0, t)
+            assert res == (data.get(0, 0), 0.0, 0)
+
+    @pytest.mark.parametrize("t, message", [
+        (1e308, r"\|\|a\|\|_2 = 1, z = Dt = inf is not finite"),
+        (1e6, r"within 400 terms: \|\|a\|\|_2 = 1, z = Dt = 2e\+06"),
+    ])
+    def test_time_beyond_reach_named(self, t, message):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        with pytest.raises(TruncationFailureError, match=message):
+            series_eval(sol, 0, t)
+        assert len(sol.chebyshev_table) == 1
+
+    def test_norm_beyond_binary64_named(self):
+        big = LocalFunction({x: 1e308 for x in range(4)})
+        sol = SeriesSolution(IntegerLine(), big)
+        with pytest.raises(TruncationFailureError, match=r"\|\|a\|\|_2 = inf, z = Dt = 2 "):
+            series_eval(sol, 0, 1.0)
+        with pytest.raises(TruncationFailureError,
+                           match=r"sup\|a\| = 1e\+308, 2\|t\|D = 4$"):
+            series_eval(sol, 0, -1.0)
+        assert len(sol.table) == len(sol.chebyshev_table) == 1
+
+    def test_table_that_can_overflow_named(self):
+        sol = SeriesSolution(IntegerLine(), LocalFunction({0: 1e308}))
+        with pytest.raises(TruncationFailureError, match=r"the Chebyshev table can overflow "
+                           r"binary64: \|\|a\|\|_2 = 1e\+308, z = Dt = 2, D = 2$"):
+            series_eval(sol, 0, 1.0)
+        assert len(sol.chebyshev_table) == 1
+
+    def test_tiny_time_sums_the_data(self):
+        sol = SeriesSolution(IntegerLattice(2), LocalFunction({(0, 0): 0.5, (1, 0): -2.0}))
+        for t in (5e-324, 1e-310, 1e-200):
+            res = series_eval(sol, (1, 0), t)
+            assert (res.value, res.terms_used) == (-2.0, 1)
+            assert 0 < res.tail_bound <= 1e-190
+
+    def test_graph_without_measure_floor_refused_forward(self):
+        class Weighted(IntegerLine):
+            def _measure(self, x):
+                return 2
+
+        sol = SeriesSolution(Weighted(), LocalFunction.delta(0, 1.0))
+        assert series_eval(sol, 0, -0.5).terms_used > 0
+        with pytest.raises(ValueError, match="no measure floor"):
+            series_eval(sol, 0, 0.5)

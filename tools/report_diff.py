@@ -88,6 +88,10 @@ EDGE_FILES = {
     "scalar.initial.json": "5",
     # a document that is not JSON at all
     "bad.initial.json": "not json",
+    # data whose sup|a| 2|t|D and ||a||_2 overflow binary64, and data whose
+    # ||a||_2 is finite but whose Laplacian is not
+    "e308.initial.json": json.dumps([[x, 1e308] for x in range(4)]),
+    "one308.initial.json": json.dumps([[0, 1e308]]),
     # z data at vertices whose root distance no double holds, and one at the root
     "far.initial.json": json.dumps([[10 ** 400, 1.0], [-10 ** 400 - 1, -0.5], [0, 0.25]]),
     # lattice:3 data whose support lies off the root
@@ -214,6 +218,18 @@ EDGE_CASES = (
     # a cap of 0, met by an edgeless root region
     ["backward", "--graph", "isolated-root.json", "--degree-bound", "0", "--kmax", "2",
      "--rmax", "1"],
+    # forward times summed by the Chebyshev series: their values and K differ
+    # from a tree that sums the Taylor series there, which refuses t = 50 and
+    # fills ball(18) of the tree at t = 1
+    ["solve", "--family", "z", "--t=50", "--rmax", "2"],
+    ["solve", "--family", "tree:3", "--t=1", "--rmax", "2"],
+    # no edge, so the forward value is the data (byte-identical)
+    ["solve", "--graph", "isolated-root.json", "--t=1", "--rmax", "1"],
+    # tails that cannot be finite, refused at once by name: their stderr
+    # differs from a tree that gives up after 400 terms
+    ["solve", "--family", "z", "--t=1", "--initial", "e308.initial.json", "--rmax", "1"],
+    ["solve", "--family", "z", "--t=-1", "--initial", "e308.initial.json", "--rmax", "1"],
+    ["solve", "--family", "z", "--t=1", "--initial", "one308.initial.json", "--rmax", "1"],
 )
 
 
