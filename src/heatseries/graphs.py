@@ -251,10 +251,12 @@ class Graph:
     positive and finite in binary64; no measure rounds to 0.0 in binary64;
     and each vertex's weight sum and Deg = weight sum / measure are finite
     in binary64.  The Laplacian kernel computes in binary64 or exactly on
-    these numbers alone.
+    these numbers alone.  `is_regular`: Deg is `uniform_degree_bound()`
+    at every vertex.
     """
 
     is_finite = False
+    is_regular = False
 
     def __init__(self, root):
         self.root = root
@@ -437,6 +439,7 @@ class FiniteGraph(Graph):
                     f"Deg = weight sum / measure at vertex {x!r} is not finite in binary64")
             degs.append(deg)
         self._max_deg = max(degs, default=0)
+        self.is_regular = min(degs, default=0) == self._max_deg
 
     def vertices(self):
         return tuple(sorted(self._mu))
@@ -472,6 +475,8 @@ class FiniteGraph(Graph):
 class IntegerLine(Graph):
     """The integers with unit nearest-neighbor weights and unit measure."""
 
+    is_regular = True
+
     def __init__(self):
         super().__init__(0)
 
@@ -499,6 +504,8 @@ class IntegerLine(Graph):
 
 class IntegerLattice(Graph):
     """Z^d with unit weights; vertices are integer d-tuples, metric is l1."""
+
+    is_regular = True
 
     def __init__(self, dim):
         if int(dim) != dim or dim < 1:
@@ -549,6 +556,8 @@ class RegularTree(Graph):
     branching is labelled 0..k-2 (one edge of each non-base vertex points
     back toward the base).  The metric is the word metric.
     """
+
+    is_regular = True
 
     def __init__(self, degree):
         if int(degree) != degree or degree < 2:

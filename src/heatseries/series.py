@@ -1,19 +1,21 @@
 """The heat semigroup u(x,t) = (e^{tL} a)(x) as a series, with certified tails.
 
-The time alone picks the series; there is no option.
+The time and the graph pick the series; there is no option.
 
-* `float-chebyshev`, a float or int t > 0: sum_k c_k T_k(S) a in binary64,
-  with S = I + L/D, D the uniform degree bound, z = Dt and the Bessel
-  weights c_0 = e^{-z} I_0(z), c_k = 2 e^{-z} I_k(z).  |T_k(S)| <= 1 on
-  l^2(mu), and K is the least order whose Chernoff tail
-  2 exp(-K asinh(K/z) + sqrt(z^2 + K^2) - z) ||a||_{2,mu} / sqrt(min mu),
-  rounded up, is at most `tol`: about sqrt(2 z ln(1/tol)) terms.
-* `float-taylor`, a float or int t < 0: sum_k L^k a t^k / k!, whose terms
-  have one sign at each vertex.  K is the least order whose tail
-  T(K+1)/(1-q), with T(k) = (2|t| D)^k / k! sup|a| and
-  q = T(K+2)/T(K+1) < 1/2, is at most `tol`; a tail not finite in binary64
-  is refused at once.  The weights are floats from k = 1 on, so an int
-  time and int or Fraction data sum as their doubles.
+* `float-chebyshev`, a float or int t > 0, or t < 0 on a regular graph
+  (`Graph.is_regular`) with a measure floor: sum_k w_k T_k(S) a in binary64, S = I + L/D, D the
+  uniform degree bound, z = D|t|, forward w_k = c_k = (2 - [k=0]) e^{-z}
+  I_k(z) and backward w_k = (-1)^k e^{2z} c_k, as e^{tL} = e^{2z}
+  e^{-z(I+S)}.  |T_k(S)| <= 1 on l^2(mu), and K is the least order whose
+  Chernoff tail 2 exp(-K asinh(K/z) + sqrt(z^2 + K^2) - z) ||a||_{2,mu} /
+  sqrt(min mu), times e^{2z} backward and rounded up, is at most `tol`.
+  The backward sum cancels on the scale e^{2z} ||a||, which the values
+  reach only where every Deg is D.
+* `float-taylor`, any other float or int t < 0: sum_k L^k a t^k / k!.
+  K is the least order whose tail T(K+1)/(1-q), with T(k) = (2|t| D)^k /
+  k! sup|a| and q = T(K+2)/T(K+1) < 1/2, is at most `tol`; a tail not
+  finite in binary64 is refused at once.  The weights are floats from
+  k = 1 on, so an int time and int or Fraction data sum as their doubles.
 * `exact`, a `Fraction` t: the Taylor series in Python objects.
 
 At t = 0 the value is the data.  A solution caches one plan per distinct
@@ -105,8 +107,8 @@ class SeriesSolution:
     Taylor series, `chebyshev_table` T_k(S) a.  The graph must report a
     uniform degree bound (all built-in graphs do), since that constant
     drives the certified truncation, and for a forward time a measure
-    floor.  `tol` must be positive and finite in binary64.  The time alone
-    picks the series and the arithmetic of a sum (see the module).
+    floor.  `tol` must be positive and finite in binary64.  The time and
+    the graph pick the series and the arithmetic of a sum (see the module).
     """
 
     graph: object
@@ -176,8 +178,10 @@ class SeriesSolution:
         require_finite("time", t)
         if t == 0:
             return _Plan(0, 0.0, None, self.table)
-        if t > 0 and not isinstance(t, Fraction):
-            return self._chebyshev_plan(float(t))
+        if not isinstance(t, Fraction):
+            floor = self.graph.measure_floor()
+            if t > 0 or (floor is not None and self.graph.is_regular):
+                return self._chebyshev_plan(float(t), floor)
         rho = 2.0 * abs(float(t)) * self._deg_cap
         weights = [1]  # t^k / k!, in the arithmetic of t
         tail_next = self._sup * rho  # T(k+1) for the current k = 0
@@ -220,12 +224,12 @@ class SeriesSolution:
                                       for x, v in self.initial.items()))
         return self._norm
 
-    def _chebyshev_plan(self, t):
-        """The plan of a float time t > 0 (see the module)."""
+    def _chebyshev_plan(self, t, floor):
+        """The plan of a float time t != 0 on a graph of measure floor `floor`
+        (see the module)."""
         table = self.chebyshev_table
         if table is None:  # no edge, so L = 0 and u = a
             return _Plan(0, 0.0, None, self.table)
-        floor = self.graph.measure_floor()
         if floor is None:
             raise ValueError("graph reports no measure floor; implement "
                              "measure_floor() to sum forward in time")
@@ -235,20 +239,27 @@ class SeriesSolution:
         d = table.step.d
         # a product below the least subnormal is raised to it, which only
         # widens the tail
-        z = d * t or math.ulp(0.0)
-        where = f"||a||_2 = {norm:g}, z = Dt = {z:g}"
+        z = d * abs(t) or math.ulp(0.0)
+        where = f"||a||_2 = {norm:g}, z = {'Dt' if t > 0 else 'D|t|'} = {z:g}"
         if not math.isfinite(z) or not math.isfinite(norm):
             raise TruncationFailureError(
                 f"tail bound cannot reach tolerance {self.tol}: {where} is not finite "
                 "in binary64", best_bound=math.inf, terms_used=0)
+        # backward, e^{tL} = e^{2z} sum_k (-1)^k c_k T_k(S)
+        rise = 0.0 if t > 0 else 2.0 * z
+        scale = exp_or_inf(rise)
+        if scale == math.inf:
+            raise TruncationFailureError(
+                f"the backward scale e^(2z) is not finite in binary64: {where}",
+                best_bound=math.inf, terms_used=0)
         # |T_k| <= ||a||_2 / sqrt(min mu) at a vertex, |L T_k| <= 2D times
         # that and a step's other parts <= 7 times that
         if not max(2 * d, 7.0) * norm / math.sqrt(floor) < math.inf:
             raise TruncationFailureError(
                 f"the Chebyshev table can overflow binary64: {where}, D = {d:g}",
                 best_bound=math.inf, terms_used=0)
-        log_scale = math.log(norm) - 0.5 * math.log(floor)
-        log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)))
+        log_scale = math.log(norm) - 0.5 * math.log(floor) + rise
+        log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)) + rise)
 
         def bound(k):
             return math.nextafter(exp_or_inf(_chernoff_log_tail(k, z) + log_scale), math.inf)
@@ -259,7 +270,11 @@ class SeriesSolution:
                 f"tail bound {last} did not reach tolerance {self.tol} within {TERM_CAP} "
                 f"terms: {where}", best_bound=last, terms_used=TERM_CAP)
         k = _least(lambda j: bound(j) <= self.tol, 0, TERM_CAP)
-        weights = np.array(bessel_weights(z, k)) if k else None
+        if not k:
+            return _Plan(0, bound(0), None, table)
+        weights = scale * np.array(bessel_weights(z, k))
+        if t < 0:
+            weights[1::2] *= -1.0
         return _Plan(k, bound(k), weights, table)
 
     def prefetch(self, vertices, times):

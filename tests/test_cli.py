@@ -14,6 +14,7 @@ import heatseries.bounds as bounds_mod
 import heatseries.cli as cli
 import heatseries.counterexample as cx_mod
 import heatseries.laplacian as laplacian_mod
+import heatseries.series as series_mod
 from heatseries.cli import canonical_json, main
 from heatseries.graphs import family_from_spec
 from heatseries.laplacian import IteratedLaplacianTable
@@ -112,6 +113,82 @@ class TestSolveCommand:
         # series' K = 32 filled ball(18), 786,430 vertices
         assert len(graphs[0].index.vertices) <= 6000
 
+    def test_backward_light_cone_stays_small(self, monkeypatch, capsys):
+        graphs = []
+
+        def recording(spec):
+            graphs.append(family_from_spec(spec))
+            return graphs[-1]
+
+        monkeypatch.setattr(cli, "family_from_spec", recording)
+        code, out = run(["solve", "--family", "tree:3", "--t=-1", "--rmax", "2"], capsys)
+        assert code == 0
+        assert {row["K_used"] for row in json.loads(out)["results"]["evaluations"]} == {19}
+        # K = 19 cuts entry k at radius 21 - k, so the sources of entry 10
+        # reach ball(10) and their rows ball(11), 6,142 vertices; the Taylor
+        # series' K = 32 filled ball(17), about 393k vertices
+        assert len(graphs[0].index.vertices) <= 3 * 2 ** 11 - 2
+
+    def test_mixed_sign_grid_makes_one_cone_pass(self, monkeypatch, capsys):
+        depths = []
+        cone = series_mod.light_cone_iterates
+
+        def counted(graph, base, depth, reach, step):
+            depths.append(depth)
+            return cone(graph, base, depth, reach, step)
+
+        monkeypatch.setattr(series_mod, "light_cone_iterates", counted)
+        code, out = run(["solve", "--family", "z", "--t=-20,-0.5,0,3,20", "--rmax", "5"],
+                        capsys)
+        assert code == 0
+        rows = json.loads(out)["results"]["evaluations"]
+        assert {row["t"]: row["K_used"] for row in rows} == {
+            -20.0: 106, -0.5: 13, 0.0: 0, 3.0: 22, 20.0: 48}
+        assert depths == [106]
+
+    def test_backward_scale_beyond_binary64_named(self, monkeypatch):
+        calls = []
+        original = laplacian_mod.apply_laplacian
+
+        def counting(graph, f):
+            calls.append(len(f))
+            return original(graph, f)
+
+        monkeypatch.setattr(laplacian_mod, "apply_laplacian", counting)
+        # e^{2z} = e^{4 * 180} > 1.8e308
+        assert _exit_and_stderr(["solve", "--family", "z", "--t=-180", "--rmax", "0"]) == (
+            2, "error: the backward scale e^(2z) is not finite in binary64: ||a||_2 = 1, "
+               "z = D|t| = 360\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [["solve", "--t=0.5"], ["solve", "--t=-0.5"],
+                                      ["backward", "--t=0.5", "--kmax", "2"]])
+    def test_non_finite_rows_do_not_pass(self, argv, tmp_path, capsys):
+        # w f(x) = 1e300 * 1e10 overflows inside the kernel step
+        doc = {"root": 0, "vertices": [{"id": 0, "mu": 1e300}, {"id": 1, "mu": 1e300}],
+               "edges": [{"u": 0, "v": 1, "w": 1e300}]}
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[0, 1e10]]))
+        argv = argv + ["--graph", write_graph(tmp_path, doc), "--initial", str(init),
+                       "--rmax", "1"]
+        code, out = run(argv, capsys)
+        report = json.loads(out)
+        rows = report["results"]["evaluations"]
+        assert len(rows) == 2
+        assert not all(math.isfinite(float(row["value"])) for row in rows)
+        assert (code, report["pass"]) == (1, False)
+
+    def test_exact_row_beyond_binary64_passes(self, tmp_path, capsys):
+        # an exact value past binary64 prints as inf but is finite
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[0, 1.5e308]]))
+        code, out = run(["solve", "--family", "z", "--exact", "--initial", str(init),
+                         "--t=-1/4", "--rmax", "1"], capsys)
+        report = json.loads(out)
+        values = [row["value"] for row in report["results"]["evaluations"]]
+        assert values[1] == "inf" and math.isfinite(values[0])
+        assert (code, report["pass"]) == (0, True)
+
     def test_z_answered_at_large_forward_times(self, capsys):
         code, out = run(["solve", "--family", "z", "--t=20,50", "--rmax", "1"], capsys)
         assert code == 0
@@ -149,9 +226,9 @@ class TestSolveCommand:
                         "z = Dt = inf is not finite in binary64\n"),
         (["--t=1e6"], "error: tail bound 1.9215788988491294 did not reach tolerance 1e-11 "
                       "within 400 terms: ||a||_2 = 1, z = Dt = 2e+06\n"),
-        # sup|a| 2|t|D overflows, and so does ||a||_2 of four values 1e308
-        (["--t=-1", "--initial", "BIG"],
-         "error: tail bound is not finite in binary64: sup|a| = 1e+308, 2|t|D = 4\n"),
+        # ||a||_2 of four values 1e308 overflows, at either sign of t
+        (["--t=-1", "--initial", "BIG"], "error: tail bound cannot reach tolerance 1e-11: "
+                                         "||a||_2 = inf, z = D|t| = 2 is not finite in binary64\n"),
         (["--t=1", "--initial", "BIG"], "error: tail bound cannot reach tolerance 1e-11: "
                                         "||a||_2 = inf, z = Dt = 2 is not finite in binary64\n"),
     ])
@@ -271,7 +348,8 @@ class TestBackwardCommand:
         )
         assert code == 2
         # a time refusal wins over a finite cap below the audited Deg
-        assert err == "error: tail bound is not finite in binary64: sup|a| = 1, 2|t|D = 4e+09\n"
+        assert err == ("error: the backward scale e^(2z) is not finite in binary64: "
+                       "||a||_2 = 1, z = D|t| = 2e+09\n")
         assert calls == []
 
     @pytest.mark.parametrize("cap", ("-1", "-1e-300"))
@@ -651,12 +729,17 @@ class TestVerifyCommand:
         assert mine == dict(_old_iterate_errors(bool(exact)))
 
     def test_one_table_and_one_running_product_per_fixture(self, monkeypatch, capsys):
-        tables, products = [], []
+        tables, products, cones = [], [], []
         init = laplacian_mod.IteratedLaplacianTable.__init__
+        cone = laplacian_mod.light_cone_iterates
 
         def counted_init(self, *args):
             tables.append(self)
             init(self, *args)
+
+        def counted_cone(*args):
+            cones.append(args[-1])
+            return cone(*args)
 
         def counted_iterate(op, vec, k):
             products.append(k)
@@ -664,11 +747,19 @@ class TestVerifyCommand:
 
         monkeypatch.setattr(laplacian_mod.IteratedLaplacianTable, "__init__", counted_init)
         monkeypatch.setattr(cli, "brute_iterate", counted_iterate)
+        monkeypatch.setattr(series_mod, "light_cone_iterates", counted_cone)
         code, _ = run(["verify"], capsys)
         assert code == 0
-        fixtures = len(list(cli._verify_fixtures()))
-        assert len(tables) == fixtures
-        assert products == [1] * 8 * fixtures
+        graphs = [graph for _, graph in cli._verify_fixtures()]
+        regular = [graph.is_regular for graph in graphs]
+        # the L^k table of the iterate check, a T_k table on a regular
+        # fixture, and one cone pass for the three backward times, on the
+        # T_k table there and on the L^k table elsewhere
+        kinds = [isinstance(t.step, laplacian_mod.ChebyshevStep) for t in tables]
+        assert kinds.count(False) == len(graphs)
+        assert kinds.count(True) == regular.count(True) == 2
+        assert [isinstance(step, laplacian_mod.ChebyshevStep) for step in cones] == regular
+        assert products == [1] * 8 * len(graphs)
 
     def test_csv_projection(self, capsys):
         code, out = run(["verify", "--format", "csv"], capsys)

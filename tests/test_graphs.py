@@ -66,6 +66,19 @@ class TestDegree:
         with pytest.raises(UnknownVertexError):
             IntegerLine().deg(0.5)
 
+    @pytest.mark.parametrize("graph, regular", [
+        (IntegerLine(), True), (IntegerLattice(3), True), (RegularTree(4), True),
+        (cycle_graph(7), True), (path_graph(5), False), (random_weighted_graph(12, seed=3), False),
+        # Deg = 3/3 at the hub and 1/1 at each leaf, in exact arithmetic
+        (FiniteGraph({0: 3, 1: 1, 2: 1, 3: 1}, [(0, 1, 1), (0, 2, 1), (0, 3, 1)], 0), True),
+        (FiniteGraph({0: 1, 1: 1, 2: 1}, [(0, 1, 1)], 0), False),
+    ])
+    def test_regular_when_every_deg_is_the_bound(self, graph, regular):
+        assert graph.is_regular is regular
+        if graph.is_finite:
+            bound = graph.uniform_degree_bound()
+            assert all(graph.deg(x) == bound for x in graph.vertices()) is regular
+
 
 class TestDistance:
     def test_line(self):

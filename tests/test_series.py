@@ -32,13 +32,14 @@ from heatseries.graphs import (
     IntegerLine,
     LocalFunction,
     RegularTree,
+    complete_graph,
     cycle_graph,
     family_from_spec,
     path_graph,
     random_weighted_graph,
     vertex_key,
 )
-from heatseries.oracle import dense_laplacian, expm_apply
+from heatseries.oracle import DenseOperator, dense_laplacian, expm_apply
 from heatseries.series import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -513,13 +514,15 @@ def naive_series_eval(solution, x, t):
 
     The stopping rule and then the sum as plain loops, one term at a time
     and in order; the reference for the cached, array-based summation.  A
-    float or int time t > 0 sums the Chebyshev series, any other the Taylor
-    series.
+    float or int time t > 0 sums the Chebyshev series, and so does t < 0 on
+    a regular graph with a measure floor; any other the Taylor series.
     """
     a = solution.initial
     if t == 0:
         return EvalResult(a(x), 0.0, 0)
-    if t > 0 and not isinstance(t, Fraction):
+    graph = solution.graph
+    if not isinstance(t, Fraction) and (
+            t > 0 or (graph.measure_floor() is not None and graph.is_regular)):
         return naive_chebyshev_eval(solution, x, float(t))
     rho = 2.0 * abs(float(t)) * float(solution.graph.uniform_degree_bound())
     tail_next = float(a.sup_norm()) * rho
@@ -548,9 +551,11 @@ def naive_series_eval(solution, x, t):
 
 
 def naive_chebyshev_eval(solution, x, t):
-    """The forward plan and sum as plain loops: the order by a linear scan of
-    the tail bound, then c_0 T_0(x) + c_1 T_1(x) + ... term by term in
-    binary64, the entries read off the solution's Chebyshev table."""
+    """The Chebyshev plan and sum as plain loops: the order by a linear scan
+    of the tail bound, then w_0 T_0(x) + w_1 T_1(x) + ... term by term in
+    binary64, the entries read off the solution's Chebyshev table.  Forward
+    w_j = c_j at z = Dt; backward w_j = (-1)^j e^{2z} c_j at z = D|t|, and
+    the tail is e^{2z} times the forward one."""
     graph, a, tol = solution.graph, solution.initial, solution.tol
     cap = graph.uniform_degree_bound()
     d = float(cap)
@@ -559,12 +564,17 @@ def naive_chebyshev_eval(solution, x, t):
     norm = math.hypot(*(math.sqrt(graph.measure(y)) * abs(float(v)) for y, v in a.items()))
     if d == 0 or norm == 0:
         return EvalResult(a(x), 0.0, 0)
-    z = d * t or 5e-324
+    z = d * abs(t) or 5e-324
     if not (math.isfinite(z) and math.isfinite(norm)):
         return TruncationFailureError("", best_bound=math.inf, terms_used=0)
+    rise = 0.0 if t > 0 else 2 * z
+    try:
+        scale = math.exp(rise)
+    except OverflowError:  # e^{2z} beyond binary64
+        return TruncationFailureError("", best_bound=math.inf, terms_used=0)
     floor = graph.measure_floor()
-    log_scale = math.log(norm) - 0.5 * math.log(floor)
-    log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)))
+    log_scale = math.log(norm) - 0.5 * math.log(floor) + rise
+    log_scale += 2.0 ** -40 * (1 + abs(math.log(norm)) + abs(math.log(floor)) + rise)
     for k in range(TERM_CAP + 1):
         bound = math.nextafter(exp_or_inf(_chernoff_log_tail(k, z) + log_scale), math.inf)
         if bound <= tol:
@@ -574,6 +584,8 @@ def naive_chebyshev_eval(solution, x, t):
     if k == 0:
         return EvalResult(a(x), bound, 0)
     weights = bessel_weights(z, k)
+    if t < 0:
+        weights = [(-1) ** j * scale * c for j, c in enumerate(weights)]
     entry = solution.chebyshev_table.entry
     value = float(entry(0)(x)) * weights[0]
     for j in range(1, k + 1):
@@ -708,8 +720,10 @@ class TestCachedSummation:
         for x in range(-3, 4):
             for t in (1.0, -1.0, 2.0, -2.0):
                 series_eval(sol, x, t)
-        assert len(sol.chebyshev_table) == forward + 1
-        assert len(sol.table) == backward + 1
+        # both signs read the Chebyshev table; the L^k table is never extended
+        assert backward > forward
+        assert len(sol.chebyshev_table) == backward + 1
+        assert len(sol.table) == 1
 
 
 # name: (graph builder, data support off the root, largest |t|); the limits
@@ -957,11 +971,18 @@ def assert_within_certificate(solution, window, times, reference, row, slack=0.0
             assert abs(res.value - reference(x, t)) <= allowed + slack, (x, t)
 
 
-def lattice_reference(data):
+def lattice_reference(data, absolute=False):
     """u(x, t) = sum_y a(y) prod_i e^{-2t} I_{x_i - y_i}(2t) on Z^d, from
-    mpmath; on Z a vertex is an int, elsewhere a tuple."""
+    mpmath; on Z a vertex is an int, elsewhere a tuple.  With `absolute`,
+    the magnitude sum M(x, t) = (e^{|t| |L|} |a|)(x) instead, |L| = 2d + A:
+    the kernel is e^{2|t|} I_n(2|t|) and the data |a|."""
+    if absolute:
+        data = {y: abs(a) for y, a in data.items()}
+
     @functools.cache
     def kernel(n, t):
+        if absolute:
+            return mp.exp(2 * abs(t)) * mp.besseli(abs(n), 2 * abs(t))
         return mp.exp(-2 * t) * mp.besseli(abs(n), 2 * t)
 
     def value(x, t):
@@ -976,24 +997,28 @@ def lattice_reference(data):
     return value
 
 
-def radial_tree_reference(degree, profile, t_max):
+def radial_tree_reference(degree, profile, t_max, absolute=False):
     """u on the k-regular tree for radial data `profile` (value by distance),
     summed as the exact Taylor series of the radial chain in
     `tree_radial_reduction` with mpmath at 40 digits.  The chain reaches past
-    every order summed, so it is the tree's own radial part."""
-    rho = 2 * degree * t_max
+    every order summed, so it is the tree's own radial part.  With
+    `absolute`, the magnitude sum (e^{|t| |L|} |a|)(x) instead."""
+    rho = 2 * degree * abs(t_max)
     order = 1
     while rho ** order / math.factorial(order) > 1e-30 or order < 2 * rho:
         order += 1
     op = dense_laplacian(tree_radial_reduction(degree, order + len(profile) + 1))
     n = op.n
-    rows = [[(j, mp.mpf(op.matrix[i, j].numerator) / op.matrix[i, j].denominator)
+    sign = abs if absolute else (lambda c: c)
+    rows = [[(j, sign(mp.mpf(op.matrix[i, j].numerator) / op.matrix[i, j].denominator))
              for j in range(max(0, i - 1), min(n, i + 2)) if op.matrix[i, j]] for i in range(n)]
 
     @functools.cache
     def at(t):
+        t = sign(t)
         with mp.workdps(40):
-            term = [mp.mpf(profile[d]) if d < len(profile) else mp.mpf(0) for d in range(n)]
+            term = [mp.mpf(sign(profile[d])) if d < len(profile) else mp.mpf(0)
+                    for d in range(n)]
             total = list(term)
             for k in range(1, order + 1):
                 term = [sum(c * term[j] for j, c in row) * t / k for row in rows]
@@ -1140,7 +1165,7 @@ class TestChebyshevForward:
         with pytest.raises(TruncationFailureError, match=r"\|\|a\|\|_2 = inf, z = Dt = 2 "):
             series_eval(sol, 0, 1.0)
         with pytest.raises(TruncationFailureError,
-                           match=r"sup\|a\| = 1e\+308, 2\|t\|D = 4$"):
+                           match=r"\|\|a\|\|_2 = inf, z = D\|t\| = 2 "):
             series_eval(sol, 0, -1.0)
         assert len(sol.table) == len(sol.chebyshev_table) == 1
 
@@ -1164,6 +1189,157 @@ class TestChebyshevForward:
                 return 2
 
         sol = SeriesSolution(Weighted(), LocalFunction.delta(0, 1.0))
-        assert series_eval(sol, 0, -0.5).terms_used > 0
+        # backward, such a graph keeps the Taylor series and its L^k table
+        for x in (0, 1, 4):
+            assert series_eval(sol, x, -0.5) == naive_series_eval(sol, x, -0.5)
+        assert sol._plan(-0.5).table is sol.table and sol._chebyshev is None
         with pytest.raises(ValueError, match="no measure floor"):
             series_eval(sol, 0, 0.5)
+        big = SeriesSolution(Weighted(), LocalFunction({x: 1e308 for x in range(4)}))
+        with pytest.raises(TruncationFailureError,
+                           match=r"sup\|a\| = 1e\+308, 2\|t\|D = 4$"):
+            series_eval(big, 0, -1.0)
+
+
+def hub_graph(leaves, hub_measure):
+    """A star: hub 0 joined to `leaves` leaves by unit weights, the hub of
+    measure `hub_measure` and each leaf of measure 1.  With `hub_measure`
+    equal to `leaves` every Deg is 1, so the graph is regular."""
+    return FiniteGraph({0: hub_measure, **dict.fromkeys(range(1, leaves + 1), 1)},
+                       [(0, i, 1) for i in range(1, leaves + 1)], 0)
+
+
+def mp_heat_reference(graph, data, t):
+    """{x: u(x, t)} on a finite graph as floats, from the Taylor series of
+    e^{tL} a in mpmath at a precision past its cancellation."""
+    vertices = graph.vertices()
+    rows = {x: [(y, mp.mpf(w) / graph.measure(x)) for y, w in graph.neighbors(x)]
+            for x in vertices}
+    rho = abs(t) * 2 * float(graph.uniform_degree_bound())
+    with mp.workdps(30 + int(rho / math.log(10))):
+        term = {x: mp.mpf(data(x)) for x in vertices}
+        total = dict(term)
+        k = 0
+        while k < 2 * rho + 2 or max(map(abs, term.values())) > mp.mpf(10) ** -40:
+            k += 1
+            term = {x: mp.mpf(t) / k * mp.fsum(c * (term[y] - term[x]) for y, c in rows[x])
+                    for x in vertices}
+            for x in vertices:
+                total[x] += term[x]
+        return {x: float(v) for x, v in total.items()}
+
+
+def assert_within_envelope(solution, window, times, reference, magnitude, deg):
+    """Every prefetched value within its tail bound plus the rounding envelope
+    2 ((deg + 6) K + 1) u M(x, t) of `reference(x, t)`, M(x, t) being
+    `magnitude(x, t)` = (e^{|t| |L|} |a|)(x) and u = 2^-53, as in
+    heatbench/reference.py."""
+    solution.prefetch(window, times)
+    for t in times:
+        for x in window:
+            res = series_eval(solution, x, t)
+            m = magnitude(x, t)
+            allowed = res.tail_bound + 2 * ((deg + 6) * res.terms_used + 1) * 2.0 ** -53 * m
+            assert abs(res.value - reference(x, t)) <= allowed, (x, t, res)
+
+
+class TestChebyshevBackward:
+    """Float t < 0 on a regular graph sums e^{2z} sum_k (-1)^k c_k T_k(S) a,
+    z = D|t|, on the forward table: rows within the envelope of the closed
+    forms.  Other graphs keep the Taylor series."""
+
+    def test_z_term_counts_and_closed_form(self):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        times = [-2.0, -5.0, -10.0, -20.0]
+        assert [series_eval(sol, 0, t).terms_used for t in times] == [22, 37, 61, 106]
+        # 25 and 30 lie past the cone at t = -2 (K = 22): the value is 0 there
+        window = list(range(-3, 4)) + [25, 30]
+        assert_within_envelope(sol, window, [-0.01, -0.5] + times, lattice_reference({0: 1.0}),
+                               lattice_reference({0: 1.0}, absolute=True), deg=2)
+        assert series_eval(sol, 30, -2.0).value == 0.0
+
+    def test_z_answered_where_taylor_gave_up(self):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, 1.0))
+        res = series_eval(sol, 0, -60.0)
+        assert res.terms_used == 285
+        assert res.value == pytest.approx(float(mp.exp(120) * mp.besseli(0, 120)), rel=1e-14)
+
+    @pytest.mark.parametrize("data", ["delta", "float"])
+    def test_lattice2_closed_form(self, data):
+        graph = IntegerLattice(2)
+        a = (LocalFunction.delta((0, 0), 1.0) if data == "delta"
+             else seeded_data(sorted(graph.ball((0, 0), 1)), 11))
+        window = sorted(graph.ball((0, 0), 2), key=vertex_key)
+        values = dict(a.items())
+        assert_within_envelope(SeriesSolution(graph, a), window, [-0.01, -0.7, -3.0, -12.5, -20.0],
+                               lattice_reference(values),
+                               lattice_reference(values, absolute=True), deg=4)
+
+    @pytest.mark.parametrize("profile", [(1.0,), (0.75, -0.5, 0.25)])
+    def test_tree3_radial_chain(self, profile):
+        graph = RegularTree(3)
+        a = LocalFunction({w: profile[len(w)] for w in graph.ball((), len(profile) - 1)})
+        window = sorted(graph.ball((), 2), key=vertex_key)
+        # the tree's balls grow as 2^r, so the times stop at -1 (K = 19)
+        times = [-0.05, -0.5, -1.0]
+        value = radial_tree_reference(3, profile, -1.0)
+        magnitude = radial_tree_reference(3, profile, -1.0, absolute=True)
+        assert_within_envelope(SeriesSolution(graph, a), window, times,
+                               value, magnitude, deg=3)
+
+    @pytest.mark.parametrize("graph, times, chebyshev", [
+        (cycle_graph(12), [-0.05, -1.0, -5.0, -20.0], True),
+        (complete_graph(5), [-0.05, -1.0, -5.0], True),
+        (hub_graph(6, 6), [-0.05, -1.0, -5.0, -20.0], True),
+        # the L^k table overflows past these times (see `CHANGES.md`)
+        (random_weighted_graph(20, seed=5), [-0.05, -1.0], False),
+        (path_graph(9), [-0.05, -1.0, -5.0, -20.0], False),
+        (hub_graph(40, 1), [-0.05, -0.3, -0.6], False),
+    ], ids=["cycle", "complete", "hub-regular", "random", "path", "hub"])
+    def test_finite_graphs_within_the_envelope(self, graph, times, chebyshev):
+        """Against the Taylor series in mpmath.  A regular graph sums on the
+        Chebyshev table; a graph of uneven degrees keeps the Taylor series,
+        since the Chebyshev sum cancels on the scale e^{2D|t|} ||a||, while
+        M = e^{|t| |L|} |a| grows only like e^{|t| lambda}, lambda the top
+        eigenvalue of |L|, which is 2D on a regular graph alone (40 + 1 on
+        the 40-leaf hub, D = 40: at t = -0.6 the Chebyshev sum would miss by
+        about e^{0.6 (80 - 41)} = 1.5e10)."""
+        a = seeded_data(graph.vertices()[::3], 7)
+        op = dense_laplacian(graph)
+        absolute = DenseOperator(abs(op.matrix), op.order, op.index)
+        deg = max_row(graph) - 1
+        sol = SeriesSolution(graph, a)
+        sol.prefetch(graph.vertices(), times)
+        for t in times:
+            assert (sol._plan(t).table is sol.chebyshev_table) is chebyshev
+            want = mp_heat_reference(graph, a, t)
+            mag = expm_apply(absolute, abs(op.vector_of(a)), -t)
+            for x in graph.vertices():
+                res = series_eval(sol, x, t)
+                allowed = (res.tail_bound
+                           + 2 * ((deg + 6) * res.terms_used + 1) * 2.0 ** -53 * mag[op.index[x]])
+                assert abs(res.value - want[x]) <= allowed, (x, t, res)
+
+    @pytest.mark.parametrize("size, t, message", [
+        (1.0, -200.0, r"the backward scale e\^\(2z\) is not finite in binary64: "
+                      r"\|\|a\|\|_2 = 1, z = D\|t\| = 400$"),
+        # data so small that the tail alone would reach tol, with weights of inf
+        (1e-300, -180.0, r"the backward scale e\^\(2z\) is not finite in binary64: "
+                         r"\|\|a\|\|_2 = 1e-300, z = D\|t\| = 360$"),
+        (1.0, -100.0, r"within 400 terms: \|\|a\|\|_2 = 1, z = D\|t\| = 200$"),
+    ])
+    def test_time_beyond_reach_named(self, size, t, message):
+        sol = SeriesSolution(IntegerLine(), LocalFunction.delta(0, size))
+        with pytest.raises(TruncationFailureError, match=message):
+            series_eval(sol, 0, t)
+        assert len(sol.chebyshev_table) == len(sol.table) == 1
+
+    def test_weights_alternate_around_the_forward_ones(self):
+        sol = SeriesSolution(IntegerLattice(2), LocalFunction.delta((0, 0), 1.0))
+        back, fwd = sol._plan(-1.5), sol._plan(1.5)
+        z = sol.chebyshev_table.step.d * 1.5
+        assert back.table is fwd.table is sol.chebyshev_table
+        assert back.k > fwd.k
+        want = [(-1) ** j * math.exp(2 * z) * c for j, c in enumerate(bessel_weights(z, back.k))]
+        assert back.weights.tolist() == want
+        assert back.bound > 0 and back.bound <= sol.tol

@@ -65,6 +65,13 @@ _WEIGHED = {
               for u, v, w in ((0, 1, 0.75), (1, 2, 1.25), (2, 3, 2), (3, 4, 0.5), (1, 3, 1.5))],
 }
 
+# a star whose hub has 40 unit-weight leaves: Deg is 40 there and 1 elsewhere
+_HUB = {
+    "root": 1,
+    "vertices": [{"id": i, "mu": 1} for i in range(41)],
+    "edges": [{"u": 0, "v": i, "w": 1} for i in range(1, 41)],
+}
+
 #: Input files of the edge cases, written to their batch directory, beside
 #: the audits workload's graph files at seeds 35 and 55 (see `batches`).
 EDGE_FILES = {
@@ -78,6 +85,7 @@ EDGE_FILES = {
     "light-k2.json": json.dumps(_k2(1e-308, 1)),
     "near-max.initial.json": json.dumps([[0, 1.7e308], [1, -1.5e308], [3, 1e308]]),
     "weighed.json": json.dumps(_WEIGHED),
+    "hub.json": json.dumps(_HUB),
     # under --exact: a measure that rounds to 0.0, a Deg beyond binary64
     "tiny-measure.json": _k2_text("1e-400", "1"),
     "heavy-deg.json": _k2_text("1e-300", "1e300"),
@@ -96,6 +104,11 @@ EDGE_FILES = {
     "far.initial.json": json.dumps([[10 ** 400, 1.0], [-10 ** 400 - 1, -0.5], [0, 0.25]]),
     # lattice:3 data whose support lies off the root
     "off-root.initial.json": json.dumps([[[2, -1, 0], 1.0], [[0, 1, -3], -0.5]]),
+    # a kernel step whose w f(x) = 1e300 * 1e10 overflows, though Deg = 1
+    "overflow-k2.json": json.dumps(_k2(1e300, 1e300)),
+    "e10.initial.json": json.dumps([[0, 1e10]]),
+    # under --exact: data whose value at the root lies past binary64
+    "past-max.initial.json": json.dumps([[0, 1.5e308]]),
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -230,6 +243,24 @@ EDGE_CASES = (
     ["solve", "--family", "z", "--t=1", "--initial", "e308.initial.json", "--rmax", "1"],
     ["solve", "--family", "z", "--t=-1", "--initial", "e308.initial.json", "--rmax", "1"],
     ["solve", "--family", "z", "--t=1", "--initial", "one308.initial.json", "--rmax", "1"],
+    # rows that are not finite do not pass (exit 1): they passed in a tree
+    # that did not check
+    ["solve", "--graph", "overflow-k2.json", "--initial", "e10.initial.json", "--t=0.5"],
+    ["solve", "--graph", "overflow-k2.json", "--initial", "e10.initial.json", "--t=-0.5"],
+    ["backward", "--graph", "overflow-k2.json", "--initial", "e10.initial.json", "--t=0.5",
+     "--kmax", "2"],
+    # an exact row past binary64 prints inf and still passes
+    ["solve", "--family", "z", "--exact", "--t=-1/4", "--rmax", "1",
+     "--initial", "past-max.initial.json"],
+    # backward times summed on the Chebyshev table: a tree that sums the
+    # Taylor series refuses t = -60 and fills ball(17) of the tree at t = -1
+    ["solve", "--family", "z", "--t=-60", "--rmax", "2"],
+    ["solve", "--family", "tree:3", "--t=-1", "--rmax", "2"],
+    # uneven degrees keep the Taylor series backward (byte-identical): the
+    # Chebyshev sum would cancel on the scale e^{2D|t|} = e^48 at a leaf
+    ["solve", "--graph", "hub.json", "--t=-0.6,0.6", "--rmax", "1"],
+    # a backward scale e^{2z} beyond binary64, refused at once naming z
+    ["solve", "--family", "z", "--t=-180", "--rmax", "0"],
 )
 
 
