@@ -275,7 +275,7 @@ def fit_degree_growth(graph, rmax):
     if rmax < 1:
         raise ValueError("rmax must be >= 1")
     dist = root_distances(graph, rmax)
-    degs = {x: graph.deg(x) for x in dist}
+    degs = dict(zip(dist, graph.degrees(dist)))
     cap = float(max(degs[x] for x, d in dist.items() if d <= 1))
     if cap == 0:
         raise GrowthFitError(f"fitted degree cap {cap!r} is not positive and finite: "

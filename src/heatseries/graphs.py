@@ -6,14 +6,12 @@ envelopes.  A finite graph is built one way, from its measures and an edge
 list, and enumerates its vertices; infinite families expose a neighbor
 oracle plus a closed-form metric.
 
-Every derived query reads the graph's neighbor index.  The index expands a
-whole list of vertices with one call to the family's `neighbor_rows`, once
-per vertex over the graph's lifetime; balls are not memoized but walked
-afresh over the index, a sphere at a time.  The vertex object the index
-holds needs no further check; an equal value of another type is checked
-like a new one.
+Every derived query reads the family.  A walk expands a whole sphere with
+one call to its `neighbor_rows`; balls are not memoized but walked afresh.
+A graph holds no positions or rows of its own: its `index` slot is the
+Laplacian kernel's (`laplacian.KernelIndex`), None until the kernel runs.
 
-Graphs are immutable after construction.  The neighbor index is filled on
+Graphs are immutable after construction.  The kernel fills its index on
 demand without locks, so a graph must not be shared between threads.
 """
 
@@ -22,9 +20,9 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, islice, repeat
 from numbers import Rational, Real
-from operator import add, is_, itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 
 from .errors import GraphSchemaError, UnknownVertexError, UnreachableVertexError
@@ -45,6 +43,11 @@ def vertex_key(x):
 #: The types a graph's measures and weights, and a kernel's function
 #: values, may have: exactly these, so no bool or numpy scalar.
 NUMBER_TYPES = frozenset((int, float, Fraction))
+
+#: Vertices per call of `neighbor_rows` where a query reads the rows of a
+#: whole list: the neighbour words a call makes and drops leave a peak of
+#: memory that grows with it.
+_ROW_CHUNK = 128
 
 
 def number_problem(value):
@@ -152,98 +155,17 @@ class LocalFunction:
         return LocalFunction(out)
 
 
-class NeighborIndex:
-    """Integer positions for the vertices a graph's queries have touched.
-
-    Position i holds vertex `vertices[i]` and its measure.  Once the vertex
-    is expanded, `neighbors[i]` holds the positions of its neighbors and
-    `weights[i]` the tuple of edge weights in the same order, the very one
-    `neighbor_rows` gave: nothing is copied or shared between rows beyond
-    what the family shares itself.  A vertex gets a position when
-    `position` has validated it or when it is first seen as a neighbor of an
-    expanded vertex, so every vertex in the index is a vertex of the graph.
-    `expand_positions` expands a list of held positions with one call to the
-    graph's `neighbor_rows`; `expand` is the entry point for a single
-    vertex, validated first.  The index holds no reference to its graph: a
-    graph and its index are freed together without waiting for the cycle
-    collector.  `rows` holds the Laplacian kernel's arrays over the index
-    (`laplacian.KernelRows`), made by the first kernel step on the graph.
-    """
-
-    __slots__ = ("positions", "vertices", "measures", "neighbors", "weights", "rows")
-
-    def __init__(self):
-        self.positions = {}
-        self.vertices = []
-        self.measures = []
-        self.neighbors = []
-        self.weights = []
-        self.rows = None
-
-    def _add(self, graph, fresh):
-        """Hold the vertices `fresh` maps to their positions, the next ones in
-        order; none of them is held yet."""
-        xs = list(fresh)
-        self.positions.update(fresh)  # the hashes come with `fresh`
-        self.vertices += xs
-        self.measures += map(graph._measure, xs)
-        self.neighbors += repeat(None, len(xs))
-        self.weights += repeat(None, len(xs))
-
-    def position(self, graph, x):
-        """Position of `x`, added if need be; UnknownVertexError unless `x`
-        is a vertex.  The very object the index holds is not checked again."""
-        try:
-            i = self.positions.get(x)
-        except TypeError:  # unhashable, so not a vertex
-            raise UnknownVertexError(f"unknown vertex {x!r}") from None
-        if i is None or self.vertices[i] is not x:
-            graph.check_vertex(x)  # an equal value (1.0 for 1) may be no vertex
-            if i is None:
-                i = len(self.vertices)
-                self._add(graph, {x: i})
-        return i
-
-    def expand(self, graph, x):
-        """Position of `x`, checked as by `position`, with its neighbors and
-        weights filled in."""
-        i = self.position(graph, x)
-        if self.neighbors[i] is None:
-            self.expand_positions(graph, (i,))
-        return i
-
-    def expand_positions(self, graph, pos):
-        """Fill in the neighbors and weights of every held position in `pos`
-        that has none, with one call to `graph.neighbor_rows`."""
-        neighbors = self.neighbors
-        pos = [i for i in pos if neighbors[i] is None]
-        rows, weight_rows = graph.neighbor_rows(list(map(self.vertices.__getitem__, pos)))
-        # one hash per neighbor, one more per new one: a long word's is not cached
-        flat = list(chain.from_iterable(rows))
-        at = list(map(self.positions.get, flat))
-        if None in at:
-            fresh = {}
-            lo = len(self.vertices)
-            for k in compress(count(), map(is_, at, repeat(None))):
-                at[k] = fresh.setdefault(flat[k], lo + len(fresh))
-            self._add(graph, fresh)
-        at = iter(at)
-        rows = [tuple(islice(at, len(row))) for row in rows]
-        weights = self.weights
-        for i, row, ws in zip(pos, rows, weight_rows):
-            neighbors[i] = row
-            weights[i] = ws
-
-
 class Graph:
     """Base class: locally finite weighted graph with a root vertex.
 
     Subclasses provide `neighbors`, membership and, for a non-unit measure,
     `_measure`; for certified truncation, `uniform_degree_bound` too.  The
-    derived queries read the neighbor index, which reads the graph through
-    `neighbor_rows` and holds each weight tuple as that returns it.  A family
-    with a closed form may override `neighbor_rows` and
-    `distances_from_root`, which work a list at a time.
+    derived queries read the family: a walk through `neighbor_rows`, a
+    sphere at a time, and `weight`, `deg` and `degrees` through the rows of
+    the vertices asked about.  A family with a closed form may override
+    `neighbor_rows` and `distances_from_root`, which work a list at a time.
+    `index` is the Laplacian kernel's slot (`laplacian.KernelIndex`), None
+    until the kernel's first use on the graph.
 
     The number contract, which `FiniteGraph` checks when it is built and
     the lazy families meet with int 1 throughout: every measure and weight
@@ -260,7 +182,7 @@ class Graph:
 
     def __init__(self, root):
         self.root = root
-        self.index = NeighborIndex()
+        self.index = None
 
     # -- primitive surface ------------------------------------------------
 
@@ -272,8 +194,8 @@ class Graph:
         """(neighbor tuples, weight tuples) of the vertices `xs`, in the order
         `neighbors` gives.
 
-        The index calls it on vertices it holds, so a family that overrides
-        it need not check them.  This default calls `neighbors` per vertex.
+        Callers pass vertices already checked, so a family that overrides it
+        need not check them.  This default calls `neighbors` per vertex.
         """
         pairs = list(map(self.neighbors, xs))
         return ([tuple(y for y, _ in row) for row in pairs],
@@ -292,16 +214,9 @@ class Graph:
         raise NotImplementedError
 
     def check_vertex(self, x):
-        """Raise UnknownVertexError unless `x` is a vertex.
-
-        The very object the index stores passes without a membership test;
-        a value merely equal to it (1.0 or True for 1) is tested like any
-        other, so the answer never depends on what the index holds.
-        """
-        index = self.index
+        """Raise UnknownVertexError unless `x` is a vertex."""
         try:
-            i = index.positions.get(x)
-            if (i is not None and index.vertices[i] is x) or x in self:
+            if x in self:
                 return
         except TypeError:  # unhashable, so not a vertex
             pass
@@ -316,33 +231,45 @@ class Graph:
     def layers(self, sources):
         """Yield frozensets: `sources`, then the vertices at distance 1, 2, ...
 
-        A sphere is expanded only when the next one is requested; the walk
+        Each source is checked first.  A sphere is expanded, with one call
+        to `neighbor_rows`, only when the next one is requested; the walk
         ends after the last nonempty sphere.
         """
-        index = self.index
-        sphere = {index.position(self, x) for x in sources}
+        sources = list(sources)
+        for x in sources:
+            self.check_vertex(x)
+        sphere = frozenset(sources)
         seen = set(sphere)
-        neighbors, vertices = index.neighbors, index.vertices
         while sphere:
-            yield frozenset(map(vertices.__getitem__, sphere))
-            index.expand_positions(self, sphere)
-            sphere = set(chain.from_iterable(map(neighbors.__getitem__, sphere))) - seen
+            yield sphere
+            rows, _ = self.neighbor_rows(list(sphere))
+            sphere = frozenset(chain.from_iterable(rows)).difference(seen)
             seen |= sphere
 
     def weight(self, x, y):
         """Edge weight, 0 for non-neighbors (and on the diagonal)."""
         self.check_vertex(y)
-        index = self.index
-        i = index.expand(self, x)
-        nbrs, ws = index.neighbors[i], index.weights[i]
-        j = index.positions.get(y)
-        return ws[nbrs.index(j)] if j in nbrs else 0
+        return dict(self.neighbors(x)).get(y, 0)
 
     def deg(self, x):
         """Weighted degree: sum of incident weights over the vertex measure."""
-        index = self.index
-        i = index.expand(self, x)
-        return exact_div(sum(index.weights[i]), index.measures[i])
+        self.check_vertex(x)
+        return self.degrees([x])[0]
+
+    def degrees(self, xs):
+        """List of `deg` of each vertex in `xs`, with one call to
+        `neighbor_rows` per `_ROW_CHUNK` vertices.
+
+        Like `neighbor_rows`, it takes vertices already checked, such as a
+        walk's, and checks none of them again.
+        """
+        xs = list(xs)
+        out = []
+        for lo in range(0, len(xs), _ROW_CHUNK):
+            chunk = xs[lo:lo + _ROW_CHUNK]
+            _, weight_rows = self.neighbor_rows(chunk)
+            out += map(exact_div, map(sum, weight_rows), map(self._measure, chunk))
+        return out
 
     def distance(self, x, y):
         """Combinatorial (shortest-path) distance.

@@ -5,16 +5,18 @@ propagate exact `Fraction` results, and any float among them gives binary64.
 The command line picks float64 unless `--exact` is given.  Support handling
 is structural: applying the operator can only grow the support by one ring.
 
-One application is an array step over the graph's neighbor index.  Its
+One application is an array step over the graph's `KernelIndex`, which
+this module alone makes, in the graph's `index` slot, and fills.  Its
 results are those of the plain loop in which each support vertex x, in
 order, adds -deg_w(x) f(x) to itself and w(x, y) f(x) to each neighbour y,
 after which every total goes through `exact_div` by its measure: the same
-values, the same types and the same order of `items()`.  The step reads
-the weights and measures as the index holds them, each vertex's weights as
-the one tuple its family gave, and deg_w(x) is the `sum` of that tuple, as
-`Graph.deg` takes it.  The step adds the terms with `ufunc.at`, which
-applies them one at a time in the loop's order, never with a pairwise
-`reduce`, so a float total rounds exactly as the loop rounds it.
+values, the same types and the same order of `items()`, whatever the
+index's numbering of the vertices, which depends on what ran before.  The
+step reads each vertex's weights as its family gave them, and deg_w(x) is
+their `sum` in that order, as `Graph.deg` takes it.  The step adds the
+terms with `ufunc.at`, which applies them one at a time in the loop's
+order, never with a pairwise `reduce`, so a float total rounds exactly as
+the loop rounds it.
 
 The step has two arithmetics.  The graph's numbers obey the `Graph`
 contract (int, float or Fraction, finite in binary64) and a function's
@@ -43,15 +45,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import is_
 
 import numpy as np
 
-from .graphs import NUMBER_TYPES, LocalFunction, exact_div
+from .errors import UnknownVertexError
+from .graphs import NUMBER_TYPES, _ROW_CHUNK, LocalFunction, exact_div
 
 
 class IndexedFunction(LocalFunction):
-    """A LocalFunction held as arrays over a graph's neighbor index.
+    """A LocalFunction held as arrays over a graph's kernel index.
 
     `pos` holds index positions and `vals` their values, in `items()` order,
     float64 or objects as the step's arithmetic (see the module).  The dict
@@ -110,101 +114,116 @@ def _grown(a, n):
     return out
 
 
-class KernelRows:
-    """The Laplacian step's arrays over one neighbor index.
+class KernelIndex:
+    """Integer positions for the vertices the Laplacian kernel has met on one
+    graph, and the step's rows over them.
 
+    Position i holds vertex `vertices[i]` and its measure.  A vertex gets a
+    position when `position` has validated it or when it is first seen as a
+    neighbour in a row, so every vertex held is a vertex of the graph.
     Position i gets a row when it is first a source of a step: its targets
     [i, neighbours...] and coefficients [-deg_w, w...] lie back to back in
-    `targets` and `coefs` from `start[i]`, `length[i]` long, so a vertex of
-    high degree pads no other row.  The coefficients are the original
-    objects; `floats` and `divisors` give the copies of them and of the
-    index's measures that the float64 and the exact step read, converting
-    the entries added since their last call.
+    `targets` and `coefs` from `start[i]`, `length[i]` long (0 until then),
+    so a vertex of high degree pads no other row.  The coefficients are the
+    weights `neighbor_rows` gave and the `sum` of them; `fcoefs` and
+    `fmeasures` are their float64 copies and the measures', which the
+    float64 step reads, and `divisors` gives the measures the exact step
+    divides by.  The index holds no reference to its graph: a graph and its
+    index are freed together without waiting for the cycle collector.
     """
 
-    __slots__ = ("npos", "used", "start", "length", "targets", "coefs", "_floats", "_divisors")
-
-    #: Positions given rows, and expanded, per pass of `fill`: the neighbor
-    #: words a pass makes and drops leave a peak of memory that grows with it.
-    CHUNK = 128
+    __slots__ = ("positions", "vertices", "measures", "fmeasures", "_divisors", "used", "start",
+                 "length", "targets", "coefs", "fcoefs")
 
     def __init__(self):
-        self.npos = self.used = 0
+        self.positions = {}
+        self.vertices = []
+        self.measures = []
+        self.fmeasures = np.empty(0)
+        self._divisors = np.empty(0, dtype=object)
+        self.used = 0
         self.start = np.empty(0, dtype=np.intp)
         self.length = np.empty(0, dtype=np.intp)
         self.targets = np.empty(0, dtype=np.intp)
         self.coefs = np.empty(0, dtype=object)
-        # converted entries and positions, float coefficients and measures
-        self._floats = (0, 0, np.empty(0), np.empty(0))
-        self._divisors = (0, np.empty(0, dtype=object))
+        self.fcoefs = np.empty(0)
 
-    def _sync(self, index):
-        """Room for a row for every position of `index`."""
-        lo, hi = self.npos, len(index.vertices)
-        if lo == hi:
-            return
+    def _add(self, graph, fresh):
+        """Hold the vertices `fresh` maps to their positions, the next ones in
+        order, with no row; none of them is held yet."""
+        lo = len(self.vertices)
+        xs = list(fresh)
+        self.positions.update(fresh)  # the hashes come with `fresh`
+        self.vertices += xs
+        self.measures += map(graph._measure, xs)
+        hi = len(self.vertices)
         self.start = _grown(self.start, hi)
-        self.start[lo:hi] = -1  # no row yet
         self.length = _grown(self.length, hi)
-        self.npos = hi
+        self.length[lo:hi] = 0
+        self.fmeasures = _grown(self.fmeasures, hi)
+        self.fmeasures[lo:hi] = self.measures[lo:]
+
+    def divisors(self):
+        """The measures as the exact step divides by them, converting those
+        added since the last call: a float m as it is, an int or Fraction m
+        as `Fraction(m)`.  A total v over it is `exact_div(v, m)`, type and bits."""
+        done = len(self._divisors)
+        if done < len(self.measures):
+            more = [m if type(m) is float else Fraction(m) for m in self.measures[done:]]
+            self._divisors = np.concatenate((self._divisors, np.array(more, dtype=object)))
+        return self._divisors
+
+    def position(self, graph, x):
+        """Position of `x`, added if need be; UnknownVertexError unless `x`
+        is a vertex.  The very object held is not checked again, a value
+        equal to it (1.0 or True for 1) is, so no answer depends on what is held."""
+        try:
+            i = self.positions.get(x)
+        except TypeError:  # unhashable, so not a vertex
+            raise UnknownVertexError(f"unknown vertex {x!r}") from None
+        if i is None or self.vertices[i] is not x:
+            graph.check_vertex(x)
+            if i is None:
+                i = len(self.vertices)
+                self._add(graph, {x: i})
+        return i
 
     def fill(self, graph, pos):
-        """Give every position in `pos` its row, expanding it if need be.
-
-        The rows are made `CHUNK` positions at a time, so that their Python
-        temporaries stay small.
-        """
-        index = graph.index
-        self._sync(index)
-        new = pos[self.start[pos] < 0]
-        for lo in range(0, len(new), self.CHUNK):
-            self._fill(graph, new[lo:lo + self.CHUNK].tolist())
-
-    def _fill(self, graph, new):
-        index = graph.index
-        index.expand_positions(graph, new)
-        self._sync(index)
-        neighbors, weights = index.neighbors, index.weights
-        lengths = [len(neighbors[i]) + 1 for i in new]
-        targets = list(chain.from_iterable((i,) + neighbors[i] for i in new))
-        coefs = list(chain.from_iterable((-sum(ws),) + ws for ws in map(weights.__getitem__, new)))
-        lo, hi = self.used, self.used + len(targets)
-        self.targets = _grown(self.targets, hi)
-        self.coefs = _grown(self.coefs, hi)
-        self.targets[lo:hi] = targets
-        self.coefs[lo:hi] = coefs
-        self.start[new] = list(accumulate(lengths[:-1], initial=lo))
-        self.length[new] = lengths
-        self.used = hi
-
-    def floats(self, measures):
-        """(coefficients, `measures`) as float64; `measures` is the index's."""
-        used, npos, coefs, floats = self._floats
-        if (used, npos) != (self.used, self.npos):
-            coefs = _grown(coefs, self.used)
-            coefs[used:self.used] = self.coefs[used:self.used]
-            floats = _grown(floats, self.npos)
-            floats[npos:self.npos] = measures[npos:self.npos]
-            self._floats = (self.used, self.npos, coefs, floats)
-        return coefs, floats
-
-    def divisors(self, measures):
-        """The index's `measures` as the exact step divides by them: a float
-        m as it is, an int or Fraction m as `Fraction(m)`.  For an int, float
-        or Fraction total v, v / divisor is `exact_div(v, m)`, type and bits."""
-        npos, divisors = self._divisors
-        if npos != self.npos:
-            divisors = _grown(divisors, self.npos)
-            divisors[npos:self.npos] = [m if type(m) is float else Fraction(m)
-                                        for m in measures[npos:self.npos]]
-            self._divisors = (self.npos, divisors)
-        return divisors
+        """Give every position in `pos` its row, with one call to
+        `graph.neighbor_rows` per `_ROW_CHUNK` positions that have none."""
+        pos = pos[self.length[pos] == 0].tolist()
+        for lo in range(0, len(pos), _ROW_CHUNK):
+            new = pos[lo:lo + _ROW_CHUNK]
+            rows, weight_rows = graph.neighbor_rows([self.vertices[i] for i in new])
+            # one hash per neighbour, one more per new one: a long word's is not cached
+            flat = list(chain.from_iterable(rows))
+            at = list(map(self.positions.get, flat))
+            if None in at:
+                fresh = {}
+                first = len(self.vertices)
+                for k in compress(count(), map(is_, at, repeat(None))):
+                    at[k] = fresh.setdefault(flat[k], first + len(fresh))
+                self._add(graph, fresh)
+            at = iter(at)
+            lengths = [len(row) + 1 for row in rows]
+            targets = list(chain.from_iterable((i, *islice(at, n - 1))
+                                               for i, n in zip(new, lengths)))
+            coefs = list(chain.from_iterable((-sum(ws), *ws) for ws in weight_rows))
+            start, end = self.used, self.used + len(targets)
+            self.targets = _grown(self.targets, end)
+            self.coefs = _grown(self.coefs, end)
+            self.fcoefs = _grown(self.fcoefs, end)
+            self.targets[start:end] = targets
+            self.coefs[start:end] = self.fcoefs[start:end] = coefs
+            self.start[new] = list(accumulate(lengths[:-1], initial=start))
+            self.length[new] = lengths
+            self.used = end
 
 
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
 def _step(index, pos, vals):
     """(targets, values) of one application to `vals` at positions `pos` of
-    `index`, whose `rows` cover them.
+    `index`, all of which have rows.
 
     The terms w f(x) are put in the loop's order and added by `np.add.at`
     into a scratch array over the index, 0 at the targets and never read
@@ -212,31 +231,29 @@ def _step(index, pos, vals):
     order, so each target's total is the loop's left to right sum from 0.
     `np.minimum.at` finds the term at which the loop first touches each
     target, and the targets come out in the order of those terms, zeros
-    dropped.  float64 `vals` are stepped on the rows' float64 copies, object
-    `vals` on the original numbers.
+    dropped.  float64 `vals` are stepped on the float64 copies of the rows
+    and measures, object `vals` on the original rows and the `divisors`.
     """
-    rows = index.rows
-    if vals.dtype == object:
-        coefs, divisors = rows.coefs, rows.divisors(index.measures)
-    else:
-        coefs, divisors = rows.floats(index.measures)
-    lengths = rows.length[pos]
+    exact = vals.dtype == object
+    coefs = index.coefs if exact else index.fcoefs
+    lengths = index.length[pos]
     ends = lengths.cumsum()
     total = int(ends[-1])
     ramp = np.arange(total)
-    flat = ramp + (rows.start[pos] - ends + lengths).repeat(lengths)
+    flat = ramp + (index.start[pos] - ends + lengths).repeat(lengths)
     terms = coefs[flat] * vals.repeat(lengths)
-    into = rows.targets[flat]
+    into = index.targets[flat]
     del flat  # each temporary is dropped once read, for a lower peak
-    acc = np.empty(rows.npos, dtype=terms.dtype)
+    n = len(index.vertices)
+    acc = np.empty(n, dtype=terms.dtype)
     acc[into] = 0
     np.add.at(acc, into, terms)
     del terms
-    first = np.empty(rows.npos, dtype=np.intp)
+    first = np.empty(n, dtype=np.intp)
     first[into] = total
     np.minimum.at(first, into, ramp)
     targets = into[first[into] == ramp]
-    values = acc[targets] / divisors[targets]
+    values = acc[targets] / (index.divisors() if exact else index.fmeasures)[targets]
     keep = values != 0
     return targets[keep], values[keep]
 
@@ -261,26 +278,31 @@ def apply_laplacian(graph, f):
     Each support vertex x sends w(x, y) f(x) to every neighbor y and
     -deg_w(x) f(x) to itself, where deg_w(x) is the sum of its weights; each
     total is then divided by the measure of its vertex.  The neighbors come
-    from the graph's neighbor index, which expands the support vertices it
-    has not expanded yet in one call to `graph.neighbor_rows`, so each vertex
-    is expanded once over the graph's lifetime and the outer ring never.
-    The result is an `IndexedFunction` over that index.  A value of `f` that
-    is not an int, float or Fraction is refused with a TypeError.
+    from the graph's kernel index, which gives the support vertices that
+    have no row yet theirs (see `KernelIndex`), so each vertex is expanded
+    once over the graph's lifetime and the outer ring never.  The result is
+    an `IndexedFunction` over that index.  A value of `f` that is not an
+    int, float or Fraction is refused with a TypeError.
     """
-    index = graph.index
-    if index.rows is None:
-        index.rows = KernelRows()
+    index = kernel_index(graph)
     pos, vals = _indexed(graph, f)
     if not len(pos):
         return IndexedFunction(index, pos, vals)
-    index.rows.fill(graph, pos)
+    index.fill(graph, pos)
     return IndexedFunction(index, *_step(index, pos, vals))
 
 
+def kernel_index(graph):
+    """The graph's `KernelIndex`, made on first use in its `index` slot."""
+    if graph.index is None:
+        graph.index = KernelIndex()
+    return graph.index
+
+
 def _indexed(graph, f):
-    """(positions, values) of `f` over the graph's neighbor index, stored as
+    """(positions, values) of `f` over the graph's kernel index, stored as
     `_stored` stores them; an `IndexedFunction` over the index as it is."""
-    index = graph.index
+    index = kernel_index(graph)
     if isinstance(f, IndexedFunction) and f.index is index:
         return f.pos, f.vals
     items = list(f.items())
@@ -288,7 +310,7 @@ def _indexed(graph, f):
 
 
 def _float_indexed(graph, f):
-    """`f` as an `IndexedFunction` of float64 values over the graph's index."""
+    """`f` as an `IndexedFunction` of float64 values over the graph's kernel index."""
     pos, vals = _indexed(graph, f)
     return IndexedFunction(graph.index, pos, vals.astype(np.float64, copy=False))
 
@@ -303,10 +325,12 @@ class ChebyshevStep:
 
     With `prev` None it gives T_1 = S T_0, otherwise T_{k+1} = 2 S T_k -
     T_{k-1}.  Each value is 2 (f(x) + Lf(x) / d) - prev(x) in binary64, taken
-    at each index position in that order, a missing value read as 0; the
-    positions come out sorted and zeros are dropped.  So a value depends on
-    the entries at its own position only, and the light cone keeps it bit
-    for bit.
+    at each index position in that order, a missing value read as 0, and
+    zeros are dropped.  The positions come out in the order the step meets
+    them: f's in f's order, then those of Lf not in f, then those of prev in
+    neither.  So a value depends on the entries at its own position only,
+    the order on the data's order and not on the index's numbering, and the
+    light cone keeps both bit for bit.
     """
 
     __slots__ = ("d",)
@@ -322,14 +346,19 @@ class ChebyshevStep:
         acc = np.zeros(n)
         acc[f.pos] = f.vals
         acc[lf.pos] += lf.vals / self.d
-        hit = np.zeros(n, dtype=bool)
-        hit[f.pos] = hit[lf.pos] = True
+        parts = [f.pos, lf.pos]
         if prev is not None:
             prev = _float_indexed(graph, prev)
             acc *= 2
             acc[prev.pos] -= prev.vals
-            hit[prev.pos] = True
-        pos = np.flatnonzero(hit)
+            parts.append(prev.pos)
+        hit = np.zeros(n, dtype=bool)
+        met = []
+        for part in parts:
+            part = part[~hit[part]]
+            hit[part] = True
+            met.append(part)
+        pos = np.concatenate(met)
         vals = acc[pos]
         keep = vals != 0
         return IndexedFunction(graph.index, pos[keep], vals[keep])
@@ -377,7 +406,7 @@ def light_cone_iterates(graph, base, depth, reach, step=laplacian_step):
     reads an array of root distances by index position, filled by one call
     to `graph.distances_from_root` per step for the positions added since.
     """
-    vertices = graph.index.vertices
+    vertices = kernel_index(graph).vertices
     dist = np.empty(0)
     near = max(graph.distances_from_root(base.support), default=-math.inf)
     f = base
@@ -435,6 +464,6 @@ def iterate_sup_bound(graph, a, x, j):
     """
     if j < 1:
         raise ValueError("iteration order must be >= 1")
-    deg_max = max(graph.deg(y) for y in graph.ball(x, j - 1))
+    deg_max = max(graph.degrees(graph.ball(x, j - 1)))
     amp = a.max_abs_on(graph.ball(x, j))
     return (2 ** j) * (deg_max ** j) * amp

@@ -541,11 +541,10 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
     if degree_cap is not None:
         require_degree_cap(degree_cap)
     region = audit_region(graph, a, kmax, rmax)
-    degrees = ((x, graph.deg(x)) for x in region)
     if degree_cap is None:
-        degree_cap = max(d for _, d in degrees)
+        degree_cap = max(graph.degrees(region))
     else:
-        for x, d in degrees:
+        for x, d in zip(region, graph.degrees(region)):
             if d > degree_cap:
                 raise DegreeBoundError(x, d, degree_cap)
     verdict, scale, rate, witnesses, note = _fit_envelope(

@@ -431,6 +431,38 @@ class TestBackwardCommand:
         )
 
 
+# five float values on lattice:3, around the root and summed in an order
+# the window does not give
+FIVE_ON_LATTICE3 = [[[1, 0, 0], 0.245803], [[0, 0, 0], 0.483574], [[0, -1, 0], 0.590387],
+                    [[0, 0, 1], 0.884901], [[-1, 0, 0], 0.479797]]
+
+
+class TestValuesDependOnlyOnTheQuestion:
+    """A float value depends on the graph, the data and t, not on the window
+    or the audit that ran before it."""
+
+    @staticmethod
+    def rows(argv, tmp_path, capsys):
+        init = tmp_path / "five.json"
+        init.write_text(json.dumps(FIVE_ON_LATTICE3))
+        code, out = run(argv + ["--family", "lattice:3", "--initial", str(init)], capsys)
+        assert code == 0
+        return json.loads(out)["results"]["evaluations"]
+
+    def test_solve_rows_do_not_depend_on_rmax(self, tmp_path, capsys):
+        rows = {rmax: {json.dumps([row["vertex"], row["t"]]): row for row in self.rows(
+                    ["solve", "--t=1,-0.5", "--rmax", str(rmax)], tmp_path, capsys)}
+                for rmax in (1, 2, 3)}
+        for small, large in ((1, 2), (1, 3), (2, 3)):
+            assert rows[small].keys() <= rows[large].keys()
+            assert [rows[large][key] for key in rows[small]] == list(rows[small].values())
+
+    def test_backward_rows_do_not_depend_on_kmax(self, tmp_path, capsys):
+        short, long = (self.rows(["backward", "--t=2", "--rmax", "2", "--kmax", kmax],
+                                 tmp_path, capsys) for kmax in ("2", "12"))
+        assert len(short) == 25 and short == long
+
+
 # a seeded 30-vertex graph document (the audits workload's, seed 35) whose
 # data peaks at distance 2, beyond every grid rate from the inner spheres
 SEED35_MU = (1.481, 0.63, 0.869, 1.799, 0.89, 1.51, 1.951, 0.598, 0.555, 1.119, 1.245,

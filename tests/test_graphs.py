@@ -177,13 +177,14 @@ class TestOneNeighborhood:
 
 def counting(family):
     """`family` with a per-vertex tally of membership tests and expansions,
-    made one at a time or a list at a time."""
+    made one at a time or a list at a time, and the length of each list."""
 
     class Counting(family):
         def __init__(self, arg):
             super().__init__(arg)
             self.contains = Counter()
             self.expanded = Counter()
+            self.row_calls = []
 
         def __contains__(self, x):
             self.contains[x] += 1
@@ -195,13 +196,15 @@ def counting(family):
 
         def neighbor_rows(self, xs):
             self.expanded.update(xs)
+            self.row_calls.append(len(xs))
             return super().neighbor_rows(xs)
 
     return Counting(3)
 
 
-class TestNeighborIndexWalk:
-    """Every query reads the neighbor index; each vertex is validated once."""
+class TestWalksAndKernelIndex:
+    """Walks read the family a sphere at a time; the kernel's index validates
+    each vertex it holds once."""
 
     @pytest.mark.parametrize("family", (RegularTree, IntegerLattice))
     def test_table_checks_each_indexed_vertex_at_most_once(self, family):
@@ -213,22 +216,35 @@ class TestNeighborIndexWalk:
         assert sum(graph.contains.values()) <= len(bfs_ball(family(3), graph.root, 5))
 
     @pytest.mark.parametrize("family", (RegularTree, IntegerLattice))
-    def test_queries_inside_expanded_region_call_nothing(self, family):
+    def test_walk_reads_one_row_list_per_sphere_and_checks_only_its_sources(self, family):
         graph = counting(family)
-        a = LocalFunction.delta(graph.root, 1.0)
-        IteratedLaplacianTable(graph, a).entry(6)
-        graph.contains.clear()
-        graph.expanded.clear()
         root = graph.root
-        inner = graph.ball(root, 5)
-        assert graph.ball(root, 6) == bfs_ball(family(3), root, 6)
-        assert graph.sphere(root, 6) == graph.ball(root, 6) - inner
-        assert graph.one_neighborhood(inner) == graph.ball(root, 6)
-        assert {graph.deg(x) for x in inner} == {graph.uniform_degree_bound()}
-        assert {graph.weight(root, y) for y in graph.sphere(root, 1)} == {1}
-        assert len(audit_region(graph, a, 3, 2)) == len(graph.ball(root, 3))
-        assert max(root_distances(graph, 5).values()) == 5
-        assert graph.contains == Counter() and graph.expanded == Counter()
+        a = LocalFunction.delta(root, 1.0)
+        IteratedLaplacianTable(graph, a).entry(6)  # rows a walk does not read
+
+        def walked(query):
+            graph.contains.clear()
+            graph.expanded.clear()
+            graph.row_calls.clear()
+            return query()
+
+        sizes = [len(bfs_ball(family(3), root, r)) for r in range(5)]
+        shells = [hi - lo for lo, hi in zip([0] + sizes, sizes)]
+        assert walked(lambda: graph.ball(root, 4)) == bfs_ball(family(3), root, 4)
+        assert graph.row_calls == shells[:4]
+        assert graph.expanded == Counter(bfs_ball(family(3), root, 3))
+        assert graph.contains == Counter({root: 1})
+        inner = bfs_ball(family(3), root, 2)
+        assert walked(lambda: graph.one_neighborhood(inner)) == bfs_ball(family(3), root, 3)
+        assert graph.row_calls == [len(inner)]
+        assert graph.contains == Counter(inner)
+        assert walked(lambda: max(root_distances(graph, 3).values())) == 3
+        assert graph.row_calls == shells[:3] and graph.contains == Counter({root: 1})
+        assert len(walked(lambda: audit_region(graph, a, 3, 2))) == sizes[3]
+        assert graph.contains == Counter({root: 2})  # the root ball's centre and a's support
+        # degrees take checked vertices, a walk's, and check none again
+        assert walked(lambda: graph.degrees(inner)) == [graph.uniform_degree_bound()] * len(inner)
+        assert graph.row_calls == [len(inner)] and graph.contains == Counter()
 
     def test_layers_expand_only_when_the_next_sphere_is_asked_for(self):
         graph = counting(RegularTree)
@@ -263,7 +279,7 @@ class TestNeighborIndexWalk:
         }[query]
         with pytest.raises(UnknownVertexError):
             call()
-        assert vertex not in graph.index.positions
+        assert graph.index is None  # walks and degrees hold nothing
         assert graph.ball(graph.root, 2) == bfs_ball(graph, graph.root, 2)
         # every graph here has unit measures
         assert graph.deg(graph.root) == sum(w for _, w in graph.neighbors(graph.root))
@@ -321,8 +337,9 @@ def off_root(spec):
 
 
 def assert_index_matches_the_family(graph):
-    """Every held position against `neighbors` and `measure`, and the bulk
-    root distances of the held vertices against `distance`, types included."""
+    """Every held position and kernel row against `neighbors` and `measure`,
+    and the bulk root distances of the held vertices against `distance`,
+    types included."""
     index = graph.index
     assert len(index.vertices) == len(index.measures)
     distances = graph.distances_from_root(index.vertices)
@@ -333,12 +350,14 @@ def assert_index_matches_the_family(graph):
             assert repr(distances[i]) == repr(graph.distance(x, graph.root))
         except UnreachableVertexError:
             assert distances[i] == math.inf
-        if index.neighbors[i] is not None:
+        if index.length[i]:
+            row = slice(index.start[i], index.start[i] + index.length[i])
+            targets, coefs = index.targets[row].tolist(), index.coefs[row].tolist()
             pairs = graph.neighbors(x)
-            held = [index.vertices[j] for j in index.neighbors[i]]
-            assert repr(held) == repr([y for y, _ in pairs])
-            ws = tuple(w for _, w in pairs)
-            assert repr(index.weights[i]) == repr(ws)
+            assert targets[0] == i
+            assert repr([index.vertices[j] for j in targets[1:]]) == repr([y for y, _ in pairs])
+            ws = [w for _, w in pairs]
+            assert repr(coefs) == repr([-sum(ws), *ws])
 
 
 class TestBulkExpansion:
@@ -424,7 +443,7 @@ class TestBulkExpansion:
                 with pytest.raises(UnknownVertexError):
                     query()
             IteratedLaplacianTable(graph, LocalFunction.delta(graph.root, 1.0)).entry(2)
-            assert graph.index.neighbors[graph.index.positions[impostor]] is not None
+            assert graph.index.length[graph.index.positions[impostor]] > 0  # it has a row
         assert_index_matches_the_family(graph)
 
 

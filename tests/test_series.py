@@ -39,6 +39,7 @@ from heatseries.graphs import (
     random_weighted_graph,
     vertex_key,
 )
+from heatseries.laplacian import apply_laplacian
 from heatseries.oracle import DenseOperator, dense_laplacian, expm_apply
 from heatseries.series import (
     CERTIFIED,
@@ -1031,6 +1032,51 @@ def radial_tree_reference(degree, profile, t_max, absolute=False):
 def seeded_data(support, seed):
     rng = random.Random(seed)
     return LocalFunction({x: rng.uniform(-1.0, 1.0) for x in support})
+
+
+FIVE_VALUES = (0.245803, 0.483574, 0.590387, 0.884901, 0.479797)
+
+
+def five_point_data(spec):
+    """(graph maker, data): five float values on vertices within distance 2
+    of the root, in an order that no walk gives."""
+    if spec == "random":
+        return (lambda: random_weighted_graph(30, seed=3),
+                LocalFunction(dict(zip((7, 0, 19, 3, 12), FIVE_VALUES))))
+    dim = int(spec.partition(":")[2])
+    unit = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    neg = [tuple(-c for c in e) for e in unit]
+    support = (unit[0], (0,) * dim, neg[-1], unit[-1], neg[0])
+    return lambda: family_from_spec(spec), LocalFunction(dict(zip(support, FIVE_VALUES)))
+
+
+class TestValuesDependOnlyOnTheQuestion:
+    """A float value depends on the graph, the data and t: not on the walks,
+    degrees or kernel steps that ran on the graph before it."""
+
+    @pytest.mark.parametrize("spec", ("lattice:2", "lattice:3", "random"))
+    @pytest.mark.parametrize("times", ([1.0], [-0.5], [-3.0], [2.0, -1.0]),
+                             ids=("t=1", "t=-0.5", "t=-3", "grid"))
+    def test_prefetched_values_ignore_earlier_queries(self, spec, times):
+        make, data = five_point_data(spec)
+
+        def values(before):
+            graph = make()
+            root = graph.root
+            before(graph, root)
+            solution = SeriesSolution(graph, data)
+            window = sorted(graph.ball(root, 2), key=vertex_key)
+            solution.prefetch(window, times)
+            return [repr(series_eval(solution, x, t).value) for x in window for t in times]
+
+        fresh = values(lambda graph, root: None)
+        assert values(lambda graph, root: graph.ball(root, 4)) == fresh
+        assert values(lambda graph, root: [graph.deg(x) for x in graph.ball(root, 3)]) == fresh
+        # a kernel step that numbers the vertices of another datum first
+        probe = make()
+        far = max(probe.sphere(probe.root, 3), key=vertex_key)
+        assert values(lambda graph, root: apply_laplacian(
+            graph, LocalFunction.delta(far, 1.0))) == fresh
 
 
 class TestChebyshevForward:

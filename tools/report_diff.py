@@ -109,6 +109,10 @@ EDGE_FILES = {
     "e10.initial.json": json.dumps([[0, 1e10]]),
     # under --exact: data whose value at the root lies past binary64
     "past-max.initial.json": json.dumps([[0, 1.5e308]]),
+    # five float values on lattice:3, in an order no walk gives
+    "five.initial.json": json.dumps([[[1, 0, 0], 0.245803], [[0, 0, 0], 0.483574],
+                                     [[0, -1, 0], 0.590387], [[0, 0, 1], 0.884901],
+                                     [[-1, 0, 0], 0.479797]]),
 }
 
 #: Small edge cases of solve, backward, radius, counterexample and verify:
@@ -228,6 +232,13 @@ EDGE_CASES = (
     # a negative degree cap, refused by name; its stderr differs from a tree
     # that reports it as a Deg above the cap
     ["backward", "--family", "z", "--degree-bound=-1", "--kmax", "3", "--rmax", "1"],
+    # float values that must not depend on the window (--rmax) or on the
+    # audit run before the series (--kmax); their bits move against a tree
+    # whose sums ran in the order walks had numbered the vertices in
+    ["solve", "--family", "lattice:3", "--initial", "five.initial.json", "--t=1,-0.5",
+     "--rmax", "1"],
+    ["backward", "--family", "lattice:3", "--initial", "five.initial.json", "--t=2",
+     "--rmax", "2", "--kmax", "12"],
     # a cap of 0, met by an edgeless root region
     ["backward", "--graph", "isolated-root.json", "--degree-bound", "0", "--kmax", "2",
      "--rmax", "1"],
