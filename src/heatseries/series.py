@@ -30,8 +30,10 @@ threads.
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
 fits A and rate on grids, the coefficient audit checks given constants.
-Both read one point source, `_envelope_points`, which yields
-(k, x, |L^k a(x)|, (2C)^k, d(x)) k-major over a fixed vertex order.
+Each reads |L^k a(x)| once, as a binary64 matrix of rows k <= kmax and
+columns x in a fixed vertex order, and compares it with an envelope
+matrix per rate, (2C)^k g(k + d(x)) with g(n) = e^{rate n ln n} taken
+once per distinct n; k-major order is the matrix's flat order.
 """
 
 from __future__ import annotations
@@ -478,17 +480,38 @@ def audit_region(graph, a, kmax, rmax):
     return sorted(region, key=vertex_key)
 
 
-def _envelope_points(table, order, dist, base, kmax):
-    """Yield (k, x, |L^k a(x)|, base^k, d(x)) for k <= kmax, x in `order`.
+def _audit_matrices(entries, order, dists, base):
+    """(values, powers, growth) of an envelope audit over rows k < len(entries)
+    and columns x in `order`, at root distances `dists`.
 
-    The point source of both envelope audits, k-major and lazy: an entry of
-    the table is computed only when its first point is requested.
+    `values` holds |f_k(x)| for f_k in `entries`, in binary64 and inf past
+    it as `float_or_inf` reads it; `powers` is the column base^k, inf past
+    binary64; `growth(rate)` is the matrix e^{rate n ln n}, n = k + d(x),
+    taken once per distinct n in Python numbers (ints where no int64 holds
+    an n).
     """
-    for k in range(kmax + 1):
-        entry = table.entry(k)
-        base_k = _power_or_inf(base, k)
-        for x in order:
-            yield k, x, abs(float_or_inf(entry(x))), base_k, dist[x]
+    try:
+        values = window_values(entries, order, np.float64)
+    except OverflowError:  # an exact value beyond binary64
+        values = window_values(entries, order, object)
+        values = np.array([float_or_inf(v) for v in values.ravel().tolist()]).reshape(values.shape)
+    powers = np.array([_power_or_inf(base, k) for k in range(len(entries))])[:, None]
+    dtype = np.int64 if max(dists) + len(entries) < 2 ** 63 else object
+    ds, column = np.unique(np.array(dists, dtype=dtype), return_inverse=True)
+    n = np.arange(len(entries), dtype=dtype)[:, None] + ds
+    distinct, at = np.unique(n.ravel(), return_inverse=True)
+    distinct, at = distinct.tolist(), at.reshape(n.shape)
+
+    def growth(rate):
+        return np.array([exp_or_inf(rate * xlnx(m)) for m in distinct])[at][:, column]
+
+    return np.abs(values), powers, growth
+
+
+def _point(values, order, i, bound):
+    """(k, x, |L^k a(x)|, bound) at the flat index `i` of `values`."""
+    k, j = divmod(int(i), len(order))
+    return k, order[j], values[k, j].item(), bound
 
 
 @dataclass
@@ -547,69 +570,44 @@ def check_backward_solvability(graph, a, degree_cap, kmax, rmax):
         for x, d in zip(region, graph.degrees(region)):
             if d > degree_cap:
                 raise DegreeBoundError(x, d, degree_cap)
-    verdict, scale, rate, witnesses, note = _fit_envelope(
-        graph, a, 2.0 * float(degree_cap), kmax, region
-    )
-    return BackwardSolvabilityReport(
-        verdict=verdict,
-        scale=scale,
-        rate=rate,
-        witnesses=witnesses,
-        degree_cap=float(degree_cap),
-        kmax=kmax,
-        rmax=rmax,
-        note=note,
-    )
+    degree_cap = float(degree_cap)
+    verdict, scale, rate, witnesses, note = _fit_envelope(graph, a, 2.0 * degree_cap, kmax, region)
+    return BackwardSolvabilityReport(verdict, scale, rate, witnesses, degree_cap, kmax, rmax, note)
 
 
 def _fit_envelope(graph, a, base, kmax, region):
     """(verdict, scale, rate, witnesses, note) of the backward audit."""
-    dist = dict(zip(region, graph.distances_from_root(region)))
-    for x in region:
-        if dist[x] == math.inf:
-            note = (
-                "audit region not connected to the root: "
-                f"no path from {x!r} to {graph.root!r}"
-            )
-            return INCONCLUSIVE, math.nan, math.nan, [], note
-
-    table = IteratedLaplacianTable(graph, a)
-    points = list(_envelope_points(table, region, dist, base, kmax))
-    # an iterate beyond binary64 compares with no envelope, finite or not
-    if not all(math.isfinite(v) for _, _, v, _, _ in points):
-        note = "an audited iterate is not finite in binary64"
+    dists = graph.distances_from_root(region)
+    off = [x for x, d in zip(region, dists) if d == math.inf]
+    if off:
+        note = f"audit region not connected to the root: no path from {off[0]!r} to {graph.root!r}"
         return INCONCLUSIVE, math.nan, math.nan, [], note
-
-    def envelope(rate, k, base_k, d):
-        return base_k * exp_or_inf(rate * xlnx(k + d))
-
-    for rate in SOLVABILITY_RATE_GRID:
-        needed = 0.0
-        worst = None
-        for k, x, v, base_k, d in points:
-            env = envelope(rate, k, base_k, d)
-            # a zero cap gives a zero envelope for k >= 1, which only 0 meets
-            ratio = v / env if env else (math.inf if v else 0.0)
-            if ratio > needed:
-                needed = ratio
-                worst = (k, x, v, env)
-        for scale in SOLVABILITY_SCALE_GRID:
-            if needed <= scale:
-                witnesses = []
-                if worst is not None and worst[2] > 0:
-                    k, x, v, env = worst
-                    witnesses = [(k, x, v, scale * env)]
-                return CERTIFIED, scale, rate, witnesses, ""
-
-    top_scale = SOLVABILITY_SCALE_GRID[-1]
-    top_rate = SOLVABILITY_RATE_GRID[-1]
-    violations = [
-        (k, x, v, top_scale * envelope(top_rate, k, base_k, d))
-        for k, x, v, base_k, d in points
-        if v > top_scale * envelope(top_rate, k, base_k, d)
-    ]
-    note = "no grid constants dominate the audited iterates"
-    return REFUTED, top_scale, top_rate, violations[:20], note
+    table = IteratedLaplacianTable(graph, a)
+    values, powers, growth = _audit_matrices(
+        [table.entry(k) for k in range(kmax + 1)], region, dists, base)
+    del table  # no longer read: its entries go before the envelope matrices come
+    # an iterate beyond binary64 compares with no envelope, finite or not
+    if not np.isfinite(values).all():
+        return INCONCLUSIVE, math.nan, math.nan, [], "an audited iterate is not finite in binary64"
+    # overflow gives inf, and 0 * inf or 0 / 0 nan, silently
+    with np.errstate(all="ignore"):
+        for rate in SOLVABILITY_RATE_GRID:
+            env = powers * growth(rate)
+            # a nan ratio (0 / 0, or over a zero cap's 0 * inf) exceeds
+            # nothing; in place, so that one matrix fewer is live
+            ratio = values / env
+            np.fmax(ratio, 0.0, out=ratio)
+            worst = ratio.argmax()  # the first maximum in k-major order
+            needed = ratio.flat[worst]
+            scale = next((s for s in SOLVABILITY_SCALE_GRID if needed <= s), None)
+            if scale is not None:
+                witness = _point(values, region, worst, scale * env.flat[worst].item())
+                return CERTIFIED, scale, rate, [witness] if needed > 0 else [], ""
+        scale, rate = SOLVABILITY_SCALE_GRID[-1], SOLVABILITY_RATE_GRID[-1]
+        bound = scale * (powers * growth(rate))
+        hits = np.flatnonzero(values > bound)[:20]
+    violations = [_point(values, region, i, bound.flat[i].item()) for i in hits]
+    return REFUTED, scale, rate, violations, "no grid constants dominate the audited iterates"
 
 
 @dataclass
@@ -629,26 +627,21 @@ def coefficient_bound_audit(solution, profile, degree_growth, kmax, rmax):
     """Check |L^k a(x)| <= A (2 C)^k e^{(rate+power)(k+d) ln(k+d)}.
 
     Runs over k <= kmax and the radius-rmax root ball, after verifying the
-    initial data itself sits under the growth envelope there; reads the
-    same point source as the backward audit and stops at the first
-    violation.
+    initial data itself sits under the growth envelope there; the witness
+    is the first violation in k-major order over `vertex_key` order, its
+    bound formed as (A (2C)^k) e^{...} in binary64.
     """
     dist = root_distances(solution.graph, rmax)
     order = sorted(dist, key=vertex_key)
     for x in order:
         if abs(solution.initial(x)) > profile.envelope(dist[x]):
-            raise ValueError(
-                f"initial data violates the growth profile at vertex {x!r}"
-            )
-    amp = float(profile.amplitude)
+            raise ValueError(f"initial data violates the growth profile at vertex {x!r}")
+    values, powers, growth = _audit_matrices(
+        [solution.table.entry(k) for k in range(kmax + 1)], order, [dist[x] for x in order],
+        2.0 * float(degree_growth.cap))
     rate = float(profile.rate) + float(degree_growth.power)
-    base = 2.0 * float(degree_growth.cap)
-    witness = None
-    for k, x, v, base_k, d in _envelope_points(solution.table, order, dist, base, kmax):
-        bound = amp * base_k * exp_or_inf(rate * xlnx(k + d))
-        if v > bound:
-            witness = (k, x, v, bound)
-            break
-    return CoefficientAuditReport(
-        passed=witness is None, witness=witness, kmax=kmax, rmax=rmax
-    )
+    with np.errstate(all="ignore"):
+        bound = (float(profile.amplitude) * powers) * growth(rate)
+    hits = np.flatnonzero(values > bound)
+    witness = _point(values, order, hits[0], bound.flat[hits[0]].item()) if len(hits) else None
+    return CoefficientAuditReport(passed=witness is None, witness=witness, kmax=kmax, rmax=rmax)

@@ -281,6 +281,30 @@ class TestBackwardCommand:
         assert code == 0
         assert json.loads(out)["results"]["solvability"]["verdict"] == "certified"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source, initial, cap, kmax, witnesses", [
+        # 1e6 (2 * 1e300)^k e^{rate n ln n} overflows binary64 from k = 2 on,
+        # and at k = 1 far enough out
+        (["--family", "z"], [[0, 1e200]], "1e300", "40", [[0, 0, 1e200, 1e6]]),
+        # from k = 150 on, 0^k e^{0.95 k ln k} = 0 * inf is nan, which no
+        # iterate exceeds
+        (None, [[0, 1e9]], "0", "200", [[0, 0, 1e9, 1e6]]),
+    ], ids=["overflow", "zero-times-inf"])
+    def test_envelope_overflow_refutes_without_warnings(self, tmp_path, capsys, source,
+                                                        initial, cap, kmax, witnesses):
+        if source is None:
+            doc = {"root": 0, "vertices": [{"id": 0, "mu": 1}], "edges": []}
+            source = ["--graph", write_graph(tmp_path, doc)]
+        init = tmp_path / "initial.json"
+        init.write_text(json.dumps(initial))
+        code = main(["backward", *source, "--initial", str(init), "--degree-bound", cap,
+                     "--kmax", kmax, "--rmax", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (1, "")
+        solv = json.loads(captured.out)["results"]["solvability"]
+        assert solv["verdict"] == "refuted-up-to-K"
+        assert [[w["k"], w["vertex"], w["value"], w["bound"]] for w in solv["witnesses"]] == witnesses
+
     def test_refuted_exit1(self, tmp_path, capsys):
         path = write_graph(tmp_path, K2_DOC)
         init = tmp_path / "huge.json"

@@ -35,17 +35,21 @@ from heatseries.graphs import (
     complete_graph,
     cycle_graph,
     family_from_spec,
+    float_or_inf,
     path_graph,
     random_weighted_graph,
     vertex_key,
 )
-from heatseries.laplacian import apply_laplacian
+from heatseries.laplacian import IteratedLaplacianTable, apply_laplacian
 from heatseries.oracle import DenseOperator, dense_laplacian, expm_apply
 from heatseries.series import (
     CERTIFIED,
     INCONCLUSIVE,
     REFUTED,
+    SOLVABILITY_RATE_GRID,
+    SOLVABILITY_SCALE_GRID,
     TERM_CAP,
+    BackwardSolvabilityReport,
     CoefficientAuditReport,
     EvalResult,
     SeriesSolution,
@@ -57,6 +61,7 @@ from heatseries.series import (
     chebyshev_rounding_bound,
     check_backward_solvability,
     coefficient_bound_audit,
+    require_degree_cap,
     residual_check,
     series_eval,
 )
@@ -385,6 +390,153 @@ class TestDefaultDegreeCap:
         assert implicit.degree_cap == float(cap)
 
 
+def reference_backward_audit(graph, a, degree_cap, kmax, rmax):
+    """The backward audit as per-point loops over a list of points, before
+    the matrix form."""
+    if kmax < 0 or rmax < 0:
+        raise ValueError("kmax and rmax must be nonnegative")
+    if degree_cap is not None:
+        require_degree_cap(degree_cap)
+    region = audit_region(graph, a, kmax, rmax)
+    if degree_cap is None:
+        degree_cap = max(graph.degrees(region))
+    else:
+        for x, d in zip(region, graph.degrees(region)):
+            if d > degree_cap:
+                raise DegreeBoundError(x, d, degree_cap)
+    verdict, scale, rate, witnesses, note = _reference_fit_envelope(
+        graph, a, 2.0 * float(degree_cap), kmax, region
+    )
+    return BackwardSolvabilityReport(
+        verdict=verdict,
+        scale=scale,
+        rate=rate,
+        witnesses=witnesses,
+        degree_cap=float(degree_cap),
+        kmax=kmax,
+        rmax=rmax,
+        note=note,
+    )
+
+
+def _reference_fit_envelope(graph, a, base, kmax, region):
+    dist = dict(zip(region, graph.distances_from_root(region)))
+    for x in region:
+        if dist[x] == math.inf:
+            note = (
+                "audit region not connected to the root: "
+                f"no path from {x!r} to {graph.root!r}"
+            )
+            return INCONCLUSIVE, math.nan, math.nan, [], note
+
+    table = IteratedLaplacianTable(graph, a)
+    points = [
+        (k, x, abs(float_or_inf(table.entry(k)(x))), _power_or_inf(base, k), dist[x])
+        for k in range(kmax + 1)
+        for x in region
+    ]
+    # an iterate beyond binary64 compares with no envelope, finite or not
+    if not all(math.isfinite(v) for _, _, v, _, _ in points):
+        note = "an audited iterate is not finite in binary64"
+        return INCONCLUSIVE, math.nan, math.nan, [], note
+
+    def envelope(rate, k, base_k, d):
+        return base_k * exp_or_inf(rate * xlnx(k + d))
+
+    for rate in SOLVABILITY_RATE_GRID:
+        needed = 0.0
+        worst = None
+        for k, x, v, base_k, d in points:
+            env = envelope(rate, k, base_k, d)
+            # a zero cap gives a zero envelope for k >= 1, which only 0 meets
+            ratio = v / env if env else (math.inf if v else 0.0)
+            if ratio > needed:
+                needed = ratio
+                worst = (k, x, v, env)
+        for scale in SOLVABILITY_SCALE_GRID:
+            if needed <= scale:
+                witnesses = []
+                if worst is not None and worst[2] > 0:
+                    k, x, v, env = worst
+                    witnesses = [(k, x, v, scale * env)]
+                return CERTIFIED, scale, rate, witnesses, ""
+
+    top_scale = SOLVABILITY_SCALE_GRID[-1]
+    top_rate = SOLVABILITY_RATE_GRID[-1]
+    violations = [
+        (k, x, v, top_scale * envelope(top_rate, k, base_k, d))
+        for k, x, v, base_k, d in points
+        if v > top_scale * envelope(top_rate, k, base_k, d)
+    ]
+    note = "no grid constants dominate the audited iterates"
+    return REFUTED, top_scale, top_rate, violations[:20], note
+
+
+BACKWARD_AUDIT_GRAPHS = {
+    "z": IntegerLine(),
+    "lattice:2": IntegerLattice(2),
+    "tree:3": RegularTree(3),
+    "float": random_weighted_graph(12, seed=3),
+    "exact": random_weighted_graph(12, seed=5, exact=True),
+    "isolated": FiniteGraph({0: 1}, [], 0),
+}
+#: vertices of z whose root distance no int64 holds, and no double
+FAR_Z_VERTICES = (10 ** 30, -10 ** 400)
+
+
+@st.composite
+def backward_audit_cases(draw):
+    """(graph name, data items, degree cap, kmax, rmax)."""
+    name = draw(st.sampled_from(sorted(BACKWARD_AUDIT_GRAPHS)))
+    graph = BACKWARD_AUDIT_GRAPHS[name]
+    near = sorted(graph.ball(graph.root, 2), key=vertex_key)
+    if name == "z":
+        near += FAR_Z_VERTICES
+    support = draw(st.lists(st.sampled_from(near), max_size=3, unique=True))
+    value = st.one_of(
+        st.floats(-4.0, 4.0),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        st.sampled_from([1e9, -1e200, 1e200]),
+    )
+    items = tuple((x, draw(value)) for x in support)
+    cap = draw(st.sampled_from([None, 0, 3, 1e200, 1e300]))
+    # an edgeless graph takes long audits cheaply
+    kmax = draw(st.integers(0, 200 if name == "isolated" else 5))
+    return name, items, cap, kmax, draw(st.integers(0, 3))
+
+
+def _backward_audit_outcome(audit, name, items, cap, kmax, rmax):
+    graph = BACKWARD_AUDIT_GRAPHS[name]
+    try:
+        return repr(audit(graph, LocalFunction(dict(items)), cap, kmax, rmax))
+    except (DegreeBoundError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestBackwardAuditMatchesReference:
+    @given(backward_audit_cases())
+    # a zero cap's envelope 0 * e^{rate k ln k} is nan from k = 150 at the top rate
+    @example(("isolated", ((0, 1e9),), 0, 200, 1))
+    @example(("isolated", ((0, 1e9),), 0, 163, 1))
+    # envelope products past binary64
+    @example(("z", ((0, 1e200),), 1e300, 40, 1))
+    @example(("lattice:2", (((0, 0), 1e200), ((1, 0), -0.5)), 1e200, 5, 2))
+    # n = k + d past int64, then past binary64 (an OverflowError either way)
+    @example(("z", ((10 ** 30, 0.5), (0, 1.0)), None, 3, 1))
+    @example(("z", ((-10 ** 400, 1.0),), None, 2, 1))
+    @example(("exact", ((0, Fraction(1, 3)), (2, Fraction(-5, 4))), None, 5, 2))
+    # iterates past binary64: float, and exact ones read as inf
+    @example(("z", ((0, 1e307),), None, 5, 1))
+    @example(("z", ((0, 10 ** 308), (1, Fraction(1, 3))), None, 2, 1))
+    @example(("exact", ((0, 10 ** 307), (1, Fraction(-1, 3))), None, 3, 1))
+    @example(("tree:3", (((), Fraction(7, 2)),), 3, 4, 2))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_report_repr_equal(self, case):
+        assert _backward_audit_outcome(check_backward_solvability, *case) == (
+            _backward_audit_outcome(reference_backward_audit, *case)
+        )
+
+
 def reference_coefficient_audit(solution, profile, degree_growth, kmax, rmax):
     """The coefficient audit as a standalone loop, before the shared core."""
     dist = root_distances(solution.graph, rmax)
@@ -470,7 +622,8 @@ class TestCoefficientAudit:
         z = IntegerLine()
         sol = SeriesSolution(z, LocalFunction.delta(0))
         entry = sol.table.entry(2)
-        entry._values[1] = 1e9  # fault injection: perturb the k = 2 entry
+        # fault injection: perturb the k = 2 entry at x = 1 where the audit reads it
+        entry.vals[entry.pos == entry.index.positions[1]] = 1e9
         report = coefficient_bound_audit(
             sol, GrowthProfile(1.0, 0.0), DegreeGrowth(2.0, 0.0), 10, 4
         )

@@ -107,6 +107,8 @@ EDGE_FILES = {
     # a kernel step whose w f(x) = 1e300 * 1e10 overflows, though Deg = 1
     "overflow-k2.json": json.dumps(_k2(1e300, 1e300)),
     "e10.initial.json": json.dumps([[0, 1e10]]),
+    # data whose envelope products overflow binary64 under a 1e300 cap
+    "e200.initial.json": json.dumps([[0, 1e200]]),
     # under --exact: data whose value at the root lies past binary64
     "past-max.initial.json": json.dumps([[0, 1.5e308]]),
     # five float values on lattice:3, in an order no walk gives
@@ -272,6 +274,13 @@ EDGE_CASES = (
     ["solve", "--graph", "hub.json", "--t=-0.6,0.6", "--rmax", "1"],
     # a backward scale e^{2z} beyond binary64, refused at once naming z
     ["solve", "--family", "z", "--t=-180", "--rmax", "0"],
+    # envelope audits whose products overflow to inf, and whose zero cap
+    # meets an infinite growth in 0 * inf = nan, which no iterate exceeds:
+    # both refuted with no warning on stderr
+    ["backward", "--family", "z", "--initial", "e200.initial.json", "--degree-bound", "1e300",
+     "--kmax", "40", "--rmax", "1"],
+    ["backward", "--graph", "isolated-root.json", "--initial", "huge.initial.json",
+     "--degree-bound", "0", "--kmax", "200", "--rmax", "1"],
 )
 
 
