@@ -14,13 +14,22 @@ holding its input files, recording exit code, stdout and stderr.  The tool
 prints every argv whose outcome differs between the trees and exits 1 if
 any does, else 0.
 
-`plan.py` is imported from this repository without writing bytecode next
+    python3 tools/report_diff.py --write-golden
+
+runs this tree alone at seeds 3 and 4 and rewrites the golden files under
+`tests/golden/` that `tests/test_golden.py` compares against: each edge
+case's exit code, stdout and stderr in full (`edge_cases.json`), and a
+sha256 of each plan invocation's outcome (`plans.json`).
+
+`plan.py` is loaded from this repository without writing bytecode next
 to it, so the benchmark's files are only read.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import importlib.util
 import json
 import os
 import shlex
@@ -31,6 +40,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("volume", "heatmap", "audits")
+GOLDEN = REPO / "tests" / "golden"
+GOLDEN_SEEDS = (3, 4)
 
 _DISCONNECTED = {
     "root": 0,
@@ -285,15 +296,23 @@ EDGE_CASES = (
 
 
 def _import_plan():
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(REPO / "heatbench"))
-    import plan
-
+    """heatbench/plan.py as a module, loaded without writing its bytecode and
+    without touching `sys.path` or `sys.modules`."""
+    spec = importlib.util.spec_from_file_location("plan", REPO / "heatbench" / "plan.py")
+    plan = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(plan)
+    finally:
+        sys.dont_write_bytecode = saved
     return plan
 
 
 def batches(seeds, size):
-    """[{"files", "argvs"}]: each plan batch, then the edge cases."""
+    """[{"files", "argvs", "names"}]: each plan batch, then the edge cases.
+
+    `names` labels each argv: "<workload> seed <seed> <id>" for a plan
+    invocation, "edge case" for the rest."""
     plan = _import_plan()
     out = []
     for seed in seeds:
@@ -302,9 +321,11 @@ def batches(seeds, size):
             files = {}
             for inv in invocations:
                 files.update(inv["files"])
-            out.append({"files": files, "argvs": [inv["argv"] for inv in invocations]})
+            out.append({"files": files, "argvs": [inv["argv"] for inv in invocations],
+                        "names": [f"{workload} seed {seed} {inv['id']}" for inv in invocations]})
     files = dict(EDGE_FILES, **_audits_graph_files(plan, 35), **_audits_graph_files(plan, 55))
-    out.append({"files": files, "argvs": [list(a) for a in EDGE_CASES]})
+    out.append({"files": files, "argvs": [list(a) for a in EDGE_CASES],
+                "names": ["edge case"] * len(EDGE_CASES)})
     return out
 
 
@@ -392,13 +413,49 @@ def run_trees(trees, work):
     return results
 
 
+def golden_documents():
+    """{file name: entries} of the golden files, run from this tree.
+
+    Edge cases keep their whole outcome; a plan invocation keeps the sha256
+    of its outcome [exit code, stdout, stderr] as JSON, since its reports
+    run to megabytes.
+    """
+    work = batches(GOLDEN_SEEDS, "full")
+    (outcomes,) = run_trees([REPO], work)
+    docs = {"edge_cases.json": [], "plans.json": []}
+    labelled = ((name, argv) for batch in work for name, argv in zip(batch["names"], batch["argvs"]))
+    for (name, argv), outcome in zip(labelled, outcomes):
+        if name == "edge case":
+            rc, out, err = outcome
+            docs["edge_cases.json"].append(
+                {"argv": argv, "exit": rc, "stdout": out, "stderr": err})
+        else:
+            digest = hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+            docs["plans.json"].append({"invocation": name, "sha256": digest})
+    return docs
+
+
+def write_golden():
+    GOLDEN.mkdir(exist_ok=True)
+    for name, entries in golden_documents().items():
+        (GOLDEN / name).write_text(json.dumps(entries, indent=1) + "\n")
+        print(f"wrote {len(entries)} entries to {GOLDEN / name}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("base", metavar="BASE_SRC")
-    parser.add_argument("change", metavar="CHANGE_SRC")
+    parser.add_argument("base", metavar="BASE_SRC", nargs="?")
+    parser.add_argument("change", metavar="CHANGE_SRC", nargs="?")
     parser.add_argument("--seeds", type=int, nargs="+", default=[3, 4])
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
+    parser.add_argument("--write-golden", action="store_true",
+                        help="rewrite tests/golden/ from this tree (seeds 3 and 4, full size)")
     args = parser.parse_args(argv)
+    if args.write_golden:
+        write_golden()
+        return 0
+    if args.change is None:
+        parser.error("BASE_SRC and CHANGE_SRC are required without --write-golden")
 
     work = batches(args.seeds, args.size)
     argvs = [argv for batch in work for argv in batch["argvs"]]
