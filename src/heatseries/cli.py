@@ -25,6 +25,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from . import bounds
 from . import counterexample as cx
@@ -100,6 +101,8 @@ def _canonical(obj, keys, floats):
         return "true"
     if obj is False:
         return "false"
+    if kind is _EvalGrid:
+        return _canonical_grid(obj, keys, floats)
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
@@ -136,6 +139,19 @@ def _canonical_dict(obj, keys, floats):
         else:
             parts.append(prefix + _canonical(val, keys, floats))
     return "{" + ", ".join(parts) + "}"
+
+
+def _canonical_grid(grid, keys, floats):
+    """The JSON of `grid.rows()`, written from the columns: each time's text
+    and each vertex's once, each distinct value through the memo."""
+    heads = [f'"t": {_canonical(t, keys, floats)}, "value": ' for t in grid.stamps]
+    tails = [f', "tail_bound": {_canonical(b, keys, floats)}, "K_used": {_canonical(k, keys, floats)}}}'
+             for b, k in zip(grid.tails, grid.terms)]
+    rows = []
+    for x, values in zip(grid.vertices, grid.values):
+        start = f'{{"vertex": {_canonical(x, keys, floats)}, '
+        rows += [f"{start}{head}{floats[v]}{tail}" for head, v, tail in zip(heads, values, tails)]
+    return "[" + ", ".join(rows) + "]"
 
 
 def canonical_json(obj):
@@ -320,8 +336,30 @@ def _require_nonnegative(args, *names):
             raise HeatSeriesError(f"--{name} must be nonnegative, not {value!r}")
 
 
+class _EvalGrid(NamedTuple):
+    """The evaluations of solve and backward, held as columns.
+
+    Row (i, j) is vertex `vertices[i]` at time stamp `stamps[j]`, with value
+    `values[i][j]` and the tail bound and order of time j's plan, which are
+    the same at every vertex; rows run vertex-major.
+    """
+
+    vertices: list
+    stamps: list
+    tails: list
+    terms: list
+    values: list
+
+    def rows(self):
+        """The row dicts, in report order, one at a time."""
+        for x, values in zip(self.vertices, self.values):
+            vertex = _jsonable_vertex(x)
+            for t, v, b, k in zip(self.stamps, values, self.tails, self.terms):
+                yield {"vertex": vertex, "t": t, "value": v, "tail_bound": b, "K_used": k}
+
+
 def _eval_rows(solution, vertices, times, sign):
-    """One row per (vertex, time), evaluated at sign * time.
+    """The grid of `vertices` x `times`, evaluated at sign * time.
 
     `sign` is +1 for the forward series and -1 for the backward problem,
     which is the same series at negated time; each row reports the time it
@@ -329,27 +367,17 @@ def _eval_rows(solution, vertices, times, sign):
     """
     signed = [sign * t for t in times]
     solution.prefetch(vertices, signed)
-    stamps = list(zip(map(float, times), signed))
-    rows = []
+    values = []
     for x in vertices:
-        vertex = _jsonable_vertex(x)
-        for stamp, s in stamps:
-            res = series_eval(solution, x, s)
-            rows.append(
-                {
-                    "vertex": vertex,
-                    "t": stamp,
-                    "value": float_or_inf(res.value),
-                    "tail_bound": res.tail_bound,
-                    "K_used": res.terms_used,
-                }
-            )
-    return rows
+        results = [series_eval(solution, x, s) for s in signed]
+        values.append([float_or_inf(res.value) for res in results])
+    return _EvalGrid(vertices, [float(t) for t in times], [res.tail_bound for res in results],
+                    [res.terms_used for res in results], values)
 
 
-def _rows_pass(rows, exact):
-    """No binary64 row of nan or inf passes; an exact value printed inf is finite."""
-    return exact or all(math.isfinite(row["value"]) for row in rows)
+def _rows_pass(grid, exact):
+    """No binary64 value of nan or inf passes; an exact value printed inf is finite."""
+    return exact or all(math.isfinite(v) for values in grid.values for v in values)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -376,8 +404,8 @@ def _cmd_solve(args, config):
     config.update({"t": [float(t) for t in times], "tol": args.tol, "rmax": args.rmax})
     solution = SeriesSolution(graph, initial, tol=args.tol)
     vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
-    rows = _eval_rows(solution, vertices, times, 1)
-    return {"evaluations": rows}, _rows_pass(rows, args.exact), rows
+    grid = _eval_rows(solution, vertices, times, 1)
+    return {"evaluations": grid}, _rows_pass(grid, args.exact), grid.rows()
 
 
 def _cmd_backward(args, config):
@@ -407,9 +435,9 @@ def _cmd_backward(args, config):
     audit = check_backward_solvability(graph, initial, cap, args.kmax, args.rmax)
     config["degree_bound"] = audit.degree_cap
     vertices = sorted(graph.ball(graph.root, args.rmax), key=vertex_key)
-    rows = _eval_rows(solution, vertices, times, -1)
+    grid = _eval_rows(solution, vertices, times, -1)
     report = {
-        "evaluations": rows,
+        "evaluations": grid,
         "solvability": {
             "verdict": audit.verdict,
             "scale": audit.scale,
@@ -426,7 +454,7 @@ def _cmd_backward(args, config):
             "note": audit.note,
         },
     }
-    return report, audit.certified and _rows_pass(rows, args.exact), rows
+    return report, audit.certified and _rows_pass(grid, args.exact), grid.rows()
 
 
 def _cmd_radius(args, config):

@@ -1,8 +1,10 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -38,6 +40,13 @@ K2_DOC = {
     "root": 0,
     "vertices": [{"id": 0, "mu": 1.0}, {"id": 1, "mu": 1.0}],
     "edges": [{"u": 0, "v": 1, "w": 1.0}],
+}
+
+# a kernel step whose w f(x) = 1e300 * 1e10 overflows, though Deg = 1
+OVERFLOW_K2_DOC = {
+    "root": 0,
+    "vertices": [{"id": 0, "mu": 1e300}, {"id": 1, "mu": 1e300}],
+    "edges": [{"u": 0, "v": 1, "w": 1e300}],
 }
 
 
@@ -165,8 +174,7 @@ class TestSolveCommand:
                                       ["backward", "--t=0.5", "--kmax", "2"]])
     def test_non_finite_rows_do_not_pass(self, argv, tmp_path, capsys):
         # w f(x) = 1e300 * 1e10 overflows inside the kernel step
-        doc = {"root": 0, "vertices": [{"id": 0, "mu": 1e300}, {"id": 1, "mu": 1e300}],
-               "edges": [{"u": 0, "v": 1, "w": 1e300}]}
+        doc = OVERFLOW_K2_DOC
         init = tmp_path / "a.json"
         init.write_text(json.dumps([[0, 1e10]]))
         argv = argv + ["--graph", write_graph(tmp_path, doc), "--initial", str(init),
@@ -1205,6 +1213,15 @@ def _captured_report(argv):
     return code, out.getvalue(), report
 
 
+def _expanded(obj):
+    """`obj` with each evaluation grid replaced by the list of its row dicts."""
+    if type(obj) is cli._EvalGrid:
+        return list(obj.rows())
+    if type(obj) is dict:
+        return {key: _expanded(val) for key, val in obj.items()}
+    return obj
+
+
 def _plain_floats(obj):
     """Every exact float in `obj`, keys excluded, in document order."""
     if type(obj) is float:
@@ -1243,20 +1260,20 @@ class TestCanonicalJson:
             ["backward", "--family", "z", "--t=0.1,0.5", "--kmax", "6"]
         )
         assert code == 0
-        assert out == old_canonical_json(report)
+        assert out == old_canonical_json(_expanded(report))
 
     def test_a_heatmap_shaped_report(self):
         code, out, report = _captured_report(HEATMAP_ARGV)
         assert code == 0
-        rows = report["results"]["evaluations"]
+        rows = list(report["results"]["evaluations"].rows())
         assert len(rows) == 21 * 13
         # the memo's hits: u(x, t) = u(-x, t), and t and tail_bound repeat down a time
         by_point = {(row["vertex"], row["t"]): row for row in rows}
         assert all(by_point[(-x, t)]["value"] == row["value"] for (x, t), row in by_point.items())
         assert len({row["tail_bound"] for row in rows}) <= 13
-        floats = _plain_floats(report)
+        floats = _plain_floats(_expanded(report))
         assert len(set(floats)) < len(floats) / 2
-        assert out == old_canonical_json(report)
+        assert out == old_canonical_json(_expanded(report))
 
     def test_each_distinct_float_is_formatted_once(self, monkeypatch):
         report = {
@@ -1274,13 +1291,127 @@ class TestCanonicalJson:
         monkeypatch.setattr(cli, "_fmt_float", counting)
         text = canonical_json(report)
         monkeypatch.undo()
-        assert text == old_canonical_json(report)
-        floats = _plain_floats(report)
+        assert text == old_canonical_json(_expanded(report))
+        floats = _plain_floats(_expanded(report))
         nonzero = [x for x in floats if x]
         assert sorted(x for x in calls if x) == sorted(set(nonzero))
-        zeros = [math.copysign(1.0, x) for x in calls if not x]
-        assert sorted(zeros) == sorted(math.copysign(1.0, x) for x in floats if not x)
+        # zeros are not memoized, but a grid formats a time's stamp and tail
+        # once, not once per row: each sign is formatted, at most once a use
+        zeros = Counter(math.copysign(1.0, x) for x in calls if not x)
+        uses = Counter(math.copysign(1.0, x) for x in floats if not x)
+        assert zeros.keys() == uses.keys() and zeros <= uses
         assert len(calls) < len(floats) / 2
+
+
+# graph documents whose ids are strs that CSV must quote and JSON escapes,
+# and ints beside a float
+STR_IDS_DOC = {
+    "root": "a,b",
+    "vertices": [{"id": i, "mu": 1.0} for i in ("a,b", 'say "hi"', "\u00e9")],
+    "edges": [{"u": "a,b", "v": 'say "hi"', "w": 0.5}, {"u": 'say "hi"', "v": "\u00e9", "w": 2.0}],
+}
+FLOAT_IDS_DOC = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": 1.0} for i in (0, 2.5, 7)],
+    "edges": [{"u": 0, "v": 2.5, "w": 0.5}, {"u": 2.5, "v": 7, "w": 2.0}],
+}
+# (argv, graph document or None, --initial records or None)
+GRID_CASES = [
+    # w f(x) = 1e300 * 1e10 overflows: rows of nan and +-inf
+    (["solve", "--t=0.5"], OVERFLOW_K2_DOC, [[0, 1e10]]),
+    (["solve", "--t=-0.5"], OVERFLOW_K2_DOC, [[0, 1e10]]),
+    (["backward", "--t=0.5", "--kmax", "2"], OVERFLOW_K2_DOC, [[0, 1e10]]),
+    # K = 0 and tail 0.0, at times 0.0 and -0.0 that print apart
+    (["solve", "--family", "z", "--t=0,-0.0", "--rmax", "2"], None, None),
+    # exact values past binary64, printed inf
+    (["solve", "--family", "z", "--exact", "--t=-1/4,0", "--rmax", "1"], None,
+     [[0, 1.5e308], [1, -1.5e308]]),
+    (["solve", "--family", "z", "--exact", "--t=1/3", "--rmax", "1"], None, [[0, 1], [1, -2]]),
+    # the tree's root [], lattice tuples and graph-document ids
+    (["solve", "--family", "tree:3", "--t=0.1,-0.1", "--rmax", "2"], None, None),
+    (["backward", "--family", "lattice:2", "--t=0.1,0.25", "--kmax", "4", "--rmax", "2"],
+     None, None),
+    (["solve", "--t=0.2,-0.3", "--rmax", "2"], STR_IDS_DOC, None),
+    (["backward", "--t=0.2", "--kmax", "3", "--rmax", "2"], FLOAT_IDS_DOC, None),
+    # a single row
+    (["solve", "--family", "z", "--t=0.5", "--rmax", "0"], None, None),
+]
+
+
+def _grid_argv(argv, doc, initial, tmp_path):
+    if doc is not None:
+        argv = argv + ["--graph", write_graph(tmp_path, doc)]
+    if initial is not None:
+        (tmp_path / "a.json").write_text(json.dumps(initial))
+        argv = argv + ["--initial", str(tmp_path / "a.json")]
+    return argv
+
+
+class TestGridWriter:
+    """The report of an evaluation grid, written from its columns, against
+    the old writers over the grid's row dicts."""
+
+    @pytest.mark.parametrize("argv, doc, initial", GRID_CASES)
+    def test_json_and_csv_match_the_row_writers(self, argv, doc, initial, tmp_path):
+        argv = _grid_argv(argv, doc, initial, tmp_path)
+        code, out, report = _captured_report(argv)
+        assert out == canonical_json(report) == old_canonical_json(_expanded(report))
+
+        rows = list(report["results"]["evaluations"].rows())
+        fields = ("vertex", "t", "value", "tail_bound", "K_used")
+        assert all(tuple(row) == fields for row in rows)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([format(v, ".17g") if type(v) is float else v for v in row.values()])
+        got = io.StringIO()
+        with contextlib.redirect_stdout(got):
+            assert main(argv + ["--format", "csv"]) == code
+        assert got.getvalue() == want.getvalue()
+
+    def test_the_cases_reach_every_kind_of_cell(self, tmp_path):
+        values, vertices, zeros = set(), set(), set()
+        for i, (argv, doc, initial) in enumerate(GRID_CASES):
+            (tmp_path / str(i)).mkdir()
+            report = _captured_report(_grid_argv(argv, doc, initial, tmp_path / str(i)))[2]
+            grid = report["results"]["evaluations"]
+            values.update(json.dumps(v) for row in grid.values for v in row)
+            vertices.update(json.dumps(cli._jsonable_vertex(x)) for x in grid.vertices)
+            zeros.update(math.copysign(1.0, t) for t in grid.stamps if t == 0)
+            if len(grid.vertices) * len(grid.stamps) == 1:
+                values.add("single row")
+        assert {"NaN", "Infinity", "-Infinity", "single row"} <= values
+        assert {"[]", "[0, 1]", '"a,b"', '"say \\"hi\\""', '"\\u00e9"', "2.5"} <= vertices
+        assert zeros == {1.0, -1.0}
+
+
+class TestTracedCalls:
+    """heatbench's tracer times `cli.series_eval` and `cli.canonical_json`:
+    one series_eval per row and one canonical_json per JSON report."""
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["solve", "--family", "z", "--t=0.5,-0.25,0", "--rmax", "3"], 7 * 3),
+        (["solve", "--family", "lattice:2", "--t=0.1,0.2", "--rmax", "2"], 13 * 2),
+        (["backward", "--family", "z", "--t=0.1,0.3", "--kmax", "4", "--rmax", "2"], 5 * 2),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_one_series_eval_per_row(self, argv, rows, fmt, monkeypatch, capsys):
+        calls = Counter()
+
+        def counted(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in ("series_eval", "canonical_json"):
+            monkeypatch.setattr(cli, name, counted(name))
+        assert main(argv + ["--format", fmt]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == (1 if fmt == "json" else rows + 1)
+        assert calls == Counter(series_eval=rows, canonical_json=1 if fmt == "json" else 0)
 
 
 LATTICE3_DATA = [[[0, 0, 0], -1.0], [[1, 0, 0], 0.25], [[0, 0, -1], 0.5]]
