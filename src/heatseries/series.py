@@ -488,7 +488,8 @@ def _audit_matrices(entries, order, dists, base):
     it as `float_or_inf` reads it; `powers` is the column base^k, inf past
     binary64; `growth(rate)` is the matrix e^{rate n ln n}, n = k + d(x),
     taken once per distinct n in Python numbers (ints where no int64 holds
-    an n).
+    an n).  Where n ln n lies past binary64 the growth is 1 at rate 0 and
+    inf at a rate > 0.
     """
     try:
         values = window_values(entries, order, np.float64)
@@ -501,11 +502,20 @@ def _audit_matrices(entries, order, dists, base):
     n = np.arange(len(entries), dtype=dtype)[:, None] + ds
     distinct, at = np.unique(n.ravel(), return_inverse=True)
     distinct, at = distinct.tolist(), at.reshape(n.shape)
+    logs = [_xlnx_or_inf(m) for m in distinct]
 
     def growth(rate):
-        return np.array([exp_or_inf(rate * xlnx(m)) for m in distinct])[at][:, column]
+        return np.array([exp_or_inf(rate * v) if rate else 1.0 for v in logs])[at][:, column]
 
     return np.abs(values), powers, growth
+
+
+def _xlnx_or_inf(n):
+    """n ln n in binary64, inf for an int n whose product lies past it."""
+    try:
+        return xlnx(n)
+    except OverflowError:
+        return math.inf
 
 
 def _point(values, order, i, bound):

@@ -258,6 +258,18 @@ class TestSolveCommand:
 
 
 class TestBackwardCommand:
+    @pytest.mark.parametrize("far", [10 ** 400, 10 ** 306])
+    def test_data_where_n_ln_n_lies_past_binary64(self, far, tmp_path, capsys):
+        # the envelope growth e^{rate n ln n} is 1 at rate 0, not an
+        # OverflowError (exit 3) or a nan that hides the point at `far`
+        init = tmp_path / "a.json"
+        init.write_text(json.dumps([[far, 1.0], [-far - 1, -0.5], [0, 0.25]]))
+        code, out = run(["backward", "--family", "z", "--initial", str(init), "--kmax", "3",
+                         "--rmax", "1"], capsys)
+        audit = json.loads(out)["results"]["solvability"]
+        assert (code, audit["verdict"], audit["scale"], audit["rate"]) == (0, "certified", 1, 0)
+        assert audit["witnesses"] == [{"k": 0, "vertex": far, "value": 1, "bound": 1}]
+
     def test_line_certified(self, capsys):
         code, out = run(
             ["backward", "--family", "z", "--t", "0.1", "--kmax", "12", "--rmax", "2"],

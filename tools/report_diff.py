@@ -113,6 +113,8 @@ EDGE_FILES = {
     "one308.initial.json": json.dumps([[0, 1e308]]),
     # z data at vertices whose root distance no double holds, and one at the root
     "far.initial.json": json.dumps([[10 ** 400, 1.0], [-10 ** 400 - 1, -0.5], [0, 0.25]]),
+    # z data whose n ln n lies past binary64 though n is a double
+    "e306.initial.json": json.dumps([[10 ** 306, 1.0], [0, 0.25]]),
     # lattice:3 data whose support lies off the root
     "off-root.initial.json": json.dumps([[[2, -1, 0], 1.0], [[0, 1, -3], -0.5]]),
     # a kernel step whose w f(x) = 1e300 * 1e10 overflows, though Deg = 1
@@ -292,6 +294,11 @@ EDGE_CASES = (
      "--kmax", "40", "--rmax", "1"],
     ["backward", "--graph", "isolated-root.json", "--initial", "huge.initial.json",
      "--degree-bound", "0", "--kmax", "200", "--rmax", "1"],
+    # envelope growths e^{rate n ln n} whose n ln n lies past binary64: 1 at
+    # rate 0, where a tree exits 3 on an OverflowError (n past binary64) or
+    # takes e^{0 * inf} = nan and names another witness
+    ["backward", "--family", "z", "--initial", "far.initial.json", "--kmax", "3", "--rmax", "1"],
+    ["backward", "--family", "z", "--initial", "e306.initial.json", "--kmax", "3", "--rmax", "1"],
 )
 
 
