@@ -145,8 +145,8 @@ def _canonical_grid(grid, keys, floats):
     """The JSON of `grid.rows()`, written from the columns: each time's text
     and each vertex's once, each distinct value through the memo."""
     heads = [f'"t": {_canonical(t, keys, floats)}, "value": ' for t in grid.stamps]
-    tails = [f', "tail_bound": {_canonical(b, keys, floats)}, "K_used": {_canonical(k, keys, floats)}}}'
-             for b, k in zip(grid.tails, grid.terms)]
+    tails = [f', "tail_bound": {_canonical(b, keys, floats)}, '
+             f'"K_used": {_canonical(k, keys, floats)}}}' for b, k in zip(grid.tails, grid.terms)]
     rows = []
     for x, values in zip(grid.vertices, grid.values):
         start = f'{{"vertex": {_canonical(x, keys, floats)}, '

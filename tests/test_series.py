@@ -441,7 +441,14 @@ def _reference_fit_envelope(graph, a, base, kmax, region):
         return INCONCLUSIVE, math.nan, math.nan, [], note
 
     def envelope(rate, k, base_k, d):
-        return base_k * exp_or_inf(rate * xlnx(k + d))
+        # e^{rate n ln n} is 1 at rate 0 and inf above it where n ln n lies
+        # past binary64
+        if not rate:
+            return base_k * 1.0
+        try:
+            return base_k * exp_or_inf(rate * xlnx(k + d))
+        except OverflowError:
+            return base_k * math.inf
 
     for rate in SOLVABILITY_RATE_GRID:
         needed = 0.0
@@ -521,9 +528,10 @@ class TestBackwardAuditMatchesReference:
     # envelope products past binary64
     @example(("z", ((0, 1e200),), 1e300, 40, 1))
     @example(("lattice:2", (((0, 0), 1e200), ((1, 0), -0.5)), 1e200, 5, 2))
-    # n = k + d past int64, then past binary64 (an OverflowError either way)
+    # n = k + d past int64, then past binary64, and n ln n past binary64
     @example(("z", ((10 ** 30, 0.5), (0, 1.0)), None, 3, 1))
     @example(("z", ((-10 ** 400, 1.0),), None, 2, 1))
+    @example(("z", ((10 ** 306, 1.0), (0, 0.25)), None, 3, 1))
     @example(("exact", ((0, Fraction(1, 3)), (2, Fraction(-5, 4))), None, 5, 2))
     # iterates past binary64: float, and exact ones read as inf
     @example(("z", ((0, 1e307),), None, 5, 1))
