@@ -371,6 +371,8 @@ def _eval_rows(solution, vertices, times, sign):
     for x in vertices:
         results = [series_eval(solution, x, s) for s in signed]
         values.append([float_or_inf(res.value) for res in results])
+    # a time's tail bound and order are its plan's: read off the last vertex
+    # (the window holds the root at least)
     return _EvalGrid(vertices, [float(t) for t in times], [res.tail_bound for res in results],
                     [res.terms_used for res in results], values)
 
