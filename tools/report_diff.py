@@ -76,6 +76,15 @@ _WEIGHED = {
               for u, v, w in ((0, 1, 0.75), (1, 2, 1.25), (2, 3, 2), (3, 4, 0.5), (1, 3, 1.5))],
 }
 
+# a 4-cycle whose measures and weights are decimals: under --exact they
+# parse as Fractions of co-prime denominators 10, 2 and 10
+_DECIMAL = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": mu} for i, mu in enumerate((0.3, 1.7, 2.5, 0.7))],
+    "edges": [{"u": u, "v": v, "w": w}
+              for u, v, w in ((0, 1, 1.7), (1, 2, 0.3), (2, 3, 0.9), (0, 3, 1.1))],
+}
+
 # a star whose hub has 40 unit-weight leaves: Deg is 40 there and 1 elsewhere
 _HUB = {
     "root": 1,
@@ -124,6 +133,13 @@ EDGE_FILES = {
     "e200.initial.json": json.dumps([[0, 1e200]]),
     # under --exact: data whose value at the root lies past binary64
     "past-max.initial.json": json.dumps([[0, 1.5e308]]),
+    # exact decimal data on the decimal 4-cycle
+    "decimal.json": json.dumps(_DECIMAL),
+    "decimal.initial.json": json.dumps([[0, 1.3], [2, -0.7]]),
+    # odd data on z: every iterate cancels to exactly 0 at the root
+    "odd.initial.json": json.dumps([[1, 0.3], [-1, -0.3], [2, 1.7], [-2, -1.7]]),
+    # exact decimal data at vertices whose root distance no double holds
+    "far-exact.initial.json": json.dumps([[10 ** 400, 0.3], [-10 ** 400 - 1, -1.7], [0, 0.7]]),
     # five float values on lattice:3, in an order no walk gives
     "five.initial.json": json.dumps([[[1, 0, 0], 0.245803], [[0, 0, 0], 0.483574],
                                      [[0, -1, 0], 0.590387], [[0, 0, 1], 0.884901],
@@ -299,6 +315,20 @@ EDGE_CASES = (
     # takes e^{0 * inf} = nan and names another witness
     ["backward", "--family", "z", "--initial", "far.initial.json", "--kmax", "3", "--rmax", "1"],
     ["backward", "--family", "z", "--initial", "e306.initial.json", "--kmax", "3", "--rmax", "1"],
+    # exact steps and Fraction-time sums over rationals of co-prime
+    # denominators, over values that cancel to exactly 0, and over data at
+    # vertices past binary64
+    ["laplacian", "--exact", "--graph", "decimal.json", "--initial", "decimal.initial.json",
+     "--kmax", "6"],
+    ["solve", "--exact", "--graph", "decimal.json", "--initial", "decimal.initial.json",
+     "--t=-1/3,2/7", "--rmax", "2"],
+    ["laplacian", "--exact", "--family", "z", "--initial", "odd.initial.json", "--kmax", "5"],
+    ["solve", "--exact", "--family", "z", "--initial", "odd.initial.json", "--t=-1/3,2/7",
+     "--rmax", "2"],
+    ["laplacian", "--exact", "--family", "z", "--initial", "far-exact.initial.json",
+     "--kmax", "4"],
+    ["solve", "--exact", "--family", "z", "--initial", "far-exact.initial.json",
+     "--t=-1/3,2/7", "--rmax", "1"],
 )
 
 
