@@ -27,6 +27,13 @@ the weights and measures.  Otherwise (int, Fraction or mixed data) they are
 stored as Python objects and the step runs on the original weights with
 Python's own arithmetic, dividing each total by `Fraction(m)` for a rational
 measure m and by m itself for a float, which is `exact_div`'s result.
+When every value, coefficient and measure a step reads is an int or a
+Fraction, that arithmetic is done in Python ints: the values and the
+coefficients become integer numerators over their least common
+denominators, the terms are int products added by the same `np.add.at`,
+and each total makes one `Fraction`.  Exact arithmetic is associative, so
+each result is the rational, of the type, that the Python loop gives,
+without a gcd per term.
 A step keeps its arithmetic: its result is stored as its input was, even
 when every value of an object step came out a float.  The bits agree either
 way, since a Python float times or over an int or Fraction rounds as it
@@ -220,6 +227,26 @@ class KernelIndex:
             self.used = end
 
 
+_RATIONAL_TYPES = frozenset((int, Fraction))
+
+
+def is_rational(a):
+    """Whether every entry of the object array `a` is an int or a Fraction."""
+    return set(map(type, a.flat)) <= _RATIONAL_TYPES
+
+
+def integer_numerators(a):
+    """(n, d) with n / d == `a` entrywise: `a` an object array of ints and
+    Fractions, d their least common denominator and n an object array of
+    Python ints of `a`'s shape."""
+    dens = [v.denominator for v in a.flat]
+    d = math.lcm(*set(dens))
+    nums = np.array([v.numerator for v in a.flat], dtype=object).reshape(a.shape)
+    if d != 1:
+        nums *= d // np.array(dens, dtype=object).reshape(a.shape)
+    return nums, d
+
+
 @np.errstate(all="ignore")  # overflow gives inf or nan silently, as in Python
 def _step(index, pos, vals):
     """(targets, values) of one application to `vals` at positions `pos` of
@@ -232,28 +259,44 @@ def _step(index, pos, vals):
     `np.minimum.at` finds the term at which the loop first touches each
     target, and the targets come out in the order of those terms, zeros
     dropped.  float64 `vals` are stepped on the float64 copies of the rows
-    and measures, object `vals` on the original rows and the `divisors`.
+    and measures, object `vals` on the original rows and the `divisors`:
+    when every value, coefficient and divisor read is rational, as the
+    integer numerators of each over its least common denominator (the
+    values' d_v and the coefficients' d_c), a total t at a measure m giving
+    t m / (d_c d_v) = Fraction(t * m's denominator, d_c d_v m's numerator).
     """
-    exact = vals.dtype == object
-    coefs = index.coefs if exact else index.fcoefs
     lengths = index.length[pos]
     ends = lengths.cumsum()
     total = int(ends[-1])
     ramp = np.arange(total)
     flat = ramp + (index.start[pos] - ends + lengths).repeat(lengths)
-    terms = coefs[flat] * vals.repeat(lengths)
     into = index.targets[flat]
-    del flat  # each temporary is dropped once read, for a lower peak
     n = len(index.vertices)
-    acc = np.empty(n, dtype=terms.dtype)
-    acc[into] = 0
-    np.add.at(acc, into, terms)
-    del terms
     first = np.empty(n, dtype=np.intp)
     first[into] = total
     np.minimum.at(first, into, ramp)
     targets = into[first[into] == ramp]
-    values = acc[targets] / (index.divisors() if exact else index.fmeasures)[targets]
+    del first, ramp  # each temporary is dropped once read, for a lower peak
+    if vals.dtype != object:
+        coefs, divisors = index.fcoefs[flat], index.fmeasures[targets]
+    else:
+        coefs, divisors = index.coefs[flat], index.divisors()[targets]
+    del flat
+    rational = vals.dtype == object and all(map(is_rational, (vals, coefs, divisors)))
+    if rational:
+        (vals, dv), (coefs, dc) = integer_numerators(vals), integer_numerators(coefs)
+    terms = coefs * vals.repeat(lengths)
+    del coefs
+    acc = np.empty(n, dtype=terms.dtype)
+    acc[into] = 0
+    np.add.at(acc, into, terms)
+    del terms
+    if rational:
+        scale = dc * dv
+        values = np.array([Fraction(t * m.denominator, scale * m.numerator)
+                           for t, m in zip(acc[targets].tolist(), divisors.tolist())], dtype=object)
+    else:
+        values = acc[targets] / divisors
     keep = values != 0
     return targets[keep], values[keep]
 

@@ -16,7 +16,10 @@ The time and the graph pick the series; there is no option.
   k! sup|a| and q = T(K+2)/T(K+1) < 1/2, is at most `tol`; a tail not
   finite in binary64 is refused at once.  The weights are floats from
   k = 1 on, so an int time and int or Fraction data sum as their doubles.
-* `exact`, a `Fraction` t: the Taylor series in Python objects.
+* `exact`, a `Fraction` t: the Taylor series in Python objects.  When the
+  table's entries are all ints and Fractions, each sum is an integer dot
+  product of numerators over one common denominator, made a `Fraction`
+  once: the left to right sum's value and type.
 
 At t = 0 the value is the data.  A solution caches one plan per distinct
 time, keyed on its type too: K, the tail bound, the weights, the table they
@@ -54,6 +57,8 @@ from .laplacian import (
     ChebyshevStep,
     IteratedLaplacianTable,
     apply_laplacian,
+    integer_numerators,
+    is_rational,
     laplacian_at,
     light_cone_iterates,
     window_values,
@@ -400,8 +405,18 @@ def _sum_terms(columns, weights):
     """column[0] w_0 + column[1] w_1 + ..., added strictly left to right.
 
     A column gives its sum as a Python number, a matrix of columns by rows
-    gives the list of its rows' sums.
+    gives the list of its rows' sums.  Object columns and weights that are
+    all rational, as a `Fraction` time's are, are summed exactly instead:
+    the integer numerators over their least common denominators, d_c for
+    the columns and d_w for the weights, give each sum s as Fraction(s, d_c
+    d_w), the very value and type of the left to right sum.
     """
+    if columns.dtype == object and is_rational(columns) and is_rational(weights):
+        (nums, dc), (wnums, dw) = integer_numerators(columns), integer_numerators(weights)
+        sums = nums.dot(wnums)
+        if columns.ndim == 1:
+            return Fraction(sums, dc * dw)
+        return [Fraction(s, dc * dw) for s in sums.tolist()]
     return np.add.accumulate(columns * weights, axis=-1)[..., -1].tolist()
 
 

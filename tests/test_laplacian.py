@@ -374,6 +374,9 @@ def typed_items(f):
     return [(x, type(v), repr(v)) for x, v in f.items()]
 
 
+#: A prime denominator past 2^64, co-prime to every other here.
+BIG_PRIME = 10 ** 20 + 39
+
 WEIGHTS = (1, 2, 0.5, 1.25, Fraction(1, 3), Fraction(7, 4))
 MEASURES = (1, 3, 0.5, 2.25, Fraction(2, 3), Fraction(5, 2))
 DATA = {
@@ -490,6 +493,37 @@ class TestAgainstTheDictLoop:
             assert_kernel_matches_the_loop(graph, f)
         if f.sup_norm() < 10 ** 400:
             assert_cone_matches_the_loop(graph, f, 4, 0)
+
+    @pytest.mark.parametrize("f", (
+        # co-prime denominators, one of them large
+        LocalFunction({0: Fraction(1, 3), 2: Fraction(-5, BIG_PRIME), 3: 7}),
+        # terms that cancel to exactly 0 at vertex 1 in the first step
+        LocalFunction({0: 7, 2: Fraction(-3, BIG_PRIME)}),
+        # ints past binary64, and beside a Fraction
+        LocalFunction({0: 10 ** 400, 3: -(10 ** 400) + 1}),
+        LocalFunction({1: 10 ** 400, 2: Fraction(1, 10 ** 30)}),
+    ))
+    def test_rational_data(self, f):
+        # measures 7/3 and 3/(10^20 + 39), weights 1/(10^20 + 39) and 7/3:
+        # no denominator divides another
+        graph = FiniteGraph(
+            {0: Fraction(7, 3), 1: 1, 2: Fraction(3, BIG_PRIME), 3: 5},
+            [(0, 1, Fraction(1, BIG_PRIME)), (1, 2, Fraction(7, 3)), (2, 3, 2), (0, 3, 11)],
+            root=0)
+        assert_kernel_matches_the_loop(graph, f)
+        assert_cone_matches_the_loop(graph, f, 4, 0)
+
+    @pytest.mark.parametrize("spec, x", (("z", 2), ("lattice:2", (1, 2)), ("lattice:3", (0, 1, -1))))
+    @pytest.mark.parametrize("value", (Fraction(3, 7), 10 ** 400))
+    def test_odd_data_cancels_to_zero_at_the_root(self, spec, x, value):
+        graph = kernel_graph(spec)
+        mirror = tuple(-c for c in x) if isinstance(x, tuple) else -x
+        f = LocalFunction({x: value, mirror: -value})
+        got = f
+        for _ in range(4):
+            got = apply_laplacian(graph, got)
+            assert graph.root not in got.support
+        assert_kernel_matches_the_loop(kernel_graph(spec), f, steps=4)
 
     @pytest.mark.parametrize("kind", ("finite", "bare"))
     @pytest.mark.parametrize("first", (1, 4))

@@ -888,6 +888,66 @@ class TestCachedSummation:
         assert len(sol.table) == 1
 
 
+def fraction_weights(t, k):
+    """[t^j / j! for j <= k] as a plan takes them: 1, then w * t / j."""
+    weights = [1]
+    for j in range(1, k + 1):
+        weights.append(weights[-1] * t / j)
+    return np.array(weights, dtype=object)
+
+
+def left_to_right(column, weights):
+    """column[0] w_0 + column[1] w_1 + ..., one Python operation at a time."""
+    total = column[0] * weights[0]
+    for value, weight in zip(column[1:], weights[1:]):
+        total = total + value * weight
+    return total
+
+
+#: A prime denominator past 2^64, co-prime to every other here.
+BIG_PRIME = 10 ** 20 + 39
+
+EXACT_ENTRIES = st.one_of(
+    st.integers(-(10 ** 400), 10 ** 400),
+    st.fractions(max_denominator=10 ** 12),
+    st.sampled_from((0, Fraction(1, BIG_PRIME), Fraction(-7, 3), 10 ** 400)),
+)
+
+
+class TestExactSums:
+    """`_sum_terms` at a Fraction time: matrix and single column, in value
+    and type, the left to right Fraction loop."""
+
+    @staticmethod
+    def assert_sums_match(rows, weights):
+        want = [left_to_right(row, weights) for row in rows]
+        got = heatseries.series._sum_terms(np.array(rows, dtype=object), weights)
+        assert [(type(v), v) for v in got] == [(type(v), v) for v in want]
+        for row, value in zip(rows, want):
+            single = heatseries.series._sum_terms(np.array(row, dtype=object), weights)
+            assert type(single) is type(value) and single == value
+
+    @pytest.mark.parametrize("t", (Fraction(-1, 3), Fraction(2, 7), Fraction(1, BIG_PRIME),
+                                   Fraction(-7), Fraction(10 ** 30, 3)))
+    def test_fixed_rows(self, t):
+        k = 5
+        rows = [
+            [0] * (k + 1),
+            [1, 2, 3, 4, 5, 6],
+            [Fraction(1, BIG_PRIME), Fraction(7, 3), 0, 10 ** 400, Fraction(-5, 11), 1],
+            # cancels to exactly 0: 3 w_0 + (-3 / t) w_1 = 0
+            [3, -3 / t, 0, 0, 0, 0],
+            [10 ** 400, -(10 ** 400), Fraction(10 ** 400, 7), 0, 0, Fraction(1, 10 ** 30)],
+        ]
+        self.assert_sums_match(rows, fraction_weights(t, k))
+
+    @given(st.fractions(max_denominator=10 ** 6).filter(bool), st.integers(1, 12),
+           st.lists(st.lists(EXACT_ENTRIES, min_size=13, max_size=13), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_rows(self, t, k, rows):
+        self.assert_sums_match([row[: k + 1] for row in rows], fraction_weights(t, k))
+
+
 # name: (graph builder, data support off the root, largest |t|); the limits
 # keep the full tables these are compared with small
 CONE_GRAPHS = {
