@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
@@ -33,10 +34,18 @@ class DenseOperator:
     def n(self):
         return len(self.order)
 
+    @cached_property
+    def fmatrix(self):
+        """The matrix in float64: itself, or its float64 copy made once."""
+        return self.matrix if self.matrix.dtype != object else self.matrix.astype(np.float64)
+
     def vector_of(self, f):
-        """Dense vector of a LocalFunction (or mapping) in this ordering."""
+        """Dense vector of a LocalFunction (or mapping) in this ordering:
+        float64 for a float matrix or values that are all Python floats,
+        else `Fraction` zeros and the values as objects."""
         values = dict(f.items()) if isinstance(f, LocalFunction) else dict(f)
-        vec = np.zeros(self.n) if self.matrix.dtype != object else np.array(
+        floats = values and all(type(v) is float for v in values.values())
+        vec = np.zeros(self.n) if self.matrix.dtype != object or floats else np.array(
             [Fraction(0)] * self.n, dtype=object
         )
         for x, v in values.items():
@@ -85,7 +94,7 @@ def expm_apply(op, vec, t):
     Scales until the 1-norm of the scaled matrix is at most 1/2; accuracy at
     the tested sizes is far below 1e-13 relative to the vector norm.
     """
-    mat = op.matrix.astype(np.float64) if op.matrix.dtype == object else op.matrix
+    mat = op.fmatrix
     vec = np.asarray(vec)
     if vec.dtype == object:
         vec = np.array([float(v) for v in vec], dtype=np.float64)
@@ -107,9 +116,21 @@ def expm_apply(op, vec, t):
 
 
 def brute_iterate(op, vec, k):
-    """L^k vec by repeated matrix-vector multiplication (exact if rational)."""
+    """L^k vec by repeated matrix-vector multiplication (exact if rational).
+
+    A float64 `vec` through a `Fraction` matrix is stepped on the matrix's
+    float64 copy, each entry summed from its first product left to right:
+    the bits of the object `dot`, where a Fraction times a float is the
+    float64 product.  A float64 matrix keeps `dot`.
+    """
     if k > ITERATE_CAP:
         raise ValueError(f"iterate order {k} exceeds cap {ITERATE_CAP}")
+    vec = np.asarray(vec)
+    if op.matrix.dtype == object and vec.dtype == np.float64:
+        out = vec.copy()
+        for _ in range(k):
+            out = np.add.accumulate(op.fmatrix * out, axis=1)[:, -1]
+        return out
     out = np.array(vec, dtype=op.matrix.dtype, copy=True)
     for _ in range(k):
         out = op.matrix.dot(out)

@@ -116,6 +116,24 @@ class TestBruteIterate:
             assert brute_iterate(op, a, k).tolist() == list(manual)
             manual = op.matrix.dot(manual)
 
+    @pytest.mark.parametrize("graph", (complete_graph(2), path_graph(10), cycle_graph(30),
+                                       integer_segment(15)), ids=("K2", "P10", "C30", "zseg15"))
+    def test_float_vectors_through_a_fraction_matrix_keep_the_object_dot_bits(self, graph):
+        op = dense_laplacian(graph)
+        assert op.matrix.dtype == object
+        rng = np.random.default_rng(len(op.order))
+        vectors = [op.vector_of(LocalFunction.delta(op.order[0], 1.0))]
+        vectors += [rng.uniform(-1.0, 1.0, op.n) * 10.0 ** rng.integers(-3, 4) for _ in range(4)]
+        for vec in vectors:
+            assert vec.dtype == np.float64
+            want = np.array(vec, dtype=object)
+            for k in range(9):
+                got = brute_iterate(op, vec, k)
+                assert got.dtype == np.float64
+                assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+                assert all(type(v) is float for v in want)
+                want = op.matrix.dot(want)
+
     def test_iterate_cap(self, k2):
         op = dense_laplacian(k2)
         with pytest.raises(ValueError, match="cap"):
