@@ -40,6 +40,15 @@ def vertex_key(x):
     return repr(x)
 
 
+def _natural_order(ids):
+    """The vertex ids `ids` sorted, or in `vertex_key` order where two of
+    them do not compare (an int and a str, or None and anything)."""
+    try:
+        return sorted(ids)
+    except TypeError:
+        return sorted(ids, key=vertex_key)
+
+
 #: The types a graph's measures and weights, and a kernel's function
 #: values, may have: exactly these, so no bool or numpy scalar.
 NUMBER_TYPES = frozenset((int, float, Fraction))
@@ -353,7 +362,7 @@ class FiniteGraph(Graph):
             adj[v][u] = w
         if root not in mu:
             raise UnknownVertexError(f"root {root!r} is not a vertex")
-        self._nbrs = {x: tuple(sorted(row.items())) for x, row in adj.items()}
+        self._nbrs = {x: tuple((y, row[y]) for y in _natural_order(row)) for x, row in adj.items()}
         self._depth = None  # vertex -> root distance, walked on first use
         degs = []
         for x, pairs in self._nbrs.items():
@@ -369,7 +378,7 @@ class FiniteGraph(Graph):
         self.is_regular = min(degs, default=0) == self._max_deg
 
     def vertices(self):
-        return tuple(sorted(self._mu))
+        return tuple(_natural_order(self._mu))
 
     def __len__(self):
         return len(self._mu)

@@ -92,6 +92,23 @@ class TestSolveCommand:
         assert values[1] == pytest.approx((1 - math.exp(0.2)) / 2, abs=1e-10)
         assert all(row["tail_bound"] <= 1e-11 for row in rows)
 
+    @pytest.mark.parametrize("exact", ([], ["--exact"]))
+    def test_ids_that_do_not_compare(self, tmp_path, capsys, exact):
+        plain = {
+            "root": 0,
+            "vertices": [{"id": i, "mu": 1} for i in range(3)],
+            "edges": [{"u": 0, "v": 1, "w": 1}, {"u": 1, "v": 2, "w": 1}],
+        }
+        argv = ["solve", "--t=0.1,-0.2", "--rmax", "2"] + exact
+        values = []
+        for doc in (MIXED_IDS_DOC, plain):
+            code, out = run(argv + ["--graph", write_graph(tmp_path, doc)], capsys)
+            assert code == 0
+            rows = json.loads(out)["results"]["evaluations"]
+            values.append({(row["vertex"], row["t"]): row["value"] for row in rows})
+        renamed = {0: 0, "a,b": 1, "x": 2}
+        assert {(renamed[x], t): v for (x, t), v in values[0].items()} == values[1]
+
     def test_initial_file(self, tmp_path, capsys):
         path = write_graph(tmp_path, K2_DOC)
         init = tmp_path / "a.json"
@@ -1322,6 +1339,13 @@ STR_IDS_DOC = {
     "vertices": [{"id": i, "mu": 1.0} for i in ("a,b", 'say "hi"', "\u00e9")],
     "edges": [{"u": "a,b", "v": 'say "hi"', "w": 0.5}, {"u": 'say "hi"', "v": "\u00e9", "w": 2.0}],
 }
+# the path 0 - 1 - 2 with its ids 1 and 2 renamed "a,b" and "x": the middle
+# vertex's neighbour ids do not compare
+MIXED_IDS_DOC = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": 1} for i in (0, "a,b", "x")],
+    "edges": [{"u": 0, "v": "a,b", "w": 1}, {"u": "a,b", "v": "x", "w": 1}],
+}
 FLOAT_IDS_DOC = {
     "root": 0,
     "vertices": [{"id": i, "mu": 1.0} for i in (0, 2.5, 7)],
@@ -1345,6 +1369,7 @@ GRID_CASES = [
      None, None),
     (["solve", "--t=0.2,-0.3", "--rmax", "2"], STR_IDS_DOC, None),
     (["backward", "--t=0.2", "--kmax", "3", "--rmax", "2"], FLOAT_IDS_DOC, None),
+    (["solve", "--t=0.2,-0.3", "--rmax", "2"], MIXED_IDS_DOC, None),
     # a single row
     (["solve", "--family", "z", "--t=0.5", "--rmax", "0"], None, None),
 ]

@@ -625,6 +625,27 @@ class TestLoader:
         g = load_graph(path)
         assert g.distance(0, 3) == 3
 
+    def test_ids_that_do_not_compare_are_ordered_by_vertex_key(self):
+        g = load_graph({
+            "root": 0,
+            "vertices": [{"id": i, "mu": 1} for i in ("x", 0, "a,b", None)],
+            "edges": [{"u": 0, "v": "a,b", "w": 1}, {"u": "a,b", "v": "x", "w": 2},
+                      {"u": "a,b", "v": None, "w": 3}],
+        })
+        assert g.vertices() == ("a,b", "x", 0, None)
+        assert g.neighbors("a,b") == (("x", 2), (0, 1), (None, 3))
+        assert g.deg("a,b") == 6
+
+    def test_ids_that_compare_keep_their_natural_order(self):
+        # by repr, "10" would come before "9"
+        g = load_graph({
+            "root": 9,
+            "vertices": [{"id": i, "mu": 1} for i in (10, 9, 2.5, 100)],
+            "edges": [{"u": 9, "v": i, "w": 1} for i in (100, 10, 2.5)],
+        })
+        assert g.vertices() == (2.5, 9, 10, 100)
+        assert [y for y, _ in g.neighbors(9)] == [2.5, 10, 100]
+
     def test_exact_parse(self, tmp_path):
         doc = {
             "root": 0,

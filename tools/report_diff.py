@@ -85,6 +85,13 @@ _DECIMAL = {
               for u, v, w in ((0, 1, 1.7), (1, 2, 0.3), (2, 3, 0.9), (0, 3, 1.1))],
 }
 
+# a path 0 - "a,b" - "x": the middle vertex's neighbour ids do not compare
+_MIXED_IDS = {
+    "root": 0,
+    "vertices": [{"id": i, "mu": 1} for i in (0, "a,b", "x")],
+    "edges": [{"u": 0, "v": "a,b", "w": 1}, {"u": "a,b", "v": "x", "w": 1}],
+}
+
 # a star whose hub has 40 unit-weight leaves: Deg is 40 there and 1 elsewhere
 _HUB = {
     "root": 1,
@@ -140,6 +147,7 @@ EDGE_FILES = {
     "odd.initial.json": json.dumps([[1, 0.3], [-1, -0.3], [2, 1.7], [-2, -1.7]]),
     # exact decimal data at vertices whose root distance no double holds
     "far-exact.initial.json": json.dumps([[10 ** 400, 0.3], [-10 ** 400 - 1, -1.7], [0, 0.7]]),
+    "mixed-ids.json": json.dumps(_MIXED_IDS),
     # five float values on lattice:3, in an order no walk gives
     "five.initial.json": json.dumps([[[1, 0, 0], 0.245803], [[0, 0, 0], 0.483574],
                                      [[0, -1, 0], 0.590387], [[0, 0, 1], 0.884901],
@@ -329,6 +337,9 @@ EDGE_CASES = (
      "--kmax", "4"],
     ["solve", "--exact", "--family", "z", "--initial", "far-exact.initial.json",
      "--t=-1/3,2/7", "--rmax", "1"],
+    # vertex ids of an int and strs, ordered by `vertex_key`: a tree that
+    # sorts them exits 3 on a TypeError
+    ["solve", "--graph", "mixed-ids.json", "--t=0.1"],
 )
 
 
