@@ -277,12 +277,13 @@ def _step(index, pos, vals):
     np.minimum.at(first, into, ramp)
     targets = into[first[into] == ramp]
     del first, ramp  # each temporary is dropped once read, for a lower peak
-    if vals.dtype != object:
-        coefs, divisors = index.fcoefs[flat], index.fmeasures[targets]
-    else:
+    exact = vals.dtype == object
+    if exact:
         coefs, divisors = index.coefs[flat], index.divisors()[targets]
+    else:
+        coefs, divisors = index.fcoefs[flat], index.fmeasures[targets]
     del flat
-    rational = vals.dtype == object and all(map(is_rational, (vals, coefs, divisors)))
+    rational = exact and all(map(is_rational, (vals, coefs, divisors)))
     if rational:
         (vals, dv), (coefs, dc) = integer_numerators(vals), integer_numerators(coefs)
     terms = coefs * vals.repeat(lengths)

@@ -44,7 +44,7 @@ class DenseOperator:
         float64 for a float matrix or values that are all Python floats,
         else `Fraction` zeros and the values as objects."""
         values = dict(f.items()) if isinstance(f, LocalFunction) else dict(f)
-        floats = values and all(type(v) is float for v in values.values())
+        floats = bool(values) and all(type(v) is float for v in values.values())
         vec = np.zeros(self.n) if self.matrix.dtype != object or floats else np.array(
             [Fraction(0)] * self.n, dtype=object
         )
