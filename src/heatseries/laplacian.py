@@ -259,11 +259,11 @@ def _step(index, pos, vals):
     `np.minimum.at` finds the term at which the loop first touches each
     target, and the targets come out in the order of those terms, zeros
     dropped.  float64 `vals` are stepped on the float64 copies of the rows
-    and measures, object `vals` on the original rows and the `divisors`:
-    when every value, coefficient and divisor read is rational, as the
-    integer numerators of each over its least common denominator (the
-    values' d_v and the coefficients' d_c), a total t at a measure m giving
-    t m / (d_c d_v) = Fraction(t * m's denominator, d_c d_v m's numerator).
+    and measures, object `vals` on the original rows and the `divisors`.
+    When every value, coefficient and divisor read is rational, the values
+    and the coefficients are stepped as integer numerators over their least
+    common denominators d_v and d_c, and a total t at a measure m gives
+    Fraction(t * m.denominator, d_c d_v m.numerator) = t / (d_c d_v m).
     """
     lengths = index.length[pos]
     ends = lengths.cumsum()

@@ -405,11 +405,12 @@ def _sum_terms(columns, weights):
     """column[0] w_0 + column[1] w_1 + ..., added strictly left to right.
 
     A column gives its sum as a Python number, a matrix of columns by rows
-    gives the list of its rows' sums.  Object columns and weights that are
-    all rational, as a `Fraction` time's are, are summed exactly instead:
-    the integer numerators over their least common denominators, d_c for
-    the columns and d_w for the weights, give each sum s as Fraction(s, d_c
-    d_w), the very value and type of the left to right sum.
+    gives the list of its rows' sums.  Object columns that are all
+    rational, under the weights t^k / k! of a `Fraction` time t, are summed
+    as integer numerators over their least common denominators, d_c for
+    the columns and d_w for the weights: each sum s gives Fraction(s, d_c
+    d_w), the value of the left to right sum and, as w_1 = t is a Fraction,
+    its type.
     """
     if columns.dtype == object and is_rational(columns) and is_rational(weights):
         (nums, dc), (wnums, dw) = integer_numerators(columns), integer_numerators(weights)
