@@ -514,7 +514,7 @@ class TestAgainstTheDictLoop:
         assert_cone_matches_the_loop(graph, f, 4, 0)
 
     @pytest.mark.parametrize("spec, x", (("z", 2), ("lattice:2", (1, 2)), ("lattice:3", (0, 1, -1))))
-    @pytest.mark.parametrize("value", (Fraction(3, 7), 10 ** 400))
+    @pytest.mark.parametrize("value", (Fraction(3, 7), 10 ** 400), ids=("3/7", "10**400"))
     def test_odd_data_cancels_to_zero_at_the_root(self, spec, x, value):
         graph = kernel_graph(spec)
         mirror = tuple(-c for c in x) if isinstance(x, tuple) else -x
