@@ -23,12 +23,13 @@ The time and the graph pick the series; there is no option.
 
 At t = 0 the value is the data.  A solution caches one plan per distinct
 time, keyed on its type too: K, the tail bound, the weights, the table they
-read and the sums of the last `prefetch` grid, which `series_eval` reads.
-Any other evaluation is one sequential sum of the table's entries at x
-times the weights; `prefetch` computes each table on the light cone of a
-whole grid and sums it with one accumulate per time in the same order, so
-to the same bits.  Like its graph, a solution must not be shared between
-threads.
+read and the sums of the last `prefetch` grid.  `prefetch` computes each
+table on the light cone of a whole vertex x time grid, sums it with one
+accumulate per time and returns the grid as one column of values per time;
+`series_eval` at a prefetched point reads the same sums.  Any other
+evaluation is one sequential sum of the table's entries at x times the
+weights, in the same order, so to the same bits.  Like its graph, a
+solution must not be shared between threads.
 
 Two audits check the growth envelope |L^k a(x)| <= A (2C)^k
 e^{rate (k+d) ln(k+d)} of the coefficients: the backward-solvability audit
@@ -285,7 +286,7 @@ class SeriesSolution:
         return _Plan(k, bound(k), weights, table)
 
     def prefetch(self, vertices, times):
-        """Evaluate the grid `vertices` x `times` ahead of `series_eval`.
+        """The grid `vertices` x `times` in one pass: one column per time.
 
         Checks every vertex, then plans every time in order, refusing as
         `series_eval` would.  For each table the plans read, with K the
@@ -297,28 +298,36 @@ class SeriesSolution:
         values on the time's plan, replacing those of an earlier call: the
         same operations in the same order as `series_eval`'s single sum, so
         the same bits, or the same Python objects at a `Fraction` time.
+
+        Returns, in `times` order, the values at the distinct `vertices` in
+        their order: the kept sums, a list of Python floats at a float or int
+        time, or the data at a time of order 0.  These are the values
+        `series_eval` gives, the very lists it reads: do not change them.
         """
         graph = self.graph
         vertices = list(dict.fromkeys(vertices))
         if not vertices:
-            return
+            return [[] for _ in times]
         for x in vertices:
             graph.check_vertex(x)
-        plans = [plan for plan in dict.fromkeys(map(self._plan, times)) if plan.k]
-        if not plans:
-            return
-        reach = max(graph.distances_from_root(vertices))
-        slots = {x: i for i, x in enumerate(vertices)}
-        for table in dict.fromkeys(plan.table for plan in plans):
-            group = [plan for plan in plans if plan.table is table]
-            big_k = max(plan.k for plan in group)
-            iterates = light_cone_iterates(graph, table.base, big_k, reach, table.step)
-            columns = {dtype: window_values(iterates, vertices, dtype).T
-                       for dtype in {plan.weights.dtype for plan in group}}
-            del iterates  # freed first, so that making the sums adds no peak memory
-            for plan in group:
-                plan.slots = slots
-                plan.sums = _sum_terms(columns[plan.weights.dtype][:, : plan.k + 1], plan.weights)
+        plans = [self._plan(t) for t in times]
+        summed = [plan for plan in dict.fromkeys(plans) if plan.k]
+        if summed:
+            reach = max(graph.distances_from_root(vertices))
+            slots = {x: i for i, x in enumerate(vertices)}
+            for table in dict.fromkeys(plan.table for plan in summed):
+                group = [plan for plan in summed if plan.table is table]
+                big_k = max(plan.k for plan in group)
+                iterates = light_cone_iterates(graph, table.base, big_k, reach, table.step)
+                columns = {dtype: window_values(iterates, vertices, dtype).T
+                           for dtype in {plan.weights.dtype for plan in group}}
+                del iterates  # freed first, so that making the sums adds no peak memory
+                for plan in group:
+                    plan.slots = slots
+                    plan.sums = _sum_terms(columns[plan.weights.dtype][:, : plan.k + 1],
+                                           plan.weights)
+        data = list(map(self.initial, vertices))
+        return [plan.sums if plan.k else data for plan in plans]
 
 
 def _least(holds, lo, hi):

@@ -18,10 +18,10 @@ import heatseries.counterexample as cx_mod
 import heatseries.laplacian as laplacian_mod
 import heatseries.series as series_mod
 from heatseries.cli import canonical_json, main
-from heatseries.graphs import family_from_spec
+from heatseries.graphs import family_from_spec, float_or_inf, vertex_key
 from heatseries.laplacian import IteratedLaplacianTable
 from heatseries.oracle import brute_iterate, dense_laplacian
-from heatseries.series import SeriesSolution
+from heatseries.series import SeriesSolution, series_eval
 
 
 def run(args, capsys):
@@ -187,8 +187,10 @@ class TestSolveCommand:
                "z = D|t| = 360\n")
         assert calls == []
 
+    # the last: a finite time 0 column before the non-finite one
     @pytest.mark.parametrize("argv", [["solve", "--t=0.5"], ["solve", "--t=-0.5"],
-                                      ["backward", "--t=0.5", "--kmax", "2"]])
+                                      ["backward", "--t=0.5", "--kmax", "2"],
+                                      ["solve", "--t=0,0.5"]])
     def test_non_finite_rows_do_not_pass(self, argv, tmp_path, capsys):
         # w f(x) = 1e300 * 1e10 overflows inside the kernel step
         doc = OVERFLOW_K2_DOC
@@ -199,7 +201,7 @@ class TestSolveCommand:
         code, out = run(argv, capsys)
         report = json.loads(out)
         rows = report["results"]["evaluations"]
-        assert len(rows) == 2
+        assert len(rows) == 2 * len(report["config"]["t"])
         assert not all(math.isfinite(float(row["value"])) for row in rows)
         assert (code, report["pass"]) == (1, False)
 
@@ -1413,7 +1415,7 @@ class TestGridWriter:
             (tmp_path / str(i)).mkdir()
             report = _captured_report(_grid_argv(argv, doc, initial, tmp_path / str(i)))[2]
             grid = report["results"]["evaluations"]
-            values.update(json.dumps(v) for row in grid.values for v in row)
+            values.update(json.dumps(v) for column in grid.columns for v in column)
             vertices.update(json.dumps(cli._jsonable_vertex(x)) for x in grid.vertices)
             zeros.update(math.copysign(1.0, t) for t in grid.stamps if t == 0)
             if len(grid.vertices) * len(grid.stamps) == 1:
@@ -1425,15 +1427,15 @@ class TestGridWriter:
 
 class TestTracedCalls:
     """heatbench's tracer times `cli.series_eval` and `cli.canonical_json`:
-    one series_eval per row and one canonical_json per JSON report."""
+    one series_eval per time stamp and one canonical_json per JSON report."""
 
-    @pytest.mark.parametrize("argv, rows", [
-        (["solve", "--family", "z", "--t=0.5,-0.25,0", "--rmax", "3"], 7 * 3),
-        (["solve", "--family", "lattice:2", "--t=0.1,0.2", "--rmax", "2"], 13 * 2),
-        (["backward", "--family", "z", "--t=0.1,0.3", "--kmax", "4", "--rmax", "2"], 5 * 2),
+    @pytest.mark.parametrize("argv, vertices, times", [
+        (["solve", "--family", "z", "--t=0.5,-0.25,0", "--rmax", "3"], 7, 3),
+        (["solve", "--family", "lattice:2", "--t=0.1,0.2", "--rmax", "2"], 13, 2),
+        (["backward", "--family", "z", "--t=0.1,0.3", "--kmax", "4", "--rmax", "2"], 5, 2),
     ])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_one_series_eval_per_row(self, argv, rows, fmt, monkeypatch, capsys):
+    def test_one_series_eval_per_time(self, argv, vertices, times, fmt, monkeypatch, capsys):
         calls = Counter()
 
         def counted(name):
@@ -1447,8 +1449,9 @@ class TestTracedCalls:
         for name in ("series_eval", "canonical_json"):
             monkeypatch.setattr(cli, name, counted(name))
         assert main(argv + ["--format", fmt]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == (1 if fmt == "json" else rows + 1)
-        assert calls == Counter(series_eval=rows, canonical_json=1 if fmt == "json" else 0)
+        lines = 1 if fmt == "json" else vertices * times + 1
+        assert len(capsys.readouterr().out.splitlines()) == lines
+        assert calls == Counter(series_eval=times, canonical_json=1 if fmt == "json" else 0)
 
 
 LATTICE3_DATA = [[[0, 0, 0], -1.0], [[1, 0, 0], 0.25], [[0, 0, -1], 0.5]]
@@ -1485,23 +1488,57 @@ REPORT_GRAPH = {
 }
 
 
+# times of order 0 (0 and -0.0 print apart) and a repeated time, in float
+# and exact arithmetic
+ORACLE_CASES = REPORT_CASES + [
+    (["solve", "--family", "z", "--t=0.5,0,0.5,-0.5,-0.0", "--rmax", "3"] + exact,
+     [[-2, 0.75], [3, -1.0]])
+    for exact in ([], ["--exact"])
+]
+
+
 class TestLightConeReports:
-    @pytest.mark.parametrize("argv, initial", REPORT_CASES)
-    def test_reports_do_not_depend_on_prefetch(self, argv, initial, monkeypatch, capsys, tmp_path):
+    @pytest.mark.parametrize("argv, initial", ORACLE_CASES)
+    def test_reports_equal_the_per_point_series(self, argv, initial, monkeypatch, capsys, tmp_path):
+        """The report of solve or backward against the one written from rows
+        that `series_eval` gives one point at a time, on a fresh solution
+        that never prefetched."""
         argv = [str(tmp_path / "g.json") if a == "GRAPH" else a for a in argv]
         (tmp_path / "g.json").write_text(json.dumps(REPORT_GRAPH))
         if initial is not None:
             (tmp_path / "a.json").write_text(json.dumps(initial))
             argv += ["--initial", str(tmp_path / "a.json")]
+        written = []
+        write_report = cli._write_report
 
-        def outputs():
-            code = main(argv)
-            captured = capsys.readouterr()
-            return code, captured.out, captured.err
+        def recording(*call):
+            written.append(call)
+            write_report(*call)
 
-        with_cone = outputs()
-        monkeypatch.setattr(SeriesSolution, "prefetch", lambda self, vertices, times: None)
-        assert outputs() == with_cone
+        monkeypatch.setattr(cli, "_write_report", recording)
+        code = main(argv)
+        out = capsys.readouterr().out
+
+        ((args, command, config, body, passed, _),) = written
+        sign = 1 if command == "solve" else -1
+        graph, data = cli._resolve_source(args, {})
+        fresh = SeriesSolution(graph, data, tol=args.tol)
+        rows = []
+        for x in sorted(graph.ball(graph.root, args.rmax), key=vertex_key):
+            for t in cli._parse_times(args.t, args.exact):
+                value, tail, terms = series_eval(fresh, x, sign * t)
+                rows.append({"vertex": cli._jsonable_vertex(x), "t": float(t),
+                             "value": float_or_inf(value), "tail_bound": tail, "K_used": terms})
+
+        def typed(rows):
+            return [[(type(v), repr(v)) for v in row.values()] for row in rows]
+
+        assert typed(body["evaluations"].rows()) == typed(rows)
+        certified = command == "solve" or body["solvability"]["verdict"] == "certified"
+        want_pass = certified and (args.exact or all(math.isfinite(row["value"]) for row in rows))
+        assert (code, passed) == (0 if want_pass else 1, want_pass)
+        write_report(args, command, config, {**body, "evaluations": rows}, want_pass, rows)
+        assert capsys.readouterr().out == out
 
     def test_kernel_work_stays_in_the_light_cone(self, monkeypatch, capsys):
         sizes = []

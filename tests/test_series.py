@@ -1033,13 +1033,16 @@ class TestLightCone:
     def test_prefetched_sums_equal_the_full_table_sums(self, case):
         graph, data, window, times = case
         cone = SeriesSolution(graph, data)
-        cone.prefetch(window, times)
+        columns = cone.prefetch(window, times)
         full = SeriesSolution(graph, data)
         assert len(cone.table) == 1
-        for x in window:
-            for t in times:
+        assert [len(column) for column in columns] == [len(window)] * len(times)
+        for x, *values in zip(window, *columns):
+            for t, value in zip(times, values):
                 got, want = series_eval(cone, x, t), series_eval(full, x, t)
-                assert (type(got.value), repr(got.value)) == (type(want.value), repr(want.value))
+                # the returned column and the lookup give the full table's value
+                for v in (value, got.value):
+                    assert (type(v), repr(v)) == (type(want.value), repr(want.value))
                 assert got[1:] == want[1:]
         assert len(cone.table) == 1
 
@@ -1167,7 +1170,8 @@ class TestLightCone:
         sol = SeriesSolution(z, LocalFunction.delta(0), certificate=cert)
         with pytest.raises(RadiusExceededError):
             sol.prefetch([0], [1.0])
-        sol.prefetch([], [1.0])  # no vertex, no evaluation, nothing to refuse
+        # no vertex, no evaluation, nothing to refuse: an empty column per time
+        assert sol.prefetch([], [1.0, 2.0]) == [[], []]
 
 
 def max_row(graph):
