@@ -211,6 +211,11 @@ EDGE_CASES = (
     # a given theta and time shift
     ["counterexample", "--beta", "6", "--theta", "0.3", "--T", "2.5", "--xmax", "30",
      "--kmax", "4"],
+    # a growth window of one x, witness orders up to 12, and an empty window
+    # at a large beta, refused before any evaluation
+    ["counterexample", "--beta", "3", "--xmax", "6"],
+    ["counterexample", "--beta", "4", "--xmax", "8", "--kmax", "12"],
+    ["counterexample", "--beta", "1000", "--xmax", "3", "--kmax", "1"],
     # data that no grid rate fits from the inner spheres, on a finite graph
     ["radius", "--graph", "seed35.json", "--initial", "seed35.initial.json", "--rmax", "3"],
     # degrees that no grid power fits from the inner spheres, on a finite graph
