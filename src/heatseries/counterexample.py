@@ -10,14 +10,13 @@ rational times the common flat factor; numerics go through rational
 polynomial evaluation and an arbitrary-precision exponential, which
 sidesteps the catastrophic cancellation a plain float path would hit.
 
-Values are exact at a time t = 1/s with s = p/q.  For each beta and s a
+Values are exact at a time t = 1/s with s = p/q and are evaluated one
+column of (x, order) points per time.  For each beta and s a
 DerivativeValueTable holds the integers N_j = R_j(p/q) q^(j(beta+1)), each
-found once by Horner's rule in Python ints and shared by every x and
-derivative order asked for at that time.  A value sums C(x+k, 2k)
-N_(k+order) over k <= x by Horner's rule in q^(beta+1) and becomes one
-Fraction over q^((beta+1)(x+order)), so it costs one gcd.  The flat factor
-e^{-s^beta} is computed once per time, beta and working precision in a
-process and then reused.
+found once by Horner's rule in Python ints.  A column looks up its table,
+the step q^(beta+1) and the flat factor e^{-s^beta} (cached per time, beta
+and working precision) once; each value sums C(x+k, 2k) N_(k+order) over
+k <= x by Horner's rule in the step and costs one gcd over step^(x+order).
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, mpf_mul
 
 from .bounds import exp_or_inf
 from .errors import AuditWindowEmptyError
@@ -190,7 +190,7 @@ def _term_coefficients(x):
 def _combined_poly(beta, x, order):
     """Polynomial P with d^order/dt^order v(x,t) = P(1/t) e^{-t^-beta}.
 
-    Values go through _v_exact; the polynomial itself serves the exact
+    Values go through _column; the polynomial itself serves the exact
     residual identity of heat_residual_poly.
     """
     table = _table(beta)
@@ -198,11 +198,6 @@ def _combined_poly(beta, x, order):
     for k, c in enumerate(_term_coefficients(x)):
         _poly_add(out, table.poly(k + order), c)
     return {e: c for e, c in out.items() if c}
-
-
-def _exact_to_mpf(v):
-    v = Fraction(v)
-    return mp.mpf(v.numerator) / mp.mpf(v.denominator)
 
 
 def _flat_factor(s, beta):
@@ -213,32 +208,44 @@ def _flat_factor(s, beta):
 @lru_cache(maxsize=1024)
 def _flat_factor_at(s, beta, prec):
     # the value depends on the working precision, so it is part of the key
-    return mp.exp(-_exact_to_mpf(s) ** beta)
+    return mp.exp(-(mp.mpf(s.numerator) / mp.mpf(s.denominator)) ** beta)
+
+
+def _reduced(values, step, x, order):
+    """P(s) with d^order/dt^order v(x, 1/s) = P(s) e^{-s^beta}, x >= 0, reduced:
+    sum_k C(x+k, 2k) N_(k+order) step^(x-k) over step^(x+order)."""
+    acc = 0
+    for k, c in enumerate(_term_coefficients(x)):
+        acc = acc * step + c * values[k + order]
+    den = step ** (x + order)
+    g = math.gcd(acc, den)
+    return acc // g, den // g
+
+
+def _column(beta, t, points):
+    """The mpf d^order/dt^order v(x, t) of each (x, order) in points, at t > 0,
+    rounded as mp.mpf(num) / mp.mpf(den) * flat factor at the working precision."""
+    s = 1 / Fraction(t)
+    prec, rnd = mp._prec_rounding
+    table, flat = _value_table(beta, s), _flat_factor(s, beta)._mpf_
+    points = [(_mirror(x), order) for x, order in points]
+    values = table.values(max(x + order for x, order in points))
+    out = []
+    for x, order in points:
+        num, den = _reduced(values, table.step, x, order)
+        quotient = mpf_div(from_int(num, prec, rnd), from_int(den, prec, rnd), prec, rnd)
+        out.append(mp.make_mpf(mpf_mul(quotient, flat, prec, rnd)))
+    return out
 
 
 def _v_mpf(params, x, t, order=0):
     """Arbitrary-precision d^order/dt^order v(x, t); 0 for t <= 0."""
-    if t <= 0:
-        return mp.mpf(0)
-    s = 1 / Fraction(t)
-    exact = _v_exact(params.beta, _mirror(x), s, order)
-    return _exact_to_mpf(exact) * _flat_factor(s, params.beta)
+    return _column(params.beta, t, [(x, order)])[0] if t > 0 else mp.mpf(0)
 
 
 def _v_exact(beta, x, s, order):
-    """The rational P(s) with d^order/dt^order v(x, 1/s) = P(s) e^{-s^beta}.
-
-    Horner's rule in q^(beta+1) over the shared values N_(k+order) builds
-    sum_k C(x+k, 2k) N_(k+order) q^((beta+1)(x-k)); one Fraction over
-    q^((beta+1)(x+order)) reduces it, so the result is the same rational as
-    the combined polynomial at s.
-    """
     table = _value_table(beta, s)
-    values = table.values(x + order)
-    acc = 0
-    for k, c in enumerate(_term_coefficients(x)):
-        acc = acc * table.step + c * values[k + order]
-    return Fraction(acc, table.step ** (x + order))
+    return Fraction(*_reduced(table.values(x + order), table.step, x, order))
 
 
 def g_eval(params, t):
@@ -262,8 +269,7 @@ def g_derivative(params, k, t):
 def v_eval(params, x, t):
     """The lattice solution: g at x = 0, the finite derivative sum for
     x >= 1, and the mirror value v(-x-1, t) for x <= -1; 0 for t <= 0."""
-    with mp.workdps(_WORK_DPS):
-        return float(_v_mpf(params, x, t))
+    return v_time_derivative(params, x, t, order=0)
 
 
 def v_time_derivative(params, x, t, order=1):
@@ -280,12 +286,17 @@ def heat_residual_1d(params, x, t):
     """
     if not t > 0:
         raise ValueError("residual is defined for t > 0")
-    return (
-        v_time_derivative(params, x, t)
-        + 2.0 * v_eval(params, x, t)
-        - v_eval(params, x - 1, t)
-        - v_eval(params, x + 1, t)
-    )
+    return _residual_column(params.beta, t, range(x, x + 1))[0][1]
+
+
+def _residual_column(beta, t, xs):
+    """(v(x, t), d/dt v + 2 v(x) - v(x-1) - v(x+1)) in floats for each x of the
+    range xs, from one column at t > 0 of v over xs widened by one and d/dt v."""
+    n = len(xs)
+    points = [(x, 0) for x in range(xs[0] - 1, xs[-1] + 2)] + [(x, 1) for x in xs]
+    with mp.workdps(_WORK_DPS):
+        col = [float(v) for v in _column(beta, t, points)]
+    return [(col[i + 1], col[n + 2 + i] + 2.0 * col[i + 1] - col[i] - col[i + 2]) for i in range(n)]
 
 
 def heat_residual_poly(params, x):
@@ -370,25 +381,21 @@ def growth_audit(params, xmax=60):
     if xmax < r0:  # for an integer xmax, the same as xmax < ceil(r0)
         raise AuditWindowEmptyError(r0, xmax)
     start = math.ceil(r0)
+    xs = range(start, xmax + 1)
     worst = 0.0
     violations = []
     with mp.workdps(_WORK_DPS):
+        columns = [_column(beta, t, [(x, 0) for x in xs]) for t in GROWTH_T_GRID]
         prefactor = 4 * mp.sqrt(2 * mp.pi)
-        for x in range(start, xmax + 1):
+        for i, x in enumerate(xs):
             envelope = prefactor * mp.e ** ((1.0 + eps) * x * mp.log(x))
-            for t in GROWTH_T_GRID:
-                value = abs(_v_mpf(params, x, t))
-                margin = float(value / envelope)
-                worst = max(worst, margin)
+            for t, column in zip(GROWTH_T_GRID, columns):
+                value = abs(column[i])
+                worst = max(worst, float(value / envelope))
                 if value > envelope:
                     violations.append((x, float(t), float(value), float(envelope)))
-    return GrowthAuditReport(
-        passed=not violations,
-        r0=r0,
-        window=(start, xmax),
-        worst_margin=worst,
-        violations=violations,
-    )
+    return GrowthAuditReport(passed=not violations, r0=r0, window=(start, xmax),
+                             worst_margin=worst, violations=violations)
 
 
 @dataclass
@@ -415,6 +422,13 @@ class NonAnalyticityReport:
         return self.flat and self.nonzero
 
 
+def _check_witness_input(kmax, tol):
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    if number_problem(tol) or not tol > 0:
+        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+
+
 def non_analyticity_witness(params, x, kmax, tol=1e-8):
     """Probe flatness at 0+ of all derivatives up to kmax, plus nonzero samples.
 
@@ -424,21 +438,14 @@ def non_analyticity_witness(params, x, kmax, tol=1e-8):
     relative to the unshifted solution, i.e. at shift + t for the shifted
     one.
     """
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    if number_problem(tol) or not tol > 0:
-        raise ValueError(f"tol must be finite and positive, not {tol!r}")
+    _check_witness_input(kmax, tol)
     probes = sorted({max(1, MAX_DYADIC - step) for step in (20, 15, 10, 5, 0)})
-    flat_values = {}
-    flat_trace = {}
+    orders = [(x, j) for j in range(kmax + 1)]
     with mp.workdps(_WORK_DPS):
-        for j in range(kmax + 1):
-            trace = [
-                (m, float(abs(_v_mpf(params, x, Fraction(1, 2 ** m), order=j))))
-                for m in probes
-            ]
-            flat_trace[j] = trace
-            flat_values[j] = trace[-1][1]
+        columns = [[float(abs(v)) for v in _column(params.beta, Fraction(1, 2**m), orders)]
+                   for m in probes]
+    flat_trace = {j: [(m, col[j]) for m, col in zip(probes, columns)] for j in range(kmax + 1)}
+    flat_values = {j: trace[-1][1] for j, trace in flat_trace.items()}
     samples = [(float(t), v_eval(params, x, t)) for t in SAMPLE_TIMES]
     flat = all(v <= tol for trace in flat_trace.values() for _, v in trace)
     nonzero = any(v != 0 for _, v in samples)
@@ -459,23 +466,21 @@ def audit_report(params, xmax, kmax, tol):
 
     The solution is not time analytic when the residual polynomial is zero,
     the evaluated residual is rounding-sized against the values, the growth
-    audit passes and every witness at x = 0..3 is flat and nonzero.  The
-    witnesses check tol and kmax on entry, and the growth audit its window,
-    so bad input is refused before the residual and Huang work.
+    audit passes and every witness at x = 0..3 is flat and nonzero.  kmax
+    and tol are checked first, then the growth audit's preconditions and
+    window, so bad input is refused before any value is evaluated.  The
+    residual rows read one column per time.
     """
-    witnesses = [non_analyticity_witness(params, x, kmax, tol=tol) for x in (0, 1, 2, 3)]
+    _check_witness_input(kmax, tol)
     growth = growth_audit(params, xmax=xmax)
+    witnesses = [non_analyticity_witness(params, x, kmax, tol=tol) for x in (0, 1, 2, 3)]
     t_grid = (Fraction(1, 4), Fraction(1, 2), Fraction(1, 1))
     xs = range(-10, 11)
-    residual_rows = []
-    max_residual = 0.0
-    max_value = 0.0
-    for x in xs:
-        for t in t_grid:
-            r = abs(heat_residual_1d(params, x, t))
-            max_residual = max(max_residual, r)
-            max_value = max(max_value, abs(v_eval(params, x, t)))
-            residual_rows.append({"x": x, "t": float(t), "residual": r})
+    columns = [_residual_column(params.beta, t, xs) for t in t_grid]
+    cells = [(x, t, col[i]) for i, x in enumerate(xs) for t, col in zip(t_grid, columns)]
+    residual_rows = [{"x": x, "t": float(t), "residual": abs(r)} for x, t, (_, r) in cells]
+    max_residual = max([0.0] + [row["residual"] for row in residual_rows])
+    max_value = max([0.0] + [abs(value) for _, _, (value, _) in cells])
     zero_poly = all(heat_residual_poly(params, x) == {} for x in xs)
     huang = [huang_bound_audit(params, k, t_grid) for k in range(1, 21)]
     conclusion = (

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -763,21 +764,47 @@ class TestCounterexampleCommand:
         return calls
 
     def test_bad_tol_refused_before_any_evaluation(self, monkeypatch):
-        calls = self._counting(monkeypatch, ["_v_mpf"])
+        calls = self._counting(monkeypatch, ["_column"])
         code, err = _exit_and_stderr(["counterexample", "--tol=nan"])
         assert code == 2
         assert err == "error: tol must be finite and positive, not nan\n"
-        assert calls == {"_v_mpf": 0}
+        assert calls == {"_column": 0}
 
     def test_empty_window_refused_before_residuals_and_huang(self, monkeypatch):
-        calls = self._counting(monkeypatch, ["heat_residual_1d", "huang_bound_audit"])
+        names = ["heat_residual_1d", "huang_bound_audit", "_column"]
+        calls = self._counting(monkeypatch, names)
         code, err = _exit_and_stderr(["counterexample", "--xmax", "3"])
         assert code == 2
         assert err == (
             "error: audit window empty: admissible radius starts at "
             "6.594885082800512, window ends at 3\n"
         )
-        assert calls == {"heat_residual_1d": 0, "huang_bound_audit": 0}
+        assert calls == dict.fromkeys(names, 0)
+
+    def test_empty_window_at_a_large_beta_refused_at_once(self):
+        # the flatness witnesses at beta 10000 take seconds; none may run
+        start = time.perf_counter()
+        code, err = _exit_and_stderr(["counterexample", "--beta", "10000", "--xmax", "3",
+                                      "--kmax", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == (
+            "error: audit window empty: admissible radius starts at "
+            "10.870952905821461, window ends at 3\n"
+        )
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--kmax", "0", "--tol=nan", "--xmax", "3"], "kmax must be >= 1"),
+        (["--tol=nan", "--xmax", "3"], "tol must be finite and positive, not nan"),
+        (["--beta", "2", "--epsilon", "0.5", "--xmax", "3"],
+         "growth audit needs beta > max(1, 2/epsilon)"),
+    ])
+    def test_the_first_bad_input_is_named(self, monkeypatch, argv, message):
+        calls = self._counting(monkeypatch, ["_column"])
+        code, err = _exit_and_stderr(["counterexample"] + argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert calls == {"_column": 0}
 
 
 def _old_iterate_errors(exact):

@@ -101,15 +101,21 @@ def _reference_exact(beta, x, s, order):
     return _reference_poly_eval(_combined_poly(beta, x, order), s)
 
 
+def _reference_mpf(params, x, t, order=0):
+    """d^order/dt^order v(x, t) for t > 0 at the working precision, from the
+    reference sum and an uncached exp."""
+    s = 1 / Fraction(t)
+    value = _reference_exact(params.beta, x if x >= 0 else -x - 1, s, order)
+    flat = mp.exp(-(mp.mpf(s.numerator) / mp.mpf(s.denominator)) ** params.beta)
+    return mp.mpf(value.numerator) / mp.mpf(value.denominator) * flat
+
+
 def _reference_v(params, x, t, order=0):
     """d^order/dt^order v(x, t) from the reference sum and an uncached exp."""
     if t <= 0:
         return 0.0
     with mp.workdps(40):
-        s = 1 / Fraction(t)
-        value = _reference_exact(params.beta, x if x >= 0 else -x - 1, s, order)
-        flat = mp.exp(-(mp.mpf(s.numerator) / mp.mpf(s.denominator)) ** params.beta)
-        return float(mp.mpf(value.numerator) / mp.mpf(value.denominator) * flat)
+        return float(_reference_mpf(params, x, t, order))
 
 
 SPARSE_POLYS = st.dictionaries(
@@ -231,6 +237,31 @@ class TestBitIdentical:
             got = _flat_factor(s, 4)
             want = mp.exp(-(mp.mpf(98765) / 43211) ** 4)
         assert got == want
+
+
+class TestColumn:
+    """One column of the kernel against the reference sum, value by value."""
+
+    @given(
+        st.integers(2, 5),
+        st.sampled_from(TestBitIdentical.TIMES),
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(0, 4)), min_size=1, max_size=12),
+        st.sampled_from([40, 15]),
+    )
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    # negative, mirrored and repeated x at every order, at each time and both precisions
+    @example(4, Fraction(1, 2**30), [(-1, 0), (0, 0), (3, 4), (-4, 4), (3, 4), (-20, 1)], 40)
+    @example(4, Fraction(1, 2**30), [(-1, 0), (0, 0), (3, 4), (-4, 4), (3, 4), (-20, 1)], 15)
+    @example(3, Fraction(1, 8), [(x, k) for x in (-7, 6, -1, 0, 6) for k in range(5)], 40)
+    @example(3, Fraction(1, 8), [(x, k) for x in (-7, 6, -1, 0, 6) for k in range(5)], 15)
+    @example(5, Fraction(1, 2), [(-12, 2), (11, 2), (11, 3), (0, 1)], 15)
+    @example(5, Fraction(1), [(17, 0), (-18, 0), (2, 3), (-3, 3)], 15)
+    def test_against_reference(self, beta, t, points, dps):
+        params = FlatBumpParams(beta=beta)
+        with mp.workdps(dps):
+            got = cx_mod._column(beta, t, points)
+            want = [_reference_mpf(params, x, t, order) for x, order in points]
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
 
 class TestBump:
@@ -482,8 +513,8 @@ def _nonzero_residual_poly(original, params, x):
     return {0: 1}
 
 
-def _large_residual(original, params, x, t):
-    return v_eval(params, x, t)  # as large as the solution itself
+def _large_residual(original, beta, t, xs):
+    return [(v, v) for v, _ in original(beta, t, xs)]  # as large as the solution itself
 
 
 def _failed_growth(original, params, xmax=60):
@@ -504,7 +535,7 @@ class TestAuditReport:
 
     @pytest.mark.parametrize("name, broken", [
         ("heat_residual_poly", _nonzero_residual_poly),
-        ("heat_residual_1d", _large_residual),
+        ("_residual_column", _large_residual),
         ("growth_audit", _failed_growth),
         ("non_analyticity_witness", _one_witness_not_flat),
     ])
