@@ -226,7 +226,7 @@ def _column(beta, t, points):
     """The mpf d^order/dt^order v(x, t) of each (x, order) in points, at t > 0,
     rounded as mp.mpf(num) / mp.mpf(den) * flat factor at the working precision."""
     s = 1 / Fraction(t)
-    prec, rnd = mp._prec_rounding
+    prec, rnd = mp._prec_rounding  # what mp.mpf arithmetic rounds with
     table, flat = _value_table(beta, s), _flat_factor(s, beta)._mpf_
     points = [(_mirror(x), order) for x, order in points]
     values = table.values(max(x + order for x, order in points))
@@ -440,9 +440,9 @@ def non_analyticity_witness(params, x, kmax, tol=1e-8):
     """
     _check_witness_input(kmax, tol)
     probes = sorted({max(1, MAX_DYADIC - step) for step in (20, 15, 10, 5, 0)})
-    orders = [(x, j) for j in range(kmax + 1)]
+    points = [(x, j) for j in range(kmax + 1)]
     with mp.workdps(_WORK_DPS):
-        columns = [[float(abs(v)) for v in _column(params.beta, Fraction(1, 2**m), orders)]
+        columns = [[float(abs(v)) for v in _column(params.beta, Fraction(1, 2**m), points)]
                    for m in probes]
     flat_trace = {j: [(m, col[j]) for m, col in zip(probes, columns)] for j in range(kmax + 1)}
     flat_values = {j: trace[-1][1] for j, trace in flat_trace.items()}
